@@ -56,6 +56,7 @@ from .gf2 import (
     contains,
     intersect,
     rank_gf2,
+    rank_masks,
     span,
 )
 from .graph import (
@@ -73,10 +74,9 @@ from .graph import (
 )
 from .nests import (
     Nest,
-    NestComplex,
+    NestIndex,
     enumerate_nests,
     grow_nest,
-    nest_complex,
     nest_counts,
     nest_label,
     regularity_check,
@@ -104,7 +104,7 @@ __all__ = [
     "InvalidModulus",
     "IsotropyRecord",
     "Nest",
-    "NestComplex",
+    "NestIndex",
     "NotCombinatorialManifold",
     "NotGoodColoring",
     "SkelexError",
@@ -136,13 +136,13 @@ __all__ = [
     "is_pure",
     "isotropy_report",
     "manifold_local_check",
-    "nest_complex",
     "nest_counts",
     "nest_label",
     "parse",
     "parse_poset",
     "predicted_complex",
     "rank_gf2",
+    "rank_masks",
     "realizability_summary",
     "regularity_check",
     "serialize",

@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import SkelexError
 from .expansion import CellComplex
-from .gf2 import rank_gf2
+from .gf2 import rank_masks
 from .graph import ColoredGraph
 from .nests import Nest
 
@@ -76,12 +76,18 @@ class _ParityUnionFind:
         self.parity = [0] * size
 
     def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 0
-        root, p = self.find(self.parent[x])
-        self.parent[x] = root
-        self.parity[x] ^= p
-        return root, self.parity[x]
+        """The root of x and x's parity relative to it; compresses the path."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        # walk back from the node next to the root, folding parities so far
+        parity = 0
+        for node in reversed(path):
+            parity ^= self.parity[node]
+            self.parent[node] = x
+            self.parity[node] = parity
+        return x, parity
 
     def union(self, a: int, b: int, relation: int) -> bool:
         """Impose parity(a) xor parity(b) == relation; False on conflict."""
@@ -153,15 +159,25 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
     return SurfaceReport(orientable, chi, genus, name)
 
 
+def _boundary_column(faces: tuple[int, ...]) -> int:
+    mask = 0
+    for f in faces:
+        mask |= 1 << f
+    return mask
+
+
 def homology_mod2(c: CellComplex) -> HomologyReport:
-    """Mod-2 Betti numbers from the ranks of the boundary matrices."""
+    """Mod-2 Betti numbers from the ranks of the boundary maps.
+
+    Column k of the boundary map is a bit mask of the cell's face list.
+    """
     if not c.boundary_condition_holds():
         raise SkelexError("boundary condition violated: composite maps not zero")
     top = c.top_dim
     counts = c.counts()
     ranks = [0] * (top + 2)  # ranks[k] = rank of the k-th boundary map
     for k in range(1, top + 1):
-        ranks[k] = rank_gf2(c.boundary_matrix(k))
+        ranks[k] = rank_masks(_boundary_column(cell.faces) for cell in c.cells_by_dim[k])
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     chi = c.euler()
     alt = sum((-1) ** i * b for i, b in enumerate(betti))

@@ -201,6 +201,10 @@ def _parse_uncolored(text: str) -> tuple[list[tuple[int, int]], int, int | None]
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "edges" not in data or "vertices" not in data:
         raise FormatError("expected an object with 'vertices' and 'edges'")
+    if not isinstance(data["vertices"], int):
+        raise FormatError("'vertices' must be an integer")
+    if not isinstance(data["edges"], list):
+        raise FormatError("'edges' must be an array")
     edges = []
     for i, item in enumerate(data["edges"]):
         if not isinstance(item, list) or len(item) not in (2, 3):
@@ -290,9 +294,10 @@ def _parse_loose(text: str) -> ColoredGraph:
 
 def _cmd_nests(args) -> int:
     g = graph_mod.parse(_read_text(args.file))
+    index = nests_mod.NestIndex(g)
     dims = [args.dim] if args.dim is not None else list(range(g.n + 1))
-    all_nests = {k: nests_mod.enumerate_nests(g, k) for k in dims}
-    counts = nests_mod.nest_counts(g)
+    all_nests = {k: index.nests(k) for k in dims}
+    counts = index.counts()
     if args.format == "json":
         payload = {
             "nests": [

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGoodColoring, UnsupportedDimension
-from .graph import ColoredGraph, require_valid
-from .nests import Nest, enumerate_nests, nest_label
+from .graph import ColoredGraph
+from .nests import Nest, NestIndex, nest_label
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,20 @@ class CellComplex:
 
     Mod-2 incidence between a k-cell and a (k-1)-cell is 1 exactly when the
     latter is a face of the former (the regular-complex rule), so boundary
-    matrices are read straight off the face lists.
+    matrices are read straight off the face lists.  ``index`` is the nest
+    index the cells were read from, cell i of dimension k standing for
+    ``index.nests(k)[i]``; subcomplexes have none.
     """
 
-    def __init__(self, graph: ColoredGraph, cells_by_dim: list[list[Cell]]):
+    def __init__(
+        self,
+        graph: ColoredGraph,
+        cells_by_dim: list[list[Cell]],
+        index: NestIndex | None = None,
+    ):
         self.graph = graph
         self.cells_by_dim = cells_by_dim
+        self.index = index
 
     @property
     def top_dim(self) -> int:
@@ -86,30 +94,24 @@ class CellComplex:
         return out
 
 
-def _faces_of(nest: Nest, lower: list[Cell]) -> tuple[int, ...]:
-    return tuple(c.index for c in lower if nest.contains(c.nest))
-
-
-def expand2(g: ColoredGraph) -> CellComplex:
+def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
     """The 2-skeleton: vertices, edges, and one disc per 2-nest circle.
 
     Every 2-nest must be an embedded circle (connected, regular 2-valent);
-    a violation witnesses a non-good coloring and is refused.
+    a violation witnesses a non-good coloring and is refused.  ``index`` is
+    the graph's nest index when the caller already holds one.
     """
-    require_valid(g)
+    if index is None:
+        index = NestIndex(g)
     if g.n < 2:
         raise UnsupportedDimension(f"2-skeletal expansion needs n >= 2, got n={g.n}")
-    zero_cells = [
-        Cell(0, i, nest, ())
-        for i, nest in enumerate(enumerate_nests(g, 0))
-    ]
+    zero_cells = [Cell(0, i, nest, ()) for i, nest in enumerate(index.nests(0))]
     one_cells = [
-        Cell(1, i, nest, tuple(nest.vertex_ids))
-        for i, nest in enumerate(enumerate_nests(g, 1))
+        Cell(1, i, nest, index.within(nest, 0))
+        for i, nest in enumerate(index.nests(1))
     ]
     two_cells: list[Cell] = []
-    for i, nest in enumerate(enumerate_nests(g, 2)):
-        edge_set = set(nest.edge_ids)
+    for i, (nest, edge_set) in enumerate(zip(index.nests(2), index.edge_sets(2))):
         for v in nest.vertex_ids:
             valence = sum(1 for e in g.edges_at(v) if e in edge_set)
             if valence != 2:
@@ -117,8 +119,8 @@ def expand2(g: ColoredGraph) -> CellComplex:
                     f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
                     f" valence {valence}; the coloring is not good"
                 )
-        two_cells.append(Cell(2, i, nest, tuple(sorted(edge_set))))
-    return CellComplex(g, [zero_cells, one_cells, two_cells])
+        two_cells.append(Cell(2, i, nest, index.within(nest, 1)))
+    return CellComplex(g, [zero_cells, one_cells, two_cells], index)
 
 
 def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
@@ -143,18 +145,18 @@ def boundary_sphere_complex(
 ) -> CellComplex:
     """The union of all cells whose nest is a subgraph of the given nest.
 
-    ``complex`` must be the (k)-skeleton and ``nest`` a (k+1)-nest; the
-    result is the candidate boundary sphere for the cell the nest defines.
+    ``complex`` must be the (k)-skeleton read from a nest index (as
+    ``expand2`` builds it) and ``nest`` a (k+1)-nest; the result is the
+    candidate boundary sphere for the cell the nest defines.
     """
     if nest.dim != complex.top_dim + 1:
         raise ValueError(
             f"nest dimension {nest.dim} does not extend a"
             f" {complex.top_dim}-skeleton"
         )
-    keep = [
-        {c.index for c in cells if nest.contains(c.nest)}
-        for cells in complex.cells_by_dim
-    ]
+    if complex.index is None:
+        raise ValueError("boundary complexes need a skeleton read from a nest index")
+    keep = [set(complex.index.within(nest, k)) for k in range(complex.top_dim + 1)]
     return _subcomplex(complex, keep)
 
 
@@ -292,19 +294,19 @@ class Criterion3:
         return (self.vertex_count, self.two_nests, self.three_nests)
 
 
-def criterion_3d(g: ColoredGraph) -> Criterion3:
-    """The n=3 closing condition: #3-nests == #2-nests - #vertices."""
+def criterion_3d(g: ColoredGraph, index: NestIndex | None = None) -> Criterion3:
+    """The n=3 closing condition: #3-nests == #2-nests - #vertices.
+
+    ``index`` is the graph's nest index when the caller already holds one.
+    """
     if g.n != 3:
         raise UnsupportedDimension(f"criterion applies to n=3 only, got n={g.n}")
-    require_valid(g)
+    if index is None:
+        index = NestIndex(g)
     v0 = g.vertex_count
-    v2 = len(enumerate_nests(g, 2))
-    v3 = len(_three_nests(g))
+    v2 = len(index.nests(2))
+    v3 = len(index.nests(3))
     return Criterion3(v3 == v2 - v0, v0, v2, v3)
-
-
-def _three_nests(g: ColoredGraph) -> list[Nest]:
-    return enumerate_nests(g, 3)
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,10 @@ def full_expand(g: ColoredGraph) -> ExpansionOutcome:
     then every candidate boundary is verified to be a 2-sphere.  n >= 4
     stops after the 2-skeleton with an explicit unsupported marker.
     """
-    require_valid(g)
+    index = NestIndex(g)
     if g.n < 2:
         raise UnsupportedDimension(f"expansion needs n >= 2, got n={g.n}")
-    skeleton = expand2(g)
+    skeleton = expand2(g, index)
     if g.n == 2:
         return ExpansionOutcome(skeleton, 2, None)
     if g.n >= 4:
@@ -349,7 +351,7 @@ def full_expand(g: ColoredGraph) -> ExpansionOutcome:
             ),
         )
 
-    crit = criterion_3d(g)
+    crit = criterion_3d(g, index)
     if not crit.holds:
         return ExpansionOutcome(
             skeleton,
@@ -362,8 +364,7 @@ def full_expand(g: ColoredGraph) -> ExpansionOutcome:
             ),
         )
     three_cells: list[Cell] = []
-    two_cells = skeleton.cells_by_dim[2]
-    for i, nest in enumerate(_three_nests(g)):
+    for i, nest in enumerate(index.nests(3)):
         boundary = boundary_sphere_complex(g, skeleton, nest)
         verdict = sphere_check(boundary, 2)
         if not verdict.ok:
@@ -376,6 +377,6 @@ def full_expand(g: ColoredGraph) -> ExpansionOutcome:
                     f" {verdict.reason}",
                 ),
             )
-        three_cells.append(Cell(3, i, nest, _faces_of(nest, two_cells)))
-    full = CellComplex(g, skeleton.cells_by_dim + [three_cells])
+        three_cells.append(Cell(3, i, nest, index.within(nest, 2)))
+    full = CellComplex(g, skeleton.cells_by_dim + [three_cells], index)
     return ExpansionOutcome(full, 3, None)

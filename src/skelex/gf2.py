@@ -203,6 +203,26 @@ def rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
     return len(_rref(masks))
 
 
+def rank_masks(columns: Iterable[int]) -> int:
+    """Rank over GF(2) of vectors given as bit masks, e.g. boundary columns.
+
+    Each kept vector is filed under its highest set bit; a new vector is
+    reduced against the filed ones until it vanishes or lands on a free bit.
+    Unlike ``_rref`` nothing is back-substituted or re-sorted, so the cost
+    stays near the fill of the matrix on chain complexes with many rows.
+    """
+    pivots: dict[int, int] = {}
+    for mask in columns:
+        while mask:
+            top = mask.bit_length() - 1
+            row = pivots.get(top)
+            if row is None:
+                pivots[top] = mask
+                break
+            mask ^= row
+    return len(pivots)
+
+
 def null_space(row_masks: Sequence[int], width: int) -> tuple[int, ...]:
     """Canonical basis of {t : every row has even overlap with t}.
 

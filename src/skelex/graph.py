@@ -107,6 +107,14 @@ def validate(g: ColoredGraph) -> ValidationReport:
             problems.append(f"edge {idx}: zero color")
     if problems:
         return ValidationReport(False, tuple(problems))
+    # an (n+1)-regular graph has V(n+1)/2 edges; checked before any
+    # per-vertex work, so a huge declared vertex count costs nothing
+    if 2 * g.edge_count != g.vertex_count * g.width:
+        return ValidationReport(False, (
+            f"{g.edge_count} edges cannot make {g.vertex_count} vertices"
+            f" {g.width}-valent: 2·{g.edge_count} = {2 * g.edge_count}"
+            f" != {g.vertex_count}·{g.width} = {g.vertex_count * g.width}",
+        ))
 
     for v in range(g.vertex_count):
         incident = g.edges_at(v)

@@ -85,15 +85,8 @@ def grow_nest(
     return Nest(tuple(sorted(edge_set)), tuple(sorted(vertex_set)), target)
 
 
-def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
-    """All distinct k-nests, grown from every k-subset of edges at every vertex.
-
-    Requires 0 <= k <= n.  On good colorings every k-nest arises this way
-    exactly once per (vertex, seed subset) it contains.
-    """
-    require_valid(g)
-    if not 0 <= k <= g.n:
-        raise UnsupportedDimension(f"nest dimension {k} outside 0..{g.n}")
+def _grow_all(g: ColoredGraph, k: int) -> list[Nest]:
+    """Every k-nest of a valid graph, in canonical order."""
     if k == 0:
         return [grow_nest(g, (), vertex=v) for v in range(g.vertex_count)]
     if k == 1:
@@ -101,25 +94,110 @@ def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
             Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
             for e in range(g.edge_count)
         ]
-    seen: dict[tuple, Nest] = {}
-    through: list[list[Nest]] = [[] for _ in range(g.vertex_count)]
+    found: list[Nest] = []
+    through: list[list[frozenset[int]]] = [[] for _ in range(g.vertex_count)]
     for v in range(g.vertex_count):
         for seeds in combinations(g.edges_at(v), k):
             # a grown closure is maximal, so a known nest through v holding
-            # the seeds is exactly what regrowth would return
-            if any(set(seeds) <= set(n.edge_ids) for n in through[v]):
+            # the seeds is exactly what regrowth would return; a nest grown
+            # here is therefore new
+            if any(edges.issuperset(seeds) for edges in through[v]):
                 continue
             nest = grow_nest(g, seeds)
-            if nest.key() not in seen:
-                seen[nest.key()] = nest
-                for w in nest.vertex_ids:
-                    through[w].append(nest)
-    return sorted(seen.values(), key=Nest.key)
+            found.append(nest)
+            edges = frozenset(nest.edge_ids)
+            for w in nest.vertex_ids:
+                through[w].append(edges)
+    return sorted(found, key=Nest.key)
+
+
+def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
+    """All distinct k-nests, grown from every k-subset of edges at every vertex.
+
+    Requires 0 <= k <= n.  On good colorings every k-nest arises this way
+    exactly once per (vertex, seed subset) it contains.
+    """
+    return list(NestIndex(g).nests(k))
+
+
+class NestIndex:
+    """The nests of one graph, validated once and enumerated once per dimension.
+
+    Each dimension is grown on first use; its edge sets and its maps from
+    each edge and each vertex to the nests through it are built on first
+    use too.  Nest ``i`` of dimension k is ``nests(k)[i]``; in particular
+    the 0-nest at vertex v has index v and the 1-nest of edge e has index e.
+    """
+
+    def __init__(self, g: ColoredGraph):
+        require_valid(g)
+        self.graph = g
+        self._nests: dict[int, tuple[Nest, ...]] = {}
+        self._edge_sets: dict[int, tuple[frozenset[int], ...]] = {}
+        self._through: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
+    def nests(self, k: int) -> tuple[Nest, ...]:
+        """All k-nests in canonical order; raises outside 0..n."""
+        if k not in self._nests:
+            if not 0 <= k <= self.graph.n:
+                raise UnsupportedDimension(f"nest dimension {k} outside 0..{self.graph.n}")
+            self._nests[k] = tuple(_grow_all(self.graph, k))
+        return self._nests[k]
+
+    def edge_sets(self, k: int) -> tuple[frozenset[int], ...]:
+        """The edge set of each k-nest, aligned with ``nests(k)``."""
+        if k not in self._edge_sets:
+            self._edge_sets[k] = tuple(frozenset(n.edge_ids) for n in self.nests(k))
+        return self._edge_sets[k]
+
+    def _incidence(self, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(per edge, per vertex): indices of the k-nests through it."""
+        if k not in self._through:
+            g = self.graph
+            by_edge: list[list[int]] = [[] for _ in range(g.edge_count)]
+            by_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
+            for i, nest in enumerate(self.nests(k)):
+                for e in nest.edge_ids:
+                    by_edge[e].append(i)
+                for v in nest.vertex_ids:
+                    by_vertex[v].append(i)
+            self._through[k] = (tuple(map(tuple, by_edge)), tuple(map(tuple, by_vertex)))
+        return self._through[k]
+
+    def through_edge(self, k: int, e: int) -> tuple[int, ...]:
+        """Indices of the k-nests containing edge ``e``."""
+        return self._incidence(k)[0][e]
+
+    def through_vertex(self, k: int, v: int) -> tuple[int, ...]:
+        """Indices of the k-nests containing vertex ``v``."""
+        return self._incidence(k)[1][v]
+
+    def counts(self) -> tuple[int, ...]:
+        """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
+        return tuple(len(self.nests(k)) for k in range(self.graph.n + 1))
+
+    def within(self, nest: Nest, k: int) -> tuple[int, ...]:
+        """Sorted indices of the k-nests that are subgraphs of ``nest``.
+
+        With k = nest.dim - 1 these are the nest's faces.  The 0- and
+        1-nests inside are its vertices and edges, by their indices.  A
+        k-nest with k >= 2 lies inside ``nest`` exactly when its edges do,
+        so the candidates are the k-nests through the edges of ``nest``.
+        """
+        if k == 0:
+            return nest.vertex_ids
+        if k == 1:
+            return nest.edge_ids
+        edges = frozenset(nest.edge_ids)
+        lower = self.edge_sets(k)
+        by_edge = self._incidence(k)[0]
+        candidates = {j for e in nest.edge_ids for j in by_edge[e]}
+        return tuple(sorted(j for j in candidates if lower[j] <= edges))
 
 
 def nest_counts(g: ColoredGraph) -> tuple[int, ...]:
     """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
-    return tuple(len(enumerate_nests(g, k)) for k in range(g.n + 1))
+    return NestIndex(g).counts()
 
 
 def _factor(mask: int, width: int) -> str:
@@ -153,42 +231,12 @@ def regularity_check(g: ColoredGraph) -> RegularityReport:
     Passes for every nest exactly when the coloring is good; on failure
     each offending (nest, vertex) pair is reported with the valence seen.
     """
-    require_valid(g)
+    index = NestIndex(g)
     failures: list[tuple[int, tuple[int, ...], int, int]] = []
     for k in range(g.n + 1):
-        for nest in enumerate_nests(g, k):
-            edge_set = set(nest.edge_ids)
+        for nest, edge_set in zip(index.nests(k), index.edge_sets(k)):
             for v in nest.vertex_ids:
                 valence = sum(1 for e in g.edges_at(v) if e in edge_set)
                 if valence != k:
                     failures.append((k, nest.edge_ids, v, valence))
     return RegularityReport(not failures, tuple(failures))
-
-
-@dataclass(frozen=True)
-class NestComplex:
-    """Nests organized by dimension with the inclusion face relation."""
-
-    nests_by_dim: tuple[tuple[Nest, ...], ...]
-    faces: dict[tuple[int, int], tuple[int, ...]]
-    # (dim, index) -> indices of its (dim-1)-dimensional faces
-
-    def nest(self, dim: int, index: int) -> Nest:
-        return self.nests_by_dim[dim][index]
-
-
-def nest_complex(g: ColoredGraph, top: int | None = None) -> NestComplex:
-    """Enumerate nests up to dimension ``top`` (default n) with face links."""
-    if top is None:
-        top = g.n
-    by_dim = [tuple(enumerate_nests(g, k)) for k in range(top + 1)]
-    faces: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in range(1, top + 1):
-        lower = by_dim[k - 1]
-        for i, nest in enumerate(by_dim[k]):
-            faces[(k, i)] = tuple(
-                j for j, cand in enumerate(lower) if nest.contains(cand)
-            )
-    for i in range(len(by_dim[0])):
-        faces[(0, i)] = ()
-    return NestComplex(tuple(by_dim), faces)

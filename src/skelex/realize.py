@@ -16,7 +16,7 @@ from .errors import ExpansionRefused
 from .expansion import full_expand
 from .gf2 import null_space
 from .graph import ColoredGraph, connection, require_valid
-from .nests import Nest, enumerate_nests
+from .nests import Nest, NestIndex
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ def _kernel_of_nest(g: ColoredGraph, nest: Nest) -> tuple[int, ...]:
 
 def isotropy_report(g: ColoredGraph) -> list[IsotropyRecord]:
     """One record per nest of every dimension, in canonical nest order."""
-    require_valid(g)
+    index = NestIndex(g)
     records: list[IsotropyRecord] = []
     for k in range(g.n + 1):
-        for nest in enumerate_nests(g, k):
+        for nest in index.nests(k):
             kernel = _kernel_of_nest(g, nest)
             corank = g.width - len(kernel)
             if corank != nest.dim:

@@ -178,6 +178,18 @@ class TestCensusCommand:
         names = sorted(entry["surface"] for entry in payload)
         assert names == ["S2", "gT2(1)", "gT2(1)", "gT2(1)"]
 
+    def test_non_integer_vertices(self, capsys, monkeypatch):
+        text = json.dumps({"n": 2, "vertices": "x", "edges": [[0, 1]]})
+        code, _, err = run_cli(capsys, monkeypatch, ["census"], stdin_text=text)
+        assert code == EXIT_INPUT
+        assert "'vertices' must be an integer" in err
+
+    def test_non_array_edges(self, capsys, monkeypatch):
+        text = json.dumps({"n": 2, "vertices": 4, "edges": 7})
+        code, _, err = run_cli(capsys, monkeypatch, ["census"], stdin_text=text)
+        assert code == EXIT_INPUT
+        assert "'edges' must be an array" in err
+
     def test_scale_guard(self, capsys, monkeypatch):
         big = {"n": 1, "vertices": 40,
                "edges": [[i, (i + 1) % 40] for i in range(40)]}

@@ -1,0 +1,288 @@
+"""Fast paths against slow oracles.
+
+``NestIndex`` face lists are checked against whole-dimension
+``Nest.contains`` scans, the sparse boundary ranks of ``homology_mod2``
+against dense ``rank_gf2`` on ``boundary_matrix``, and ``full_expand``
+against a reference expansion that builds every face list and every
+candidate boundary sphere by scans.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from skelex.classify import homology_mod2
+from skelex.cli import run
+from skelex.duality import FacePoset, dual_colored_graph
+from skelex.errors import NotGoodColoring
+from skelex.expansion import (
+    Cell,
+    CellComplex,
+    _subcomplex,
+    boundary_sphere_complex,
+    full_expand,
+    sphere_check,
+)
+from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
+from skelex.gf2 import rank_gf2, rank_masks
+from skelex.graph import ColoredGraph, connected_sum, serialize
+from skelex.nests import NestIndex, enumerate_nests, grow_nest, nest_label
+
+from conftest import CUBE_EDGES, criterion_counterexample, random_valid_coloring
+
+HYPERCUBE_EDGES = [(u, v) for u, v, _ in gen_cube(3).edges]
+
+
+def gale_facets(m: int) -> list[list[int]]:
+    """Facets of the cyclic polytope C(m,4) by Gale's evenness condition:
+    a 4-set is a facet when every two vertices outside it are separated by
+    an even number of its members."""
+    facets = []
+    for subset in combinations(range(m), 4):
+        outside = [v for v in range(m) if v not in subset]
+        if all(
+            sum(1 for x in subset if i < x < j) % 2 == 0
+            for i, j in combinations(outside, 2)
+        ):
+            facets.append(list(subset))
+    assert len(facets) == m * (m - 3) // 2
+    return facets
+
+
+def cyclic_dual(m: int) -> ColoredGraph:
+    return dual_colored_graph(FacePoset.from_simplices(gale_facets(m)))
+
+
+def _same_color_edge(g: ColoredGraph, color) -> int:
+    return next(e for e in range(g.edge_count) if g.color(e) == color)
+
+
+def connected_sums() -> list[ColoredGraph]:
+    out = []
+    for crossing in ("straight", "crossed"):
+        a, b = gen_cube(2), gen_orientable_surface(1)
+        out.append(connected_sum(a, 0, b, _same_color_edge(b, a.color(0)), crossing))
+        a, b = gen_cube(3), gen_cube(3)
+        out.append(connected_sum(a, 0, b, 0, crossing))
+    chain = gen_nonorientable_surface(1)
+    for _ in range(2):
+        other = gen_nonorientable_surface(1)
+        chain = connected_sum(chain, 0, other, _same_color_edge(other, chain.color(0)))
+    out.append(chain)
+    return out
+
+
+CORPUS = {
+    **{f"cube{n}": (lambda n=n: gen_cube(n)) for n in (2, 3, 4)},
+    **{f"gT2({g})": (lambda g=g: gen_orientable_surface(g)) for g in (1, 2, 3)},
+    **{f"kP2({k})": (lambda k=k: gen_nonorientable_surface(k)) for k in (1, 2, 3)},
+    **{f"sum{i}": (lambda i=i: connected_sums()[i]) for i in range(5)},
+    "criterion_counterexample": criterion_counterexample,
+    "C(6,4) dual": lambda: cyclic_dual(6),
+    "C(7,4) dual": lambda: cyclic_dual(7),
+}
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def grown_from_every_seed(g: ColoredGraph, k: int) -> list:
+    """Every k-nest, regrown from each k-subset of edges at each vertex."""
+    found = {}
+    for v in range(g.vertex_count):
+        for seeds in combinations(g.edges_at(v), k):
+            nest = grow_nest(g, seeds, vertex=v)
+            found[nest.key()] = nest
+    return [found[key] for key in sorted(found)]
+
+
+def scan_within(nest, lower) -> tuple[int, ...]:
+    return tuple(j for j, cand in enumerate(lower) if nest.contains(cand))
+
+
+def dense_ranks(c: CellComplex) -> list[int]:
+    return [rank_gf2(c.boundary_matrix(k)) for k in range(1, c.top_dim + 1)]
+
+
+def reference_expand(g: ColoredGraph):
+    """The expansion with scans: (refusal, complex).
+
+    The refusal is None on a completed expansion, "not good" for a 2-nest
+    that is not a circle, "criterion" or "n>=4" for the early stops, and
+    the full obstruction reason for a boundary that is not a 2-sphere.
+    """
+    by_dim = [enumerate_nests(g, k) for k in range(3)]
+    for nest in by_dim[2]:
+        for v in nest.vertex_ids:
+            if sum(1 for e in g.edges_at(v) if e in nest.edge_ids) != 2:
+                return "not good", None
+    cells = [
+        [
+            Cell(k, i, nest, scan_within(nest, by_dim[k - 1]) if k else ())
+            for i, nest in enumerate(by_dim[k])
+        ]
+        for k in range(3)
+    ]
+    skeleton = CellComplex(g, cells)
+    if g.n == 2:
+        return None, skeleton
+    if g.n >= 4:
+        return "n>=4", skeleton
+    three = enumerate_nests(g, 3)
+    if len(three) != len(by_dim[2]) - g.vertex_count:
+        return "criterion", skeleton
+    three_cells = []
+    for i, nest in enumerate(three):
+        keep = [{c.index for c in level if nest.contains(c.nest)} for level in cells]
+        verdict = sphere_check(_subcomplex(skeleton, keep), 2)
+        if not verdict.ok:
+            return (
+                f"boundary of 3-nest {nest_label(nest)} is not a 2-sphere:"
+                f" {verdict.reason}",
+                skeleton,
+            )
+        three_cells.append(Cell(3, i, nest, scan_within(nest, by_dim[2])))
+    return None, CellComplex(g, cells + [three_cells])
+
+
+# ----------------------------------------------------------------- checks
+
+
+def check_index(g: ColoredGraph) -> None:
+    index = NestIndex(g)
+    for k in range(g.n + 1):
+        nests = index.nests(k)
+        assert list(nests) == grown_from_every_seed(g, k)
+        assert index.edge_sets(k) == tuple(frozenset(n.edge_ids) for n in nests)
+        for e in range(g.edge_count):
+            assert index.through_edge(k, e) == tuple(
+                i for i, n in enumerate(nests) if e in n.edge_ids
+            )
+        for v in range(g.vertex_count):
+            assert index.through_vertex(k, v) == tuple(
+                i for i, n in enumerate(nests) if v in n.vertex_ids
+            )
+        for nest in nests:
+            for j in range(k):
+                assert tuple(index.within(nest, j)) == scan_within(nest, index.nests(j))
+    assert index.counts() == tuple(len(index.nests(k)) for k in range(g.n + 1))
+
+
+def check_expansion(g: ColoredGraph) -> None:
+    refusal, reference = reference_expand(g)
+    if refusal == "not good":
+        with pytest.raises(NotGoodColoring):
+            full_expand(g)
+        return
+    outcome = full_expand(g)
+    assert outcome.complex.cells_by_dim == reference.cells_by_dim
+    if refusal is None:
+        assert outcome.completed
+        assert outcome.reached_dim == reference.top_dim
+    else:
+        assert not outcome.completed
+        reason = outcome.obstruction.reason
+        if refusal == "criterion":
+            assert reason.startswith("counting criterion fails")
+        elif refusal == "n>=4":
+            assert "unsupported" in reason
+        else:
+            assert reason == refusal
+    if g.n == 3:
+        skeleton = CellComplex(g, outcome.complex.cells_by_dim[:3], outcome.complex.index)
+        for nest in enumerate_nests(g, 3):
+            keep = [
+                {c.index for c in level if nest.contains(c.nest)}
+                for level in skeleton.cells_by_dim
+            ]
+            fast = boundary_sphere_complex(g, skeleton, nest)
+            assert fast.cells_by_dim == _subcomplex(skeleton, keep).cells_by_dim
+    if outcome.completed:
+        c = outcome.complex
+        ranks = dense_ranks(c)
+        for k in range(1, c.top_dim + 1):
+            column_masks = (sum(1 << f for f in cell.faces) for cell in c.cells_by_dim[k])
+            assert rank_masks(column_masks) == ranks[k - 1]
+        padded = [0] + ranks + [0]
+        betti = tuple(
+            n - padded[k] - padded[k + 1] for k, n in enumerate(c.counts())
+        )
+        assert homology_mod2(c).betti_mod2 == betti
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_index_matches_scans(name):
+    check_index(CORPUS[name]())
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_expansion_matches_reference(name):
+    check_expansion(CORPUS[name]())
+
+
+def test_cyclic_duals_are_homology_spheres():
+    for m in (6, 7):
+        outcome = full_expand(cyclic_dual(m))
+        assert outcome.completed
+        assert homology_mod2(outcome.complex).betti_mod2 == (1, 0, 0, 1)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), three=st.booleans())
+def test_random_valid_colorings(seed, three):
+    rng = random.Random(seed)
+    if three:
+        g = random_valid_coloring(HYPERCUBE_EDGES, 16, 4, rng)
+    else:
+        g = random_valid_coloring(CUBE_EDGES, 8, 3, rng)
+    check_index(g)
+    check_expansion(g)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(["cube3", "kP2(2)", "sum3", "criterion_counterexample", "C(6,4) dual"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relabeled_graphs(name, seed):
+    # vertex ids and edge order permuted: face lists come out in other orders
+    g = CORPUS[name]()
+    rng = random.Random(seed)
+    ids = list(range(g.vertex_count))
+    rng.shuffle(ids)
+    edges = [(ids[u], ids[v], c) for u, v, c in g.edges]
+    rng.shuffle(edges)
+    relabeled = ColoredGraph(g.n, g.vertex_count, tuple(edges))
+    check_index(relabeled)
+    check_expansion(relabeled)
+
+
+@given(rows=st.lists(st.lists(st.integers(0, 1), min_size=6, max_size=6), max_size=9))
+def test_rank_masks_matches_dense_rank(rows):
+    # columns of the matrix as masks over its rows
+    columns = [
+        sum(row[j] << i for i, row in enumerate(rows)) for j in range(6)
+    ] if rows else []
+    assert rank_masks(columns) == rank_gf2(rows)
+
+
+# The sha256 of `skelex expand --format json --dump` on the cubes as the
+# whole-skeleton scan implementation printed them.
+SEED_DUMP_SHA256 = {
+    2: "850a3a17b255a9c9b6cf23227192c6c3892372a27fa46093badb104a2229dd2c",
+    3: "cbac500faf6689b3836a8b2be4fab3dca600469d58102fe64d494bd77b21ad61",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expand_dump_is_byte_identical(n, tmp_path):
+    source = tmp_path / "cube.json"
+    source.write_text(serialize(gen_cube(n)) + "\n", encoding="utf-8")
+    dump = tmp_path / "dump.json"
+    assert run(["expand", "--format", "json", "--dump", str(source), "--out", str(dump)]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == SEED_DUMP_SHA256[n]

@@ -75,6 +75,14 @@ class TestValidate:
         g = ColoredGraph(2, 2, ((0, 1, cv("100")), (0, 1, cv("010"))))
         assert not validate(g).ok
 
+    def test_edge_count_mismatch_is_one_problem(self):
+        # a huge declared vertex count is refused before any per-vertex work
+        report = validate(ColoredGraph(2, 3_000_000, ()))
+        assert not report.ok
+        assert len(report.problems) == 1
+        assert "0 edges" in report.problems[0]
+        assert "9000000" in report.problems[0]
+
 
 class TestPurity:
     def test_cube_is_pure(self, cube2):

@@ -17,9 +17,9 @@ from skelex.generators import (
     gen_orientable_surface,
 )
 from skelex.nests import (
+    NestIndex,
     enumerate_nests,
     grow_nest,
-    nest_complex,
     nest_counts,
     nest_label,
     regularity_check,
@@ -186,18 +186,18 @@ class TestRegularity:
 
 class TestFaceRelation:
     def test_faces_mirror_inclusion(self, cube2):
-        complex_ = nest_complex(cube2)
-        by_dim = complex_.nests_by_dim
+        index = NestIndex(cube2)
         for k in range(1, 3):
-            for i, nest in enumerate(by_dim[k]):
-                listed = set(complex_.faces[(k, i)])
-                for j, lower in enumerate(by_dim[k - 1]):
+            for nest in index.nests(k):
+                listed = set(index.within(nest, k - 1))
+                for j, lower in enumerate(index.nests(k - 1)):
                     expected = nest.contains(lower)
                     assert (j in listed) == expected
                     if expected and k >= 1:
                         assert lower.color <= nest.color
 
     def test_square_has_four_edges_four_vertices(self, cube2):
-        complex_ = nest_complex(cube2)
-        for i in range(len(complex_.nests_by_dim[2])):
-            assert len(complex_.faces[(2, i)]) == 4
+        index = NestIndex(cube2)
+        for nest in index.nests(2):
+            assert len(index.within(nest, 1)) == 4
+            assert len(index.within(nest, 0)) == 4
