@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import SkelexError
-from .expansion import CellComplex
+from .expansion import Cell, CellComplex
 from .gf2 import rank_masks
 from .graph import ColoredGraph
 from .nests import Nest
@@ -110,29 +110,20 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
     """
     if c.top_dim != 2:
         raise SkelexError(f"surface classification needs a 2-complex, got dim {c.top_dim}")
-    coface_counts = [0] * len(c.cells_by_dim[1])
-    for disc in c.cells_by_dim[2]:
-        for f in disc.faces:
-            coface_counts[f] += 1
-    bad = [i for i, d in enumerate(coface_counts) if d != 2]
-    if bad:
-        raise SkelexError(
-            f"not a closed surface complex: edge {bad[0]} lies in"
-            f" {coface_counts[bad[0]]} discs"
-        )
+    discs_at = c.cofaces(1)
+    for i, discs in enumerate(discs_at):
+        if len(discs) != 2:
+            raise SkelexError(
+                f"not a closed surface complex: edge {i} lies in {len(discs)} discs"
+            )
 
     # orientation parity: two discs sharing an edge must traverse it oppositely
     traversals = [
         dict(_circle_traversal(c.graph, disc.nest)) for disc in c.cells_by_dim[2]
     ]
-    edge_users: dict[int, list[int]] = {}
-    for disc_index, walk in enumerate(traversals):
-        for edge_cell_index in c.cells_by_dim[2][disc_index].faces:
-            edge_users.setdefault(edge_cell_index, []).append(disc_index)
     uf = _ParityUnionFind(len(c.cells_by_dim[2]))
     orientable = True
-    for edge_cell_index, users in edge_users.items():
-        a, b = users
+    for edge_cell_index, (a, b) in enumerate(discs_at):
         edge_id = c.cells_by_dim[1][edge_cell_index].nest.edge_ids[0]
         relation = 1 ^ traversals[a][edge_id] ^ traversals[b][edge_id]
         if not uf.union(a, b, relation):
@@ -209,24 +200,24 @@ def manifold_local_check(c: CellComplex) -> LocalCheckReport:
     """
     problems: list[str] = []
     top = c.top_dim
-    counts = [0] * len(c.cells_by_dim[top - 1])
-    for cell in c.cells_by_dim[top]:
-        for f in cell.faces:
-            counts[f] += 1
-    for i, d in enumerate(counts):
-        if d != 2:
+    for i, cofaces in enumerate(c.cofaces(top - 1)):
+        if len(cofaces) != 2:
             problems.append(
-                f"{top - 1}-cell {i} lies in {d} top cells (expected 2)"
+                f"{top - 1}-cell {i} lies in {len(cofaces)} top cells (expected 2)"
             )
 
     g = c.graph
+    # the k-cells at each vertex, gathered in one pass per dimension
+    at_vertex: list[list[list[Cell]]] = [[]]
+    for k in range(1, top + 1):
+        at_vertex.append([[] for _ in range(g.vertex_count)])
+        for cell in c.cells_by_dim[k]:
+            for v in cell.nest.vertex_ids:
+                at_vertex[k][v].append(cell)
     for v in range(g.vertex_count):
         star = set(g.edges_at(v))
         for k in range(1, top + 1):
-            incident = [
-                cell for cell in c.cells_by_dim[k]
-                if v in cell.nest.vertex_ids
-            ]
+            incident = at_vertex[k][v]
             expected = comb(len(star), k)
             if len(incident) != expected:
                 problems.append(

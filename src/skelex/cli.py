@@ -120,6 +120,8 @@ def census(
         raise CensusLimit(
             f"census is limited to {limit} vertices, got {vertex_count}"
         )
+    if vertex_count < 1:
+        raise FormatError(f"underlying graph needs a vertex, got {vertex_count}")
     valences = [0] * vertex_count
     neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
     for u, v in edges:
@@ -133,14 +135,7 @@ def census(
         raise FormatError(
             f"underlying graph is not {n + 1}-valent: valences {valences}"
         )
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in neighbors[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != vertex_count:
+    if sum(1 for _ in graph_mod.reach(0, neighbors.__getitem__)) != vertex_count:
         raise FormatError("underlying graph is not connected")
     seen: set[tuple[int, ...]] = set()
     entries: list[CensusEntry] = []
@@ -197,7 +192,7 @@ def _parse_uncolored(text: str) -> tuple[list[tuple[int, int]], int, int | None]
     """Read an underlying graph: colored files are accepted, colors dropped."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "edges" not in data or "vertices" not in data:
         raise FormatError("expected an object with 'vertices' and 'edges'")
@@ -448,12 +443,13 @@ def _cmd_census(args) -> int:
 
 def _cmd_realize(args) -> int:
     g = graph_mod.parse(_read_text(args.file))
+    index = nests_mod.NestIndex(g)
     try:
-        summary = realize_mod.realizability_summary(g)
+        summary = realize_mod.realizability_summary(g, index)
     except ExpansionRefused as exc:
         _emit(args.out, f"realizability: unknown (expansion refused: {exc})")
         return EXIT_REFUSED
-    records = realize_mod.isotropy_report(g) if args.table else []
+    records = realize_mod.isotropy_report(g, index) if args.table else []
     if args.format == "json":
         payload: dict = {
             "euler": summary.euler,

@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .errors import FormatError, NotCombinatorialManifold
 from .gf2 import ColorVector
-from .graph import ColoredGraph, canonicalize
+from .graph import ColoredGraph, canonicalize, cycle_fault, reach
 
 CellId = int | str
 
@@ -37,7 +37,10 @@ class FacePoset:
     """A regular cell decomposition given by its face relation.
 
     Cells are stored densely ordered by (dimension, original id); ``faces``
-    holds the transitively closed set of proper faces of each cell.
+    holds the transitively closed set of proper faces of each cell.  Every
+    listed face must have a lower dimension than its cell, so the face
+    relation has no cycles and closes in one pass upwards by dimension.
+    Every 1-cell must have two vertices, checked as the pass reaches it.
     """
 
     def __init__(self, dims: dict[CellId, int], faces: dict[CellId, set[CellId]]):
@@ -45,10 +48,22 @@ class FacePoset:
         self.index = {c: i for i, c in enumerate(self.order)}
         self.dim = [dims[c] for c in self.order]
         self.top_dim = max(self.dim) if self.dim else 0
-        closed = _transitive_closure(faces)
-        self.faces = [
-            frozenset(self.index[f] for f in closed[c]) for c in self.order
-        ]
+        self.faces: list[frozenset[int]] = []
+        for c, cid in enumerate(self.order):
+            if self.dim[c] < 0:
+                raise FormatError(f"cell {cid!r} has negative dim {self.dim[c]}")
+            listed = [self.index[f] for f in faces.get(cid, ())]
+            closed = set(listed)
+            for f in listed:
+                if self.dim[f] >= self.dim[c]:
+                    raise FormatError(
+                        f"cell {cid!r} (dim {self.dim[c]}) lists"
+                        f" {self.order[f]!r} (dim {self.dim[f]}) as a face"
+                    )
+                closed |= self.faces[f]
+            if self.dim[c] == 1 and len(closed) != 2:
+                raise FormatError(f"1-cell {cid!r} has {len(closed)} vertices, expected 2")
+            self.faces.append(frozenset(closed))
         self._validate()
         self.cofaces: list[set[int]] = [set() for _ in self.order]
         for c, fs in enumerate(self.faces):
@@ -57,22 +72,12 @@ class FacePoset:
 
     def _validate(self) -> None:
         for c, fs in enumerate(self.faces):
-            for f in fs:
-                if self.dim[f] >= self.dim[c]:
-                    raise FormatError(
-                        f"cell {self.order[c]!r} (dim {self.dim[c]}) lists"
-                        f" {self.order[f]!r} (dim {self.dim[f]}) as a face"
-                    )
-            if self.dim[c] > 0 and not fs:
-                raise FormatError(
-                    f"cell {self.order[c]!r} of dim {self.dim[c]} has no faces"
-                )
-            expected_dims = set(range(self.dim[c]))
+            # face dims lie in 0..dim-1, so covering them is a count
             got_dims = {self.dim[f] for f in fs}
-            if self.dim[c] > 0 and got_dims != expected_dims:
+            if len(got_dims) != self.dim[c]:
                 raise FormatError(
                     f"cell {self.order[c]!r}: faces cover dims"
-                    f" {sorted(got_dims)}, expected {sorted(expected_dims)}"
+                    f" {sorted(got_dims)}, expected 0..{self.dim[c] - 1}"
                 )
         top = [c for c in range(len(self.order)) if self.dim[c] == self.top_dim]
         under_top: set[int] = set(top)
@@ -138,27 +143,6 @@ class FacePoset:
         return cls(dims, faces)
 
 
-def _transitive_closure(
-    faces: dict[CellId, set[CellId]]
-) -> dict[CellId, set[CellId]]:
-    closed: dict[CellId, set[CellId]] = {}
-
-    def close(c: CellId, trail: tuple[CellId, ...]) -> set[CellId]:
-        if c in closed:
-            return closed[c]
-        if c in trail:
-            raise FormatError(f"face relation has a cycle through {c!r}")
-        acc = set(faces.get(c, ()))
-        for f in list(acc):
-            acc |= close(f, trail + (c,))
-        closed[c] = acc
-        return acc
-
-    for c in faces:
-        close(c, ())
-    return closed
-
-
 Flag = tuple[int, ...]
 
 
@@ -222,42 +206,60 @@ def _describe_flag(p: FacePoset, chain: Flag) -> str:
     return "[" + " < ".join(repr(p.order[c]) for c in chain) + "]"
 
 
-def _check_vertex_links_2d(p: FacePoset) -> None:
-    """For surface posets: the cells around each vertex must form one circle."""
+_NAMES = ("vertex", "edge", "2-cell")
+
+
+def _link_graph(p: FacePoset, x: int) -> tuple[list[int], dict[int, list[int]]]:
+    """The graph of the link of cell x, one dimension down.
+
+    Its nodes are the cells one dimension above x that contain it; each
+    cell two dimensions above x joins the two nodes inside it.
+    """
+    d = p.dim[x]
+    nodes = sorted(c for c in p.cofaces[x] if p.dim[c] == d + 1)
+    arcs: dict[int, list[int]] = {c: [] for c in nodes}
+    for t in sorted(c for c in p.cofaces[x] if p.dim[c] == d + 2):
+        through = [c for c in nodes if c in p.faces[t]]
+        if len(through) != 2:
+            raise NotCombinatorialManifold(
+                f"{d + 2}-cell {p.order[t]!r} meets {_NAMES[d]} {p.order[x]!r}"
+                f" through {len(through)} {_NAMES[d + 1]}s"
+            )
+        a, b = through
+        arcs[a].append(b)
+        arcs[b].append(a)
+    return nodes, arcs
+
+
+def _check_links(p: FacePoset) -> None:
+    """Vertex links must be circles (n=2) or 2-spheres (n=3).
+
+    In both cases the link of every (n-2)-cell must be one circle.  For
+    n=3 that makes each vertex link a closed surface, whose vertices are
+    the edges at the vertex; it is a 2-sphere when it is also connected
+    with Euler characteristic 2, the test ``sphere_check(F, 2)`` makes.
+    """
+    n = p.top_dim
+    for x in p.cells_of_dim(n - 2):
+        fault = cycle_fault(*_link_graph(p, x))
+        if fault is not None:
+            cell = f"{_NAMES[n - 2]} {p.order[x]!r}"
+            raise NotCombinatorialManifold({
+                "empty": f"{cell} has no incident {_NAMES[n - 1]}s",
+                "degree": f"link of {cell} is not 2-regular",
+                "disconnected": f"link of {cell} is disconnected",
+            }[fault[0]])
+    if n != 3:
+        return
     for v in p.cells_of_dim(0):
-        local_edges = [e for e in p.cells_of_dim(1) if v in p.faces[e]]
-        arcs: dict[int, list[int]] = {e: [] for e in local_edges}
-        for f in p.cells_of_dim(2):
-            if v not in p.faces[f]:
-                continue
-            through = [e for e in local_edges if e in p.faces[f]]
-            if len(through) != 2:
-                raise NotCombinatorialManifold(
-                    f"2-cell {p.order[f]!r} meets vertex {p.order[v]!r}"
-                    f" through {len(through)} edges"
-                )
-            a, b = through
-            arcs[a].append(b)
-            arcs[b].append(a)
-        if not local_edges:
+        nodes, arcs = _link_graph(p, v)
+        if not nodes or sum(1 for _ in reach(nodes[0], arcs.__getitem__)) != len(nodes):
+            raise NotCombinatorialManifold(f"link of vertex {p.order[v]!r} is disconnected")
+        chi = sum((-1) ** (p.dim[c] - 1) for c in p.cofaces[v])
+        if chi != 2:
             raise NotCombinatorialManifold(
-                f"vertex {p.order[v]!r} has no incident edges"
-            )
-        if any(len(nbrs) != 2 for nbrs in arcs.values()):
-            raise NotCombinatorialManifold(
-                f"link of vertex {p.order[v]!r} is not 2-regular"
-            )
-        seen = {local_edges[0]}
-        stack = [local_edges[0]]
-        while stack:
-            e = stack.pop()
-            for f in arcs[e]:
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        if len(seen) != len(local_edges):
-            raise NotCombinatorialManifold(
-                f"link of vertex {p.order[v]!r} is disconnected"
+                f"link of vertex {p.order[v]!r} is a closed surface with"
+                f" euler characteristic {chi}, not a 2-sphere"
             )
 
 
@@ -271,8 +273,8 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
     n = p.top_dim
     if n < 1:
         raise NotCombinatorialManifold("top dimension must be >= 1")
-    if n == 2:
-        _check_vertex_links_2d(p)
+    if n in (2, 3):
+        _check_links(p)
     fl = flags(p)
     vertex_index = {flag: i for i, flag in enumerate(fl.full)}
     edges = []
@@ -325,7 +327,7 @@ def parse_poset(text: str) -> FacePoset:
     """Parse either the explicit poset format or the simplicial shortcut."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
@@ -339,6 +341,8 @@ def parse_poset(text: str) -> FacePoset:
         return FacePoset.from_simplices(simplices)
     if "cells" not in data or "top_dim" not in data:
         raise FormatError("expected fields 'top_dim' and 'cells' (or 'simplices')")
+    if not isinstance(data["cells"], list):
+        raise FormatError("'cells' must be an array")
     cells = []
     for i, item in enumerate(data["cells"]):
         if not (isinstance(item, list) and len(item) == 3):
@@ -346,6 +350,8 @@ def parse_poset(text: str) -> FacePoset:
         cid, dim, fs = item
         if not isinstance(dim, int) or not isinstance(fs, list):
             raise FormatError(f"cells[{i}]: expected [id, int, list]")
+        if not all(isinstance(c, (str, int)) for c in [cid, *fs]):
+            raise FormatError(f"cells[{i}]: cell ids must be strings or integers")
         cells.append((cid, dim, fs))
     poset = FacePoset.from_cells(cells)
     if poset.top_dim != data["top_dim"]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGoodColoring, UnsupportedDimension
-from .graph import ColoredGraph
+from .graph import ColoredGraph, cycle_fault, reach
 from .nests import Nest, NestIndex, nest_label
 
 
@@ -35,7 +35,8 @@ class CellComplex:
     latter is a face of the former (the regular-complex rule), so boundary
     matrices are read straight off the face lists.  ``index`` is the nest
     index the cells were read from, cell i of dimension k standing for
-    ``index.nests(k)[i]``; subcomplexes have none.
+    ``index.nests(k)[i]``; subcomplexes have none.  The cells must not
+    change once the complex is built: the coface relation is kept.
     """
 
     def __init__(
@@ -47,6 +48,7 @@ class CellComplex:
         self.graph = graph
         self.cells_by_dim = cells_by_dim
         self.index = index
+        self._cofaces: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     @property
     def top_dim(self) -> int:
@@ -84,14 +86,19 @@ class CellComplex:
                     return False
         return True
 
-    def cofaces(self, k: int) -> list[list[int]]:
-        """For each k-cell, the (k+1)-cells having it as a face."""
-        out: list[list[int]] = [[] for _ in self.cells_by_dim[k]]
-        if k + 1 <= self.top_dim:
-            for cell in self.cells_by_dim[k + 1]:
-                for f in cell.faces:
-                    out[f].append(cell.index)
-        return out
+    def cofaces(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """For each k-cell, the (k+1)-cells having it as a face, ascending.
+
+        Built on first use for each k and kept.
+        """
+        if k not in self._cofaces:
+            out: list[list[int]] = [[] for _ in self.cells_by_dim[k]]
+            if k + 1 <= self.top_dim:
+                for cell in self.cells_by_dim[k + 1]:
+                    for f in cell.faces:
+                        out[f].append(cell.index)
+            self._cofaces[k] = tuple(map(tuple, out))
+        return self._cofaces[k]
 
 
 def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
@@ -166,26 +173,6 @@ class SphereCheck:
     reason: str
 
 
-def _is_connected_complex(F: CellComplex) -> bool:
-    vertices = F.cells_by_dim[0]
-    if not vertices:
-        return False
-    adjacency: dict[int, set[int]] = {c.index: set() for c in vertices}
-    for edge in F.cells_by_dim[1] if F.top_dim >= 1 else []:
-        a, b = edge.faces
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {vertices[0].index}
-    stack = [vertices[0].index]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
 def sphere_check(F: CellComplex, k: int) -> SphereCheck:
     """Recognize circles (k=1) and 2-spheres (k=2); nothing higher.
 
@@ -200,26 +187,23 @@ def sphere_check(F: CellComplex, k: int) -> SphereCheck:
         )
     if F.top_dim < k:
         return SphereCheck(False, f"complex has no {k}-cells")
-    if not _is_connected_complex(F):
+    vertices = range(len(F.cells_by_dim[0]))
+    edges_at = F.cofaces(0)
+    edges = F.cells_by_dim[1]
+    arcs = [[w for e in edges_at[v] for w in edges[e].faces if w != v] for v in vertices]
+    if not vertices or sum(1 for _ in reach(0, arcs.__getitem__)) != len(vertices):
         return SphereCheck(False, "not connected")
     if k == 1:
-        valence = [0] * len(F.cells_by_dim[0])
-        for edge in F.cells_by_dim[1]:
-            for v in edge.faces:
-                valence[v] += 1
-        bad = [i for i, d in enumerate(valence) if d != 2]
-        if bad:
-            return SphereCheck(False, f"vertex {bad[0]} lies in {valence[bad[0]]} edges")
+        fault = cycle_fault(vertices, arcs)
+        if fault is not None:
+            v = fault[1]
+            return SphereCheck(False, f"vertex {v} lies in {len(edges_at[v])} edges")
         return SphereCheck(True, "circle")
 
-    coface_counts = [0] * len(F.cells_by_dim[1])
-    for disc in F.cells_by_dim[2]:
-        for f in disc.faces:
-            coface_counts[f] += 1
-    bad_edges = [i for i, d in enumerate(coface_counts) if d != 2]
-    if bad_edges:
-        i = bad_edges[0]
-        return SphereCheck(False, f"edge {i} lies in {coface_counts[i]} discs")
+    discs_at = F.cofaces(1)
+    for i, discs in enumerate(discs_at):
+        if len(discs) != 2:
+            return SphereCheck(False, f"edge {i} lies in {len(discs)} discs")
     link_bad = _vertex_link_failures(F)
     if link_bad is not None:
         return SphereCheck(False, link_bad)
@@ -238,48 +222,32 @@ def _vertex_link_failures(F: CellComplex) -> str | None:
     """Check each vertex link is a single circle; return a diagnosis or None.
 
     The link graph at v has a node per edge at v and an arc per disc at v
-    joining the two boundary edges of that disc through v.
+    joining the two boundary edges of that disc through v.  The discs at v
+    are the cofaces of its edges.
     """
-    edges_at_vertex: dict[int, list[int]] = {c.index: [] for c in F.cells_by_dim[0]}
-    for edge in F.cells_by_dim[1]:
-        for v in edge.faces:
-            edges_at_vertex[v].append(edge.index)
+    edges_at, discs_at = F.cofaces(0), F.cofaces(1)
+    edges, discs = F.cells_by_dim[1], F.cells_by_dim[2]
     for vcell in F.cells_by_dim[0]:
         v = vcell.nest.vertex_ids[0]
-        local_edges = edges_at_vertex[vcell.index]
+        local_edges = edges_at[vcell.index]
         arcs: dict[int, list[int]] = {e: [] for e in local_edges}
-        for disc in F.cells_by_dim[2]:
-            if v not in disc.nest.vertex_ids:
-                continue
-            through = [
-                e for e in disc.faces
-                if v in F.cells_by_dim[1][e].nest.vertex_ids
-            ]
+        for d in sorted({d for e in local_edges for d in discs_at[e]}):
+            through = [e for e in discs[d].faces if vcell.index in edges[e].faces]
             if len(through) != 2:
-                return (
-                    f"disc {disc.index} passes vertex {v} through"
-                    f" {len(through)} edges"
-                )
+                return f"disc {d} passes vertex {v} through {len(through)} edges"
             a, b = through
             arcs[a].append(b)
             arcs[b].append(a)
         # the link must be one closed cycle through all local edges
-        if not local_edges:
+        fault = cycle_fault(local_edges, arcs)
+        if fault is None:
+            continue
+        why, e = fault
+        if why == "empty":
             return f"vertex {v} has no incident edges in the subcomplex"
-        degs = {e: len(arcs[e]) for e in local_edges}
-        if any(d != 2 for d in degs.values()):
-            e = next(e for e, d in degs.items() if d != 2)
+        if why == "degree":
             return f"link of vertex {v} is not 2-regular at edge {e}"
-        seen = {local_edges[0]}
-        stack = [local_edges[0]]
-        while stack:
-            e = stack.pop()
-            for f in arcs[e]:
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        if len(seen) != len(local_edges):
-            return f"link of vertex {v} is disconnected"
+        return f"link of vertex {v} is disconnected"
     return None
 
 
@@ -327,15 +295,17 @@ class ExpansionOutcome:
         return self.obstruction is None
 
 
-def full_expand(g: ColoredGraph) -> ExpansionOutcome:
+def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOutcome:
     """Run the expansion as far as it goes and report how far that was.
 
     n=2 always completes into a closed surface.  n=3 completes exactly when
     the counting criterion holds; the criterion is checked first (cheap),
     then every candidate boundary is verified to be a 2-sphere.  n >= 4
     stops after the 2-skeleton with an explicit unsupported marker.
+    ``index`` is the graph's nest index when the caller already holds one.
     """
-    index = NestIndex(g)
+    if index is None:
+        index = NestIndex(g)
     if g.n < 2:
         raise UnsupportedDimension(f"expansion needs n >= 2, got n={g.n}")
     skeleton = expand2(g, index)

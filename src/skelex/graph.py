@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, InvalidGraph, NotGoodColoring
 from .gf2 import ColorVector, congruent_mod, span
@@ -66,19 +67,55 @@ class ColoredGraph:
     def color_image(self) -> frozenset[ColorVector]:
         return frozenset(c for _, _, c in self.edges)
 
+    def neighbors(self, v: int) -> list[int]:
+        """The other end of each edge at v, with multiplicity."""
+        return [self.other_end(e, v) for e in self._incidence[v]]
+
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self.edges_at(v):
-                w = self.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return sum(1 for _ in reach(0, self.neighbors)) == self.vertex_count
+
+
+def reach(
+    start: Hashable, neighbors: Callable[[Hashable], Iterable[Hashable]]
+) -> Iterator[Hashable]:
+    """Every node reachable from ``start``, each yielded once, depth first.
+
+    A node is yielded when it is first reached, before ``neighbors`` is
+    asked about it, so a caller may act on each node as it arrives.
+    """
+    seen = {start}
+    stack = [start]
+    yield start
+    while stack:
+        for w in neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+                yield w
+
+
+def cycle_fault(
+    nodes: Sequence[Hashable], arcs: Mapping | Sequence
+) -> tuple[str, Hashable] | None:
+    """Why the multigraph ``arcs`` on ``nodes`` is not one cycle, or None.
+
+    ``arcs[x]`` lists the nodes joined to x, once per arc.  The first fault
+    found wins: ("empty", None) without nodes, ("degree", x) for the first
+    node x not on exactly two arcs, ("disconnected", x) for the first node
+    x the walk from ``nodes[0]`` misses.
+    """
+    if not nodes:
+        return "empty", None
+    for x in nodes:
+        if len(arcs[x]) != 2:
+            return "degree", x
+    seen = set(reach(nodes[0], arcs.__getitem__))
+    for x in nodes:
+        if x not in seen:
+            return "disconnected", x
+    return None
 
 
 @dataclass(frozen=True)
@@ -263,7 +300,7 @@ def parse(text: str) -> ColoredGraph:
     """Parse the JSON graph format; malformed input gets field diagnostics."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
@@ -310,56 +347,44 @@ def serialize(g: ColoredGraph) -> str:
 def color_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
     """Is there a vertex bijection matching all edges color-for-color?
 
-    Plain backtracking; meant for desk-scale graphs.  Colors are compared
-    as-is (no basis permutation).
+    Colors are compared as-is (no basis permutation).  Both graphs must be
+    valid, so the colors at each vertex are distinct and a color-preserving
+    map is forced once the image of vertex 0 is chosen; each candidate
+    image with vertex 0's colors is propagated along one walk of ``g1``.
     """
     if (g1.n, g1.vertex_count, g1.edge_count) != (g2.n, g2.vertex_count, g2.edge_count):
         return False
+    require_valid(g1)
+    require_valid(g2)
+    stars1, stars2 = _color_stars(g1), _color_stars(g2)
+    return any(
+        _propagate(g1, g2, stars1, stars2, start)
+        for start in range(g2.vertex_count)
+        if stars2[start].keys() == stars1[0].keys()
+    )
 
-    def signature(g: ColoredGraph, v: int) -> tuple:
-        return tuple(sorted(str(g.color(e)) for e in g.edges_at(v)))
 
-    sig2: dict[tuple, list[int]] = {}
-    for v in range(g2.vertex_count):
-        sig2.setdefault(signature(g2, v), []).append(v)
+def _color_stars(g: ColoredGraph) -> list[dict[ColorVector, int]]:
+    """Per vertex: the edge at it of each color."""
+    return [{g.color(e): e for e in g.edges_at(v)} for v in range(g.vertex_count)]
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
 
-    def consistent(v: int, w: int) -> bool:
-        for e in g1.edges_at(v):
-            u = g1.other_end(e, v)
-            if u in mapping:
-                c = str(g1.color(e))
-                count1 = sum(
-                    1 for f in g1.edges_at(v)
-                    if g1.other_end(f, v) == u and str(g1.color(f)) == c
-                )
-                count2 = sum(
-                    1 for f in g2.edges_at(w)
-                    if g2.other_end(f, w) == mapping[u] and str(g2.color(f)) == c
-                )
-                if count1 != count2:
-                    return False
+def _propagate(g1, g2, stars1, stars2, start: int) -> bool:
+    """Does sending vertex 0 of g1 to ``start`` extend to an isomorphism?"""
+    image = {0: start}
+
+    def extends(v: int) -> bool:
+        # each edge at v goes to the same-colored edge at v's image
+        w = image[v]
+        for color, e in stars1[v].items():
+            f = stars2[w].get(color)
+            if f is None:
+                return False
+            u, x = g1.other_end(e, v), g2.other_end(f, w)
+            if image.setdefault(u, x) != x:
+                return False
         return True
 
-    order = sorted(range(g1.vertex_count), key=lambda v: signature(g1, v))
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in sig2.get(signature(g1, v), []):
-            if w in used:
-                continue
-            if not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0)
+    return all(extends(v) for v in reach(0, g1.neighbors)) and (
+        len(set(image.values())) == g1.vertex_count
+    )

@@ -32,9 +32,13 @@ def _kernel_of_nest(g: ColoredGraph, nest: Nest) -> tuple[int, ...]:
     return null_space(rows, g.width)
 
 
-def isotropy_report(g: ColoredGraph) -> list[IsotropyRecord]:
-    """One record per nest of every dimension, in canonical nest order."""
-    index = NestIndex(g)
+def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[IsotropyRecord]:
+    """One record per nest of every dimension, in canonical nest order.
+
+    ``index`` is the graph's nest index when the caller already holds one.
+    """
+    if index is None:
+        index = NestIndex(g)
     records: list[IsotropyRecord] = []
     for k in range(g.n + 1):
         for nest in index.nests(k):
@@ -88,17 +92,19 @@ class RealizabilitySummary:
     # exactly the tangent weights at the corresponding fixed point
 
 
-def realizability_summary(g: ColoredGraph) -> RealizabilitySummary:
+def realizability_summary(
+    g: ColoredGraph, index: NestIndex | None = None
+) -> RealizabilitySummary:
     """Expansion-backed realizability report.
 
     Surfaces bound a 3-manifold exactly when their Euler characteristic is
     even; an odd characteristic invokes the doubling trick.  Every closed
     3-manifold bounds, reported unconditionally.  Expansion failures
-    propagate as refusals.
+    propagate as refusals.  ``index`` is the graph's nest index when the
+    caller already holds one.
     """
-    require_valid(g)
     connection(g)  # goodness is a precondition; raises otherwise
-    outcome = full_expand(g)
+    outcome = full_expand(g, index)
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)
     chi = outcome.complex.euler()

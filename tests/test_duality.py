@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from itertools import combinations
+
 import pytest
 
 from skelex.classify import classify_surface
@@ -252,3 +255,81 @@ class TestParsePoset:
     def test_not_json(self):
         with pytest.raises(FormatError):
             parse_poset("nope")
+
+
+def _refusal(simplices) -> str:
+    with pytest.raises(NotCombinatorialManifold) as info:
+        dual_colored_graph(FacePoset.from_simplices(simplices))
+    return str(info.value)
+
+
+TETRA = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+class TestVertexLinks:
+    """Each link diagnosis of dual_colored_graph, for n=2 and n=3."""
+
+    def test_surface_wedge_link_disconnected(self):
+        wedge = TETRA + [[0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]
+        assert _refusal(wedge) == "link of vertex 's0' is disconnected"
+
+    def test_surface_fin_link_not_two_regular(self):
+        assert _refusal([[0, 1, 2], [0, 1, 3], [0, 1, 4]]) == (
+            "link of vertex 's0' is not 2-regular"
+        )
+
+    def test_two_cell_through_one_edge(self):
+        # two 2-cells bounded by the same single edge
+        p = FacePoset.from_cells([
+            ("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"]),
+            ("f", 2, ["e"]), ("g", 2, ["e"]),
+        ])
+        with pytest.raises(NotCombinatorialManifold) as info:
+            dual_colored_graph(p)
+        assert str(info.value) == "2-cell 'f' meets vertex 'a' through 1 edges"
+
+    def test_wedge_of_3_spheres_refused(self):
+        # two boundaries of the 4-simplex joined at vertex 0: the link there
+        # is two 2-spheres
+        simplex = [list(s) for s in combinations(range(5), 4)]
+        other = [list(s) for s in combinations((0, 5, 6, 7, 8), 4)]
+        assert _refusal(simplex + other) == "link of vertex 's0' is disconnected"
+
+    def test_suspended_torus_refused(self):
+        # a pseudomanifold: the two cone points have torus links
+        suspension = [t + [apex] for t in torus7_simplices() for apex in (7, 8)]
+        assert _refusal(suspension) == (
+            "link of vertex 's7' is a closed surface with euler characteristic 0,"
+            " not a 2-sphere"
+        )
+
+    def test_three_fin_edge_link_not_two_regular(self):
+        # three tetrahedra on the triangle (0, 1, 2)
+        fin = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
+        assert _refusal(fin) == "link of edge 's0_1' is not 2-regular"
+
+
+class TestPosetRobustness:
+    def test_long_chain_refused_without_recursion(self):
+        # c_i has c_(i-1) as its only listed face, listed top-down
+        cells = [(f"c{i}", i, [f"c{i - 1}"] if i else []) for i in reversed(range(3000))]
+        with pytest.raises(FormatError, match="1-cell 'c1' has 1 vertices"):
+            FacePoset.from_cells(cells)
+
+    @pytest.mark.parametrize("cells", [
+        5,
+        "cells",
+        [[["a"], 0, []]],
+        [["a", 0, []], [{"b": 1}, 0, []]],
+        [["a", 0, []], ["b", 0, []], ["e", 1, ["a", ["b"]]]],
+        [["a", 0, []], ["b", 0, []], ["e", 1, ["a", 1.5]]],
+    ])
+    def test_malformed_cells_are_format_errors(self, cells):
+        with pytest.raises(FormatError):
+            parse_poset(json.dumps({"top_dim": 1, "cells": cells}))
+
+    def test_negative_and_huge_dims_are_format_errors(self):
+        with pytest.raises(FormatError, match="negative dim"):
+            FacePoset.from_cells([("a", -1, []), ("b", 0, [])])
+        with pytest.raises(FormatError, match="expected 0..999999999999"):
+            FacePoset.from_cells([("a", 0, []), ("b", 10**12, ["a"])])

@@ -6,6 +6,10 @@ import pytest
 
 from skelex.errors import NotGoodColoring, UnsupportedDimension
 from skelex.expansion import (
+    Cell,
+    CellComplex,
+    SphereCheck,
+    _vertex_link_failures,
     boundary_sphere_complex,
     criterion_3d,
     expand2,
@@ -14,7 +18,8 @@ from skelex.expansion import (
     _subcomplex,
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.nests import enumerate_nests, nest_label
+from skelex.gf2 import ColorVector, span
+from skelex.nests import Nest, enumerate_nests, nest_label
 
 
 class TestExpand2:
@@ -174,3 +179,94 @@ class TestFullExpand:
     def test_n1_rejected(self):
         with pytest.raises(UnsupportedDimension):
             full_expand(gen_cube(1))
+
+
+def hand_complex(vertex_count, edges, discs) -> CellComplex:
+    """A 2-complex given by edge endpoints and disc edge lists.
+
+    Nests carry the vertex and edge ids; their colors play no part in the
+    local checks.
+    """
+    width = 3
+    zero = [
+        Cell(0, v, Nest((), (v,), span([], width=width)), ())
+        for v in range(vertex_count)
+    ]
+    one = [
+        Cell(1, i, Nest((i,), tuple(sorted(ends)), span([ColorVector.unit(0, width)])),
+             tuple(sorted(ends)))
+        for i, ends in enumerate(edges)
+    ]
+    two = [
+        Cell(
+            2, i,
+            Nest(tuple(sorted(faces)),
+                 tuple(sorted({v for e in faces for v in edges[e]})),
+                 span([ColorVector.unit(0, width), ColorVector.unit(1, width)])),
+            tuple(faces),
+        )
+        for i, faces in enumerate(discs)
+    ]
+    return CellComplex(None, [zero, one, two])
+
+
+def triangle_complex(triangles) -> CellComplex:
+    """The 2-complex of a list of vertex triples."""
+    edge_ids: dict[tuple[int, int], int] = {}
+    discs = []
+    for tri in triangles:
+        a, b, c = sorted(tri)
+        discs.append(tuple(
+            edge_ids.setdefault(pair, len(edge_ids)) for pair in ((a, b), (a, c), (b, c))
+        ))
+    edges = sorted(edge_ids, key=edge_ids.get)
+    return hand_complex(1 + max(max(t) for t in triangles), edges, discs)
+
+
+TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+class TestVertexLinks:
+    """Each diagnosis of the vertex-link check, on hand-built complexes."""
+
+    def test_sphere_passes(self):
+        assert _vertex_link_failures(triangle_complex(TETRA)) is None
+
+    def test_wedge_link_disconnected(self):
+        # two tetrahedron boundaries sharing vertex 0
+        F = triangle_complex(TETRA + [(0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)])
+        assert _vertex_link_failures(F) == "link of vertex 0 is disconnected"
+        verdict = sphere_check(F, 2)
+        assert verdict == SphereCheck(False, "link of vertex 0 is disconnected")
+
+    def test_fin_link_not_two_regular(self):
+        # three triangles on the edge (0, 1), which is edge 0
+        F = triangle_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert _vertex_link_failures(F) == "link of vertex 0 is not 2-regular at edge 0"
+        # the whole check stops earlier, at the edge in three discs
+        assert sphere_check(F, 2) == SphereCheck(False, "edge 0 lies in 3 discs")
+
+    def test_disc_through_one_edge(self):
+        # two discs bounded by the same single edge
+        F = hand_complex(2, [(0, 1)], [(0,), (0,)])
+        assert _vertex_link_failures(F) == "disc 0 passes vertex 0 through 1 edges"
+        assert sphere_check(F, 2) == SphereCheck(
+            False, "disc 0 passes vertex 0 through 1 edges"
+        )
+
+    def test_circle_diagnoses(self):
+        F = hand_complex(3, [(0, 1), (1, 2), (0, 2)], [])
+        assert sphere_check(F, 1) == SphereCheck(True, "circle")
+        path = hand_complex(3, [(0, 1), (1, 2)], [])
+        assert sphere_check(path, 1) == SphereCheck(False, "vertex 0 lies in 1 edges")
+
+
+class TestCofaces:
+    def test_built_once_and_kept(self, cube2):
+        c = expand2(cube2)
+        assert c.cofaces(1) is c.cofaces(1)
+        assert c.cofaces(0) == tuple(
+            tuple(e.index for e in c.cells_by_dim[1] if v in e.faces)
+            for v in range(len(c.cells_by_dim[0]))
+        )
+        assert c.cofaces(2) == ((),) * len(c.cells_by_dim[2])

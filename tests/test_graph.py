@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from skelex.graph import (
     validate,
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
+from skelex.nests import enumerate_nests, nest_label
 
 from conftest import CUBE_EDGES, random_valid_coloring
 
@@ -246,3 +248,39 @@ class TestIsomorphism:
 
     def test_different_colorings_distinguished(self, cube2, nongood):
         assert not color_isomorphic(cube2, nongood)
+
+
+class TestIsomorphismAtScale:
+    """Propagation from vertex 0's image: no recursion per vertex."""
+
+    @pytest.fixture(scope="class")
+    def genus200(self):
+        return gen_orientable_surface(200)
+
+    def relabelled(self, g, seed):
+        perm = list(range(g.vertex_count))
+        random.Random(seed).shuffle(perm)
+        return ColoredGraph(g.n, g.vertex_count, tuple(
+            (perm[u], perm[v], c) for u, v, c in g.edges
+        ))
+
+    def test_relabelled_copy(self, genus200):
+        assert genus200.vertex_count == 1600
+        assert color_isomorphic(genus200, self.relabelled(genus200, 7))
+
+    def test_recoloured_copy(self, genus200):
+        # swap the colors x0 and x1 everywhere: the {x0, x2} and {x1, x2}
+        # circles trade places, and their counts differ, so no
+        # color-preserving bijection exists
+        swap = {cv("100"): cv("010"), cv("010"): cv("100")}
+        recoloured = ColoredGraph(genus200.n, genus200.vertex_count, tuple(
+            (u, v, swap.get(c, c)) for u, v, c in self.relabelled(genus200, 7).edges
+        ))
+        labels = Counter(nest_label(n) for n in enumerate_nests(genus200, 2))
+        assert labels["x0·x2"] != labels["x1·x2"]
+        assert not color_isomorphic(genus200, recoloured)
+
+    def test_invalid_graph_rejected(self, cube2):
+        broken = ColoredGraph(2, 8, cube2.edges[:-1] + ((0, 0, cv("100")),))
+        with pytest.raises(InvalidGraph):
+            color_isomorphic(cube2, broken)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import json
+import sys
+
 import pytest
 
+from skelex import graph as graph_mod
+from skelex.cli import run
 from skelex.errors import ExpansionRefused
+from skelex.graph import serialize
+from skelex.nests import NestIndex
 from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
 from skelex.realize import (
     fixed_circle_check,
@@ -92,3 +100,20 @@ class TestSummary:
     def test_refusal_propagates(self, counterexample):
         with pytest.raises(ExpansionRefused):
             realizability_summary(counterexample)
+
+
+class TestSharedIndex:
+    def test_table_reads_the_given_index(self, cube3):
+        index = NestIndex(cube3)
+        assert isotropy_report(cube3, index) == isotropy_report(cube3)
+        assert realizability_summary(cube3, index) == realizability_summary(cube3)
+
+    def test_realize_table_validates_three_times(self, monkeypatch, capsys):
+        # parse, the one nest index, and the goodness check
+        calls = []
+        original = graph_mod.validate
+        monkeypatch.setattr(graph_mod, "validate", lambda g: calls.append(g) or original(g))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(gen_orientable_surface(2))))
+        assert run(["realize", "--table", "--format", "json"]) == 0
+        assert len(calls) == 3
+        assert len(json.loads(capsys.readouterr().out)["isotropy"]) == 22 * 2 + 2
