@@ -1,0 +1,161 @@
+"""The pure-coloring census: one entry per class of colorings.
+
+Two pure colorings of one underlying graph are the same class when a
+permutation of the n+1 colors carries one to the other.  Each class is
+named by its first-occurrence form (colors numbered in the order they
+first appear along the edge list), which is its lexicographically least
+member, and only that form is ever enumerated.  For n=3 the counting
+criterion is decided from nest counts before any skeleton is built.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+from . import classify as classify_mod
+from . import expansion
+from .errors import CensusLimit, FormatError
+from .gf2 import ColorVector
+from .graph import ColoredGraph, reach
+from .nests import NestIndex
+
+DEFAULT_CENSUS_LIMIT = 16
+
+
+@dataclass(frozen=True)
+class CensusEntry:
+    coloring: tuple[int, ...]  # color index per canonical edge
+    graph: ColoredGraph
+    report: classify_mod.SurfaceReport | classify_mod.HomologyReport | None
+    refusal: str | None = None
+
+    @property
+    def coloring_id(self) -> str:
+        return ",".join(str(c) for c in self.coloring)
+
+
+def enumerate_proper_colorings(
+    edges: Sequence[tuple[int, int]], vertex_count: int, n_colors: int
+) -> Iterator[tuple[int, ...]]:
+    """Proper edge colorings with ``n_colors`` colors, one per orbit.
+
+    Yields one coloring per orbit of the color-permutation action: its
+    first-occurrence form, where edge e takes a color at most one above
+    the largest color on the edges before it.  That form is the orbit's
+    lexicographically least member, and the colorings come in ascending
+    order.  The search is iterative backtracking with forward checking:
+    each vertex keeps a bitmask of its used colors, and a branch is cut as
+    soon as some later edge at the edge just colored has no free color.
+    """
+    m = len(edges)
+    if m == 0:
+        yield ()
+        return
+    full = (1 << n_colors) - 1
+    used = [0] * vertex_count
+    incident: list[list[int]] = [[] for _ in range(vertex_count)]
+    for idx, (u, v) in enumerate(edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    later = [
+        [edges[f] for f in sorted({f for w in edge for f in incident[w] if f > e})]
+        for e, edge in enumerate(edges)
+    ]
+    assignment = [-1] * m
+    top = [-1] * m  # largest color on the edges before e
+    todo = [0] * m  # colors still to try at e, as a bitmask
+
+    def choices(e: int) -> int:
+        u, v = edges[e]
+        return ((1 << min(n_colors, top[e] + 2)) - 1) & ~(used[u] | used[v])
+
+    e = 0
+    todo[0] = choices(0)
+    while e >= 0:
+        u, v = edges[e]
+        if assignment[e] >= 0:
+            bit = 1 << assignment[e]
+            used[u] &= ~bit
+            used[v] &= ~bit
+            assignment[e] = -1
+        if not todo[e]:
+            e -= 1
+            continue
+        bit = todo[e] & -todo[e]
+        todo[e] ^= bit
+        used[u] |= bit
+        used[v] |= bit
+        assignment[e] = bit.bit_length() - 1
+        if any(not full & ~(used[a] | used[b]) for a, b in later[e]):
+            continue
+        if e + 1 == m:
+            yield tuple(assignment)
+            continue
+        top[e + 1] = max(top[e], assignment[e])
+        e += 1
+        todo[e] = choices(e)
+
+
+def _colored(edges, vertex_count, n, coloring) -> ColoredGraph:
+    width = n + 1
+    colored_edges = tuple(
+        (u, v, ColorVector.unit(coloring[i], width))
+        for i, (u, v) in enumerate(edges)
+    )
+    return ColoredGraph(n, vertex_count, colored_edges)
+
+
+def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:
+    """Expand and classify one class, deciding the n=3 criterion first."""
+    index = NestIndex(g)
+    if g.n == 3:
+        expansion.check_circles(g, index)
+        crit = expansion.criterion_3d(g, index)
+        if not crit.holds:
+            return CensusEntry(coloring, g, None, crit.refusal)
+    outcome = expansion.full_expand(g, index)
+    if not outcome.completed:
+        return CensusEntry(coloring, g, None, outcome.obstruction.reason)
+    if g.n == 2:
+        return CensusEntry(coloring, g, classify_mod.classify_surface(outcome.complex))
+    return CensusEntry(coloring, g, classify_mod.homology_mod2(outcome.complex))
+
+
+def census(
+    edges: Sequence[tuple[int, int]],
+    vertex_count: int,
+    n: int,
+    limit: int = DEFAULT_CENSUS_LIMIT,
+) -> list[CensusEntry]:
+    """Classify every pure coloring of an underlying regular graph.
+
+    One entry per class of colorings up to permutation of the n+1 colors,
+    named by its lexicographically least member, in ascending order.
+    Refuses graphs beyond the scale guard.
+    """
+    if vertex_count > limit:
+        raise CensusLimit(
+            f"census is limited to {limit} vertices, got {vertex_count}"
+        )
+    if vertex_count < 1:
+        raise FormatError(f"underlying graph needs a vertex, got {vertex_count}")
+    valences = [0] * vertex_count
+    neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
+    for u, v in edges:
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v:
+            raise FormatError(f"bad edge ({u}, {v}) in underlying graph")
+        valences[u] += 1
+        valences[v] += 1
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    if any(d != n + 1 for d in valences):
+        raise FormatError(
+            f"underlying graph is not {n + 1}-valent: valences {valences}"
+        )
+    if sum(1 for _ in reach(0, neighbors.__getitem__)) != vertex_count:
+        raise FormatError("underlying graph is not connected")
+    return [
+        _entry(coloring, _colored(edges, vertex_count, n, coloring))
+        for coloring in enumerate_proper_colorings(edges, vertex_count, n + 1)
+    ]

@@ -1,4 +1,4 @@
-"""Command-line front end and the pure-coloring census.
+"""Command-line front end.
 
 Subcommands compose through the shared JSON formats on stdin/stdout:
 
@@ -14,13 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import classify as classify_mod
 from . import duality, expansion, generators, graph as graph_mod, nests as nests_mod
 from . import realize as realize_mod
+from .census import (  # noqa: F401  (the census API, re-exported)
+    DEFAULT_CENSUS_LIMIT,
+    CensusEntry,
+    census,
+    enumerate_proper_colorings,
+)
 from .errors import (
     CensusLimit,
     ExpansionRefused,
@@ -37,125 +41,6 @@ from .graph import ColoredGraph
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
-
-DEFAULT_CENSUS_LIMIT = 16
-
-
-# ---------------------------------------------------------------- census
-
-
-@dataclass(frozen=True)
-class CensusEntry:
-    coloring: tuple[int, ...]  # color index per canonical edge
-    graph: ColoredGraph
-    report: classify_mod.SurfaceReport | classify_mod.HomologyReport | None
-    refusal: str | None = None
-
-    @property
-    def coloring_id(self) -> str:
-        return ",".join(str(c) for c in self.coloring)
-
-
-def _canonical_coloring(coloring: Sequence[int], n_colors: int) -> tuple[int, ...]:
-    return min(
-        tuple(perm[c] for c in coloring)
-        for perm in permutations(range(n_colors))
-    )
-
-
-def enumerate_proper_colorings(
-    edges: Sequence[tuple[int, int]], vertex_count: int, n_colors: int
-) -> Iterator[tuple[int, ...]]:
-    """All proper edge colorings with ``n_colors`` colors, by backtracking."""
-    incident: list[list[int]] = [[] for _ in range(vertex_count)]
-    for idx, (u, v) in enumerate(edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    assignment: list[int] = [-1] * len(edges)
-
-    def conflicts(e: int, color: int) -> bool:
-        u, v = edges[e]
-        for w in (u, v):
-            for f in incident[w]:
-                if f != e and assignment[f] == color:
-                    return True
-        return False
-
-    def backtrack(e: int) -> Iterator[tuple[int, ...]]:
-        if e == len(edges):
-            yield tuple(assignment)
-            return
-        for color in range(n_colors):
-            if conflicts(e, color):
-                continue
-            assignment[e] = color
-            yield from backtrack(e + 1)
-            assignment[e] = -1
-
-    yield from backtrack(0)
-
-
-def _colored(edges, vertex_count, n, coloring) -> ColoredGraph:
-    width = n + 1
-    colored_edges = tuple(
-        (u, v, ColorVector.unit(coloring[i], width))
-        for i, (u, v) in enumerate(edges)
-    )
-    return ColoredGraph(n, vertex_count, colored_edges)
-
-
-def census(
-    edges: Sequence[tuple[int, int]],
-    vertex_count: int,
-    n: int,
-    limit: int = DEFAULT_CENSUS_LIMIT,
-) -> list[CensusEntry]:
-    """Classify every pure coloring of an underlying regular graph.
-
-    Colorings are deduplicated up to permutation of the n+1 colors by
-    keeping the lexicographically least recoloring.  Entries come back in
-    canonical order.  Refuses graphs beyond the scale guard.
-    """
-    if vertex_count > limit:
-        raise CensusLimit(
-            f"census is limited to {limit} vertices, got {vertex_count}"
-        )
-    if vertex_count < 1:
-        raise FormatError(f"underlying graph needs a vertex, got {vertex_count}")
-    valences = [0] * vertex_count
-    neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
-    for u, v in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v:
-            raise FormatError(f"bad edge ({u}, {v}) in underlying graph")
-        valences[u] += 1
-        valences[v] += 1
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    if any(d != n + 1 for d in valences):
-        raise FormatError(
-            f"underlying graph is not {n + 1}-valent: valences {valences}"
-        )
-    if sum(1 for _ in graph_mod.reach(0, neighbors.__getitem__)) != vertex_count:
-        raise FormatError("underlying graph is not connected")
-    seen: set[tuple[int, ...]] = set()
-    entries: list[CensusEntry] = []
-    for coloring in enumerate_proper_colorings(edges, vertex_count, n + 1):
-        canon = _canonical_coloring(coloring, n + 1)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        g = _colored(edges, vertex_count, n, canon)
-        outcome = expansion.full_expand(g)
-        if not outcome.completed:
-            entries.append(CensusEntry(canon, g, None, outcome.obstruction.reason))
-            continue
-        if n == 2:
-            report = classify_mod.classify_surface(outcome.complex)
-        else:
-            report = classify_mod.homology_mod2(outcome.complex)
-        entries.append(CensusEntry(canon, g, report))
-    entries.sort(key=lambda e: e.coloring)
-    return entries
 
 
 # ----------------------------------------------------------------- I/O

@@ -23,6 +23,7 @@ Cell ids may be strings or integers; face lists may name any proper faces
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -115,21 +116,13 @@ class FacePoset:
     @classmethod
     def from_simplices(cls, simplices: list[list[int]]) -> "FacePoset":
         """Generate the full poset of a pure simplicial complex."""
-        if not simplices:
-            raise FormatError("empty simplex list")
-        top = {len(s) for s in simplices}
-        if len(top) != 1:
-            raise FormatError("maximal simplices must all have the same size")
         dims: dict[CellId, int] = {}
         faces: dict[CellId, set[CellId]] = {}
 
         def key(vs: tuple[int, ...]) -> str:
             return "s" + "_".join(str(v) for v in vs)
 
-        for simplex in simplices:
-            vs = tuple(sorted(simplex))
-            if len(set(vs)) != len(vs):
-                raise FormatError(f"degenerate simplex {simplex}")
+        for vs in _vertex_tuples(simplices):
             for size in range(1, len(vs) + 1):
                 for sub in combinations(vs, size):
                     cid = key(sub)
@@ -141,6 +134,37 @@ class FacePoset:
                     }
                     faces[cid] = proper
         return cls(dims, faces)
+
+
+def _vertex_tuples(simplices: list[list[int]]) -> list[tuple[int, ...]]:
+    """Each simplex as its sorted vertices; refuses empty, mixed or degenerate lists."""
+    if not simplices:
+        raise FormatError("empty simplex list")
+    if len({len(s) for s in simplices}) != 1:
+        raise FormatError("maximal simplices must all have the same size")
+    out = []
+    for simplex in simplices:
+        vs = tuple(sorted(simplex))
+        if len(set(vs)) != len(vs):
+            raise FormatError(f"degenerate simplex {simplex}")
+        out.append(vs)
+    return out
+
+
+def _check_ridges(simplices: list[tuple[int, ...]]) -> None:
+    """Refuse unless every ridge lies in exactly two of the simplices.
+
+    A ridge is a simplex minus one vertex.  This runs before the face poset
+    is built, which costs about 3^s steps for an s-simplex.
+    """
+    if len(simplices[0]) < 2:
+        return  # points: ``dual_colored_graph`` refuses dimension 0
+    users = Counter(r for vs in simplices for r in combinations(vs, len(vs) - 1))
+    for ridge, count in users.items():
+        if count != 2:
+            raise NotCombinatorialManifold(
+                f"ridge {list(ridge)} lies in {count} of the simplices, expected 2"
+            )
 
 
 Flag = tuple[int, ...]
@@ -275,6 +299,14 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
         raise NotCombinatorialManifold("top dimension must be >= 1")
     if n in (2, 3):
         _check_links(p)
+    # a ridge outside two top cells leaves a one-short flag with one
+    # extension; refuse it before the flags, (n+1)! per simplex, are listed
+    for r in p.cells_of_dim(n - 1):
+        if len(p.cofaces[r]) != 2:
+            raise NotCombinatorialManifold(
+                f"{n - 1}-cell {p.order[r]!r} lies in {len(p.cofaces[r])}"
+                f" of the {n}-cells, expected 2"
+            )
     fl = flags(p)
     vertex_index = {flag: i for i, flag in enumerate(fl.full)}
     edges = []
@@ -338,6 +370,7 @@ def parse_poset(text: str) -> FacePoset:
             for s in simplices
         ):
             raise FormatError("'simplices' must be an array of integer arrays")
+        _check_ridges(_vertex_tuples(simplices))
         return FacePoset.from_simplices(simplices)
     if "cells" not in data or "top_dim" not in data:
         raise FormatError("expected fields 'top_dim' and 'cells' (or 'simplices')")

@@ -112,13 +112,25 @@ def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
         index = NestIndex(g)
     if g.n < 2:
         raise UnsupportedDimension(f"2-skeletal expansion needs n >= 2, got n={g.n}")
+    check_circles(g, index)
     zero_cells = [Cell(0, i, nest, ()) for i, nest in enumerate(index.nests(0))]
     one_cells = [
         Cell(1, i, nest, index.within(nest, 0))
         for i, nest in enumerate(index.nests(1))
     ]
-    two_cells: list[Cell] = []
-    for i, (nest, edge_set) in enumerate(zip(index.nests(2), index.edge_sets(2))):
+    two_cells = [
+        Cell(2, i, nest, index.within(nest, 1))
+        for i, nest in enumerate(index.nests(2))
+    ]
+    return CellComplex(g, [zero_cells, one_cells, two_cells], index)
+
+
+def check_circles(g: ColoredGraph, index: NestIndex) -> None:
+    """Refuse unless every 2-nest is an embedded circle (2-valent throughout).
+
+    A 2-nest with a vertex of another valence witnesses a non-good coloring.
+    """
+    for nest, edge_set in zip(index.nests(2), index.edge_sets(2)):
         for v in nest.vertex_ids:
             valence = sum(1 for e in g.edges_at(v) if e in edge_set)
             if valence != 2:
@@ -126,8 +138,6 @@ def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
                     f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
                     f" valence {valence}; the coloring is not good"
                 )
-        two_cells.append(Cell(2, i, nest, index.within(nest, 1)))
-    return CellComplex(g, [zero_cells, one_cells, two_cells], index)
 
 
 def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
@@ -261,6 +271,16 @@ class Criterion3:
     def counts(self) -> tuple[int, int, int]:
         return (self.vertex_count, self.two_nests, self.three_nests)
 
+    @property
+    def refusal(self) -> str | None:
+        """Why the expansion cannot close, or None when the criterion holds."""
+        if self.holds:
+            return None
+        return (
+            f"counting criterion fails: {self.three_nests} 3-nests !="
+            f" {self.two_nests} 2-nests - {self.vertex_count} vertices"
+        )
+
 
 def criterion_3d(g: ColoredGraph, index: NestIndex | None = None) -> Criterion3:
     """The n=3 closing condition: #3-nests == #2-nests - #vertices.
@@ -326,12 +346,7 @@ def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOut
         return ExpansionOutcome(
             skeleton,
             2,
-            Obstruction(
-                None,
-                f"counting criterion fails: {crit.three_nests} 3-nests !="
-                f" {crit.two_nests} 2-nests - {crit.vertex_count} vertices",
-                crit.counts(),
-            ),
+            Obstruction(None, crit.refusal, crit.counts()),
         )
     three_cells: list[Cell] = []
     for i, nest in enumerate(index.nests(3)):

@@ -1,0 +1,128 @@
+"""The census against its slow oracle, and the 4-cube census."""
+
+from __future__ import annotations
+
+import random
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skelex import expansion
+from skelex.census import census, enumerate_proper_colorings
+from skelex.generators import gen_cube
+
+from census_oracle import all_proper_colorings, canonical_coloring, reference_census
+from conftest import CUBE_EDGES, K4_EDGES, colored_from_indices
+
+
+def _prism(rungs: int) -> list[tuple[int, int]]:
+    edges = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        edges += [(i, j), (rungs + i, rungs + j), (i, rungs + i)]
+    return edges
+
+
+_PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+# name -> (edges, vertex count, n)
+GRAPHS = {
+    "K4": (K4_EDGES, 4, 2),
+    "3-cube": (CUBE_EDGES, 8, 2),
+    "K3,3": ([(i, 3 + j) for i in range(3) for j in range(3)], 6, 2),
+    **{f"prism{r}": (_prism(r), 2 * r, 2) for r in range(3, 9)},
+    "Petersen": (_PETERSEN, 10, 2),
+    "theta4": ([(0, 1)] * 4, 2, 3),
+    "doubled C4": ([(i, (i + 1) % 4) for i in range(4)] * 2, 4, 3),
+}
+
+
+def _observed(entries) -> list[tuple]:
+    return [(e.coloring, e.refusal, e.report) for e in entries]
+
+
+def _first_occurrence(coloring) -> tuple[int, ...]:
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in coloring)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_same_classes_refusals_and_reports(self, name):
+        edges, vertices, n = GRAPHS[name]
+        entries = census(edges, vertices, n)
+        assert _observed(entries) == reference_census(edges, vertices, n)
+        for e in entries:
+            assert e.graph == colored_from_indices(edges, vertices, n, e.coloring)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_enumerator_yields_each_orbit_once_in_order(self, name):
+        edges, vertices, n = GRAPHS[name]
+        reps = {canonical_coloring(c, n + 1) for c in all_proper_colorings(edges, vertices, n + 1)}
+        assert list(enumerate_proper_colorings(edges, vertices, n + 1)) == sorted(reps)
+
+    def test_petersen_is_empty(self):
+        assert census(*GRAPHS["Petersen"]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelings_and_edge_reorderings(self, data):
+        edges, vertices, n = GRAPHS[data.draw(st.sampled_from(sorted(GRAPHS)))]
+        perm = data.draw(st.permutations(range(vertices)))
+        order = data.draw(st.permutations(range(len(edges))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        moved = []
+        for i in order:
+            u, v = perm[edges[i][0]], perm[edges[i][1]]
+            moved.append((v, u) if flips[i] else (u, v))
+        assert _observed(census(moved, vertices, n)) == reference_census(moved, vertices, n)
+
+
+def test_parallel_edges_need_one_coloring():
+    # ten parallel edges take 10! colorings in one orbit; only its least
+    # member is ever built (the census entry is checked in test_cli.py)
+    assert list(enumerate_proper_colorings([(0, 1)] * 10, 2, 10)) == [tuple(range(10))]
+
+
+class TestFourCube:
+    AXES = gen_cube(3)  # the 4-cube, n = 3, each edge colored by its axis
+    EDGES = [(u, v) for u, v, _ in AXES.edges]
+
+    def test_census_refuses_by_counting_before_any_skeleton(self, monkeypatch):
+        skeleta = []
+        real_expand2 = expansion.expand2
+
+        def counted(g, index=None):
+            skeleta.append(g)
+            return real_expand2(g, index)
+
+        monkeypatch.setattr(expansion, "expand2", counted)
+        entries = census(self.EDGES, 16, 3)
+        assert len(entries) == 1840
+        refused = [e for e in entries if e.refusal is not None]
+        assert len(refused) == 1839
+        assert all(e.refusal.startswith("counting criterion fails: ") for e in refused)
+        (closed,) = [e for e in entries if e.refusal is None]
+        axis = _first_occurrence([c.mask.bit_length() - 1 for _, _, c in self.AXES.edges])
+        assert closed.coloring == axis
+        assert closed.report.betti_mod2 == (1, 0, 0, 1)
+        assert skeleta == [closed.graph]
+
+    def test_shuffled_edge_order(self):
+        edges = self.EDGES[:]
+        random.Random(4).shuffle(edges)
+        began = time.perf_counter()
+        found = list(enumerate_proper_colorings(edges, 16, 4))
+        # plain backtracking along this order takes minutes
+        assert time.perf_counter() - began < 30
+        assert len(set(found)) == len(found) == 1840
+        for coloring in found:
+            assert coloring == _first_occurrence(coloring)
+            for v in range(16):
+                assert sorted(c for c, e in zip(coloring, edges) if v in e) == [0, 1, 2, 3]

@@ -159,6 +159,12 @@ class TestDualize:
         assert code == EXIT_REFUSED
         assert "refused" in err
 
+    def test_open_simplex_refused_before_its_poset_is_built(self, capsys, monkeypatch):
+        text = json.dumps({"simplices": [list(range(14))]})
+        code, _, err = run_cli(capsys, monkeypatch, ["dualize"], stdin_text=text)
+        assert code == EXIT_REFUSED
+        assert "ridge [0, 1, 2" in err
+
 
 class TestCensusCommand:
     def test_k4(self, capsys, monkeypatch):
@@ -189,6 +195,17 @@ class TestCensusCommand:
         code, _, err = run_cli(capsys, monkeypatch, ["census"], stdin_text=text)
         assert code == EXIT_INPUT
         assert "'edges' must be an array" in err
+
+    def test_parallel_edges(self, capsys, monkeypatch):
+        text = json.dumps({"n": 9, "vertices": 2, "edges": [[0, 1]] * 10})
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["census", "--format", "json"], stdin_text=text
+        )
+        assert code == EXIT_OK
+        assert json.loads(out) == [{
+            "coloring": list(range(10)),
+            "refused": "sphere recognition above dimension 2 is unsupported (n=9)",
+        }]
 
     def test_scale_guard(self, capsys, monkeypatch):
         big = {"n": 1, "vertices": 40,

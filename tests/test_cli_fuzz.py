@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import sys
+from datetime import timedelta
 from itertools import combinations
 
 from hypothesis import HealthCheck, example, given, settings
@@ -63,6 +64,8 @@ SEEDS = {
         {"n": 2, "vertices": 6, "edges": [
             [0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [0, 3], [1, 4], [2, 5],
         ]},
+        # n+1 parallel edges: (n+1)! colorings, all in one color orbit
+        *({"n": n, "vertices": 2, "edges": [[0, 1]] * (n + 1)} for n in range(2, 10)),
     ],
 }
 
@@ -139,8 +142,12 @@ def test_near_miss_posets(text):
     run_all(text)
 
 
-@FUZZ
+# a census that enumerates every coloring of a seed with many parallel
+# edges runs for seconds per example; one coloring per orbit takes well
+# under one
+@settings(FUZZ, deadline=timedelta(seconds=2))
 @given(near_miss("census"))
 @example('{"n": 2, "vertices": 0, "edges": []}')
+@example(json.dumps({"n": 9, "vertices": 2, "edges": [[0, 1]] * 10}))
 def test_near_miss_census_files(text):
     run_all(text)

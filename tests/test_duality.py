@@ -333,3 +333,34 @@ class TestPosetRobustness:
             FacePoset.from_cells([("a", -1, []), ("b", 0, [])])
         with pytest.raises(FormatError, match="expected 0..999999999999"):
             FacePoset.from_cells([("a", 0, []), ("b", 10**12, ["a"])])
+
+
+class TestOpenSimplices:
+    """A ridge outside two top simplices is refused before flags are listed."""
+
+    def test_open_13_simplex_refused_while_parsing(self):
+        # its face poset alone would take seconds to build
+        text = json.dumps({"simplices": [list(range(14))]})
+        with pytest.raises(NotCombinatorialManifold) as info:
+            parse_poset(text)
+        assert str(info.value) == (
+            f"ridge {list(range(13))} lies in 1 of the simplices, expected 2"
+        )
+
+    def test_ridge_in_three_simplices_refused_while_parsing(self):
+        text = json.dumps({"simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]})
+        with pytest.raises(NotCombinatorialManifold, match=r"ridge \[0, 1\] lies in 3"):
+            parse_poset(text)
+
+    def test_format_errors_come_first(self):
+        with pytest.raises(FormatError, match="degenerate"):
+            parse_poset(json.dumps({"simplices": [[0, 0, 1]]}))
+
+    def test_open_8_simplex_refused_before_flags(self):
+        # 9! full flags would be listed before the one-short flag check
+        poset = FacePoset.from_simplices([list(range(9))])
+        with pytest.raises(NotCombinatorialManifold) as info:
+            dual_colored_graph(poset)
+        assert str(info.value) == (
+            "7-cell 's0_1_2_3_4_5_6_7' lies in 1 of the 8-cells, expected 2"
+        )

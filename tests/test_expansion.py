@@ -11,6 +11,7 @@ from skelex.expansion import (
     SphereCheck,
     _vertex_link_failures,
     boundary_sphere_complex,
+    check_circles,
     criterion_3d,
     expand2,
     full_expand,
@@ -19,7 +20,7 @@ from skelex.expansion import (
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import ColorVector, span
-from skelex.nests import Nest, enumerate_nests, nest_label
+from skelex.nests import Nest, NestIndex, enumerate_nests, nest_label
 
 
 class TestExpand2:
@@ -39,6 +40,15 @@ class TestExpand2:
     def test_nongood_refused(self, nongood):
         with pytest.raises(NotGoodColoring):
             expand2(nongood)
+
+    def test_circle_check_is_expand2s_refusal(self, nongood, cube2):
+        with pytest.raises(NotGoodColoring) as direct:
+            check_circles(nongood, NestIndex(nongood))
+        with pytest.raises(NotGoodColoring) as through:
+            expand2(nongood)
+        assert str(direct.value) == str(through.value)
+        assert "is not a circle" in str(direct.value)
+        assert check_circles(cube2, NestIndex(cube2)) is None
 
     def test_low_dimension_refused(self):
         with pytest.raises(UnsupportedDimension):
@@ -145,6 +155,15 @@ class TestCriterion:
     def test_wrong_n(self, cube2):
         with pytest.raises(UnsupportedDimension):
             criterion_3d(cube2)
+
+    def test_refusal_is_full_expands_obstruction(self, cube3, counterexample):
+        assert criterion_3d(cube3).refusal is None
+        assert criterion_3d(counterexample).refusal == (
+            "counting criterion fails: 5 3-nests != 12 2-nests - 8 vertices"
+        )
+        assert full_expand(counterexample).obstruction.reason == (
+            criterion_3d(counterexample).refusal
+        )
 
 
 class TestFullExpand:
