@@ -110,7 +110,7 @@ def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:
     """Expand and classify one class, deciding the n=3 criterion first."""
     index = NestIndex(g)
     if g.n == 3:
-        expansion.check_circles(g, index)
+        expansion.check_circles(index)
         crit = expansion.criterion_3d(g, index)
         if not crit.holds:
             return CensusEntry(coloring, g, None, crit.refusal)
@@ -123,10 +123,7 @@ def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:
 
 
 def census(
-    edges: Sequence[tuple[int, int]],
-    vertex_count: int,
-    n: int,
-    limit: int = DEFAULT_CENSUS_LIMIT,
+    edges: Sequence[tuple[int, int]], vertex_count: int, n: int
 ) -> list[CensusEntry]:
     """Classify every pure coloring of an underlying regular graph.
 
@@ -134,9 +131,9 @@ def census(
     named by its lexicographically least member, in ascending order.
     Refuses graphs beyond the scale guard.
     """
-    if vertex_count > limit:
+    if vertex_count > DEFAULT_CENSUS_LIMIT:
         raise CensusLimit(
-            f"census is limited to {limit} vertices, got {vertex_count}"
+            f"census is limited to {DEFAULT_CENSUS_LIMIT} vertices, got {vertex_count}"
         )
     if vertex_count < 1:
         raise FormatError(f"underlying graph needs a vertex, got {vertex_count}")

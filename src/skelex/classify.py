@@ -2,10 +2,10 @@
 
 Surfaces are classified exactly: orientability is decided by searching a
 disc-orientation assignment in which the two traversals of every shared
-edge disagree (a parity constraint system solved by union-find), and the
-genus falls out of the Euler characteristic.  For 3-complexes only mod-2
-homology is computed; homology alone cannot name a 3-manifold and the
-report says so.
+edge disagree (a parity walk on ``graph.reach`` over the discs and their
+two sides), and the genus falls out of the Euler characteristic.  For
+3-complexes only mod-2 homology is computed; homology alone cannot name a
+3-manifold and the report says so.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 from .errors import SkelexError
 from .expansion import Cell, CellComplex
 from .gf2 import rank_masks
-from .graph import ColoredGraph
+from .graph import ColoredGraph, reach
 from .nests import Nest
 
 
@@ -68,38 +68,6 @@ def _circle_traversal(graph: ColoredGraph, nest: Nest) -> list[tuple[int, bool]]
     return walk
 
 
-class _ParityUnionFind:
-    """Union-find where each node carries a parity relative to its root."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.parity = [0] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        """The root of x and x's parity relative to it; compresses the path."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        # walk back from the node next to the root, folding parities so far
-        parity = 0
-        for node in reversed(path):
-            parity ^= self.parity[node]
-            self.parent[node] = x
-            self.parity[node] = parity
-        return x, parity
-
-    def union(self, a: int, b: int, relation: int) -> bool:
-        """Impose parity(a) xor parity(b) == relation; False on conflict."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == relation
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ relation
-        return True
-
-
 def classify_surface(c: CellComplex) -> SurfaceReport:
     """Exact classification of a closed surface complex.
 
@@ -117,18 +85,28 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
                 f"not a closed surface complex: edge {i} lies in {len(discs)} discs"
             )
 
-    # orientation parity: two discs sharing an edge must traverse it oppositely
-    traversals = [
-        dict(_circle_traversal(c.graph, disc.nest)) for disc in c.cells_by_dim[2]
-    ]
-    uf = _ParityUnionFind(len(c.cells_by_dim[2]))
-    orientable = True
-    for edge_cell_index, (a, b) in enumerate(discs_at):
-        edge_id = c.cells_by_dim[1][edge_cell_index].nest.edge_ids[0]
-        relation = 1 ^ traversals[a][edge_id] ^ traversals[b][edge_id]
-        if not uf.union(a, b, relation):
-            orientable = False
-            break
+    # orientation: two discs sharing edge e must traverse it oppositely, so
+    # their sides differ across e by 1 ^ t_a[e] ^ t_b[e], t being their
+    # traversal directions.  A walk over (disc, side) from one side of each
+    # component reaches each of its discs once exactly when consistent
+    # sides exist, and twice otherwise.
+    cells = c.cells_by_dim
+    traversals = [dict(_circle_traversal(c.graph, disc.nest)) for disc in cells[2]]
+
+    def sides(x: tuple[int, int]) -> list[tuple[int, int]]:
+        d, side = x
+        return [
+            (b, side ^ 1 ^ traversals[d][e] ^ traversals[b][e])
+            for i in cells[2][d].faces
+            for e in cells[1][i].nest.edge_ids
+            for b in discs_at[i] if b != d
+        ]
+
+    sided: set[tuple[int, int]] = set()
+    for d in range(len(cells[2])):
+        if (d, 0) not in sided and (d, 1) not in sided:
+            sided.update(reach((d, 0), sides))
+    orientable = len(sided) == len(cells[2])
 
     chi = c.euler()
     if orientable:

@@ -28,6 +28,7 @@ from .census import (  # noqa: F401  (the census API, re-exported)
 from .errors import (
     CensusLimit,
     ExpansionRefused,
+    FlagLimit,
     FormatError,
     InvalidGraph,
     NotCombinatorialManifold,
@@ -35,8 +36,6 @@ from .errors import (
     SkelexError,
     UnsupportedDimension,
 )
-from .gf2 import ColorVector
-from .graph import ColoredGraph
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -71,32 +70,6 @@ def _emit(out: str | None, text: str) -> None:
     finally:
         if fh is not sys.stdout:
             fh.close()
-
-
-def _parse_uncolored(text: str) -> tuple[list[tuple[int, int]], int, int | None]:
-    """Read an underlying graph: colored files are accepted, colors dropped."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "edges" not in data or "vertices" not in data:
-        raise FormatError("expected an object with 'vertices' and 'edges'")
-    if not isinstance(data["vertices"], int):
-        raise FormatError("'vertices' must be an integer")
-    if not isinstance(data["edges"], list):
-        raise FormatError("'edges' must be an array")
-    edges = []
-    for i, item in enumerate(data["edges"]):
-        if not isinstance(item, list) or len(item) not in (2, 3):
-            raise FormatError(f"edges[{i}]: expected [u, v] or [u, v, color]")
-        u, v = item[0], item[1]
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise FormatError(f"edges[{i}]: endpoints must be integers")
-        edges.append((u, v))
-    n = data.get("n")
-    if n is not None and not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    return edges, data["vertices"], n
 
 
 # ------------------------------------------------------------ renderers
@@ -144,8 +117,7 @@ def _render_homology(report: classify_mod.HomologyReport, fmt: str) -> str:
 
 
 def _cmd_validate(args) -> int:
-    raw = _read_text(args.file)
-    g = _parse_loose(raw)
+    g = graph_mod.read_graph(_read_text(args.file))
     report = graph_mod.validate(g)
     if args.format == "json":
         _emit(args.out, json.dumps(
@@ -158,22 +130,8 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_REFUSED
 
 
-def _parse_loose(text: str) -> ColoredGraph:
-    """Parse the graph format without the validity gate (for `validate`)."""
-    try:
-        return graph_mod.parse(text)
-    except InvalidGraph:
-        pass
-    # re-build without validation to let `validate` report the problems
-    data = json.loads(text)
-    edges = tuple(
-        (u, v, ColorVector.from_string(c)) for u, v, c in data["edges"]
-    )
-    return ColoredGraph(data["n"], data["vertices"], edges)
-
-
 def _cmd_nests(args) -> int:
-    g = graph_mod.parse(_read_text(args.file))
+    g = graph_mod.read_graph(_read_text(args.file))
     index = nests_mod.NestIndex(g)
     dims = [args.dim] if args.dim is not None else list(range(g.n + 1))
     all_nests = {k: index.nests(k) for k in dims}
@@ -208,7 +166,7 @@ def _cmd_nests(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    g = graph_mod.parse(_read_text(args.file))
+    g = graph_mod.read_graph(_read_text(args.file))
     outcome = expansion.full_expand(g)
     counts = outcome.complex.counts()
     if args.format == "json":
@@ -252,7 +210,7 @@ def _dump_complex(c: expansion.CellComplex) -> list[dict]:
 
 
 def _cmd_classify(args) -> int:
-    g = graph_mod.parse(_read_text(args.file))
+    g = graph_mod.read_graph(_read_text(args.file))
     outcome = expansion.full_expand(g)
     if not outcome.completed:
         _emit(args.out, f"refused: {outcome.obstruction.reason}")
@@ -292,7 +250,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    edges, vertex_count, file_n = _parse_uncolored(_read_text(args.file))
+    edges, vertex_count, file_n = graph_mod.read_underlying(_read_text(args.file))
     n = args.n if args.n is not None else file_n
     if n is None:
         raise FormatError("census needs n (from the file or --n)")
@@ -327,7 +285,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    g = graph_mod.parse(_read_text(args.file))
+    g = graph_mod.read_graph(_read_text(args.file))
     index = nests_mod.NestIndex(g)
     try:
         summary = realize_mod.realizability_summary(g, index)
@@ -452,6 +410,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         NotGoodColoring,
         NotCombinatorialManifold,
         CensusLimit,
+        FlagLimit,
     ) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -27,11 +27,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import FormatError, NotCombinatorialManifold
+from .errors import FlagLimit, FormatError, NotCombinatorialManifold
 from .gf2 import ColorVector
 from .graph import ColoredGraph, canonicalize, cycle_fault, reach
 
 CellId = int | str
+
+# the most full flags (dual vertices) listed: the 7-simplex boundary's
+# 40,320 take seconds, and time grows with the count
+MAX_FULL_FLAGS = 100_000
 
 
 class FacePoset:
@@ -115,7 +119,11 @@ class FacePoset:
 
     @classmethod
     def from_simplices(cls, simplices: list[list[int]]) -> "FacePoset":
-        """Generate the full poset of a pure simplicial complex."""
+        """Generate the full poset of a pure simplicial complex.
+
+        Each face is listed once, with its codimension-1 faces; the poset
+        takes the transitive closure.
+        """
         dims: dict[CellId, int] = {}
         faces: dict[CellId, set[CellId]] = {}
 
@@ -126,13 +134,9 @@ class FacePoset:
             for size in range(1, len(vs) + 1):
                 for sub in combinations(vs, size):
                     cid = key(sub)
-                    dims[cid] = size - 1
-                    proper = {
-                        key(s)
-                        for ssz in range(1, size)
-                        for s in combinations(sub, ssz)
-                    }
-                    faces[cid] = proper
+                    if cid not in dims:
+                        dims[cid] = size - 1
+                        faces[cid] = {key(s) for s in combinations(sub, size - 1) if s}
         return cls(dims, faces)
 
 
@@ -155,7 +159,7 @@ def _check_ridges(simplices: list[tuple[int, ...]]) -> None:
     """Refuse unless every ridge lies in exactly two of the simplices.
 
     A ridge is a simplex minus one vertex.  This runs before the face poset
-    is built, which costs about 3^s steps for an s-simplex.
+    is built, which costs about s·2^s steps for an s-simplex.
     """
     if len(simplices[0]) < 2:
         return  # points: ``dual_colored_graph`` refuses dimension 0
@@ -197,6 +201,15 @@ def flags(p: FacePoset) -> FlagSets:
         tuple(_chains_of_length(p, n + 1)),
         tuple(_chains_of_length(p, n)) if n >= 1 else (),
     )
+
+
+def _full_flag_count(p: FacePoset) -> int:
+    """The number of full flags, counted up the dimensions without listing any."""
+    ending_at: list[int] = []  # flags of dims 0..d ending at each cell; cells ascend by dim
+    for c, d in enumerate(p.dim):
+        below = [ending_at[f] for f in p.faces[c] if p.dim[f] == d - 1]
+        ending_at.append(sum(below) if d else 1)
+    return sum(ending_at[c] for c in p.cells_of_dim(p.top_dim))
 
 
 def _missing_dim(p: FacePoset, chain: Flag) -> int:
@@ -292,7 +305,8 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
 
     Each one-short flag missing dimension k must extend to exactly two full
     flags; the edge joining them is colored x_k.  The result is a valid,
-    connected, pure (n+1)-valent graph.
+    connected, pure (n+1)-valent graph.  More than ``MAX_FULL_FLAGS`` full
+    flags, counted before any is listed, are refused with ``FlagLimit``.
     """
     n = p.top_dim
     if n < 1:
@@ -307,6 +321,8 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
                 f"{n - 1}-cell {p.order[r]!r} lies in {len(p.cofaces[r])}"
                 f" of the {n}-cells, expected 2"
             )
+    if (count := _full_flag_count(p)) > MAX_FULL_FLAGS:
+        raise FlagLimit(f"dualizing is limited to {MAX_FULL_FLAGS} full flags, got {count}")
     fl = flags(p)
     vertex_index = {flag: i for i, flag in enumerate(fl.full)}
     edges = []

@@ -50,3 +50,7 @@ class FormatError(SkelexError):
 
 class CensusLimit(SkelexError):
     """The census scale guard was exceeded."""
+
+
+class FlagLimit(SkelexError):
+    """The dualization scale guard (the number of full flags) was exceeded."""

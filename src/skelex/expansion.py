@@ -112,7 +112,7 @@ def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
         index = NestIndex(g)
     if g.n < 2:
         raise UnsupportedDimension(f"2-skeletal expansion needs n >= 2, got n={g.n}")
-    check_circles(g, index)
+    check_circles(index)
     zero_cells = [Cell(0, i, nest, ()) for i, nest in enumerate(index.nests(0))]
     one_cells = [
         Cell(1, i, nest, index.within(nest, 0))
@@ -125,19 +125,19 @@ def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
     return CellComplex(g, [zero_cells, one_cells, two_cells], index)
 
 
-def check_circles(g: ColoredGraph, index: NestIndex) -> None:
-    """Refuse unless every 2-nest is an embedded circle (2-valent throughout).
+def check_circles(index: NestIndex) -> None:
+    """Refuse unless every 2-nest is 2-valent: the pipeline's goodness test.
 
-    A 2-nest with a vertex of another valence witnesses a non-good coloring.
+    On a valid graph the 2-nest through e0 and e1 = (v, w) meets w in e1
+    and in the one edge colored c0 or c0+c1 that goodness asks for, if any.
     """
-    for nest, edge_set in zip(index.nests(2), index.edge_sets(2)):
-        for v in nest.vertex_ids:
-            valence = sum(1 for e in g.edges_at(v) if e in edge_set)
-            if valence != 2:
-                raise NotGoodColoring(
-                    f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
-                    f" valence {valence}; the coloring is not good"
-                )
+    fault = next(index.valence_faults(2), None)
+    if fault is not None:
+        nest, v, valence = fault
+        raise NotGoodColoring(
+            f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
+            f" valence {valence}; the coloring is not good"
+        )
 
 
 def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
@@ -157,9 +157,7 @@ def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
     return CellComplex(complex.graph, new_cells)
 
 
-def boundary_sphere_complex(
-    g: ColoredGraph, complex: CellComplex, nest: Nest
-) -> CellComplex:
+def boundary_sphere_complex(complex: CellComplex, nest: Nest) -> CellComplex:
     """The union of all cells whose nest is a subgraph of the given nest.
 
     ``complex`` must be the (k)-skeleton read from a nest index (as
@@ -350,7 +348,7 @@ def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOut
         )
     three_cells: list[Cell] = []
     for i, nest in enumerate(index.nests(3)):
-        boundary = boundary_sphere_complex(g, skeleton, nest)
+        boundary = boundary_sphere_complex(skeleton, nest)
         verdict = sphere_check(boundary, 2)
         if not verdict.ok:
             return ExpansionOutcome(

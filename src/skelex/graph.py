@@ -1,4 +1,4 @@
-"""Colored regular graphs: validity, purity, goodness and the connection.
+"""Colored regular graphs: reading, validity, purity, goodness and the connection.
 
 A graph carries ``n`` and a list of edges ``(u, v, color)`` where colors are
 vectors of GF(2)^(n+1).  Edge ids are list positions, incidence is by
@@ -11,6 +11,10 @@ Graph file format (JSON, UTF-8)::
 
 Color strings have length n+1, leftmost character = x0 coefficient.  The
 edge array order defines edge ids.
+
+This module is the only reader of graph files: ``read_graph`` checks the
+format alone, ``parse`` adds the validity gate, and ``read_underlying``
+reads the colorless graph a census takes.
 """
 
 from __future__ import annotations
@@ -296,29 +300,46 @@ def canonicalize(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(g.n, g.vertex_count, tuple(normalized))
 
 
-def parse(text: str) -> ColoredGraph:
-    """Parse the JSON graph format; malformed input gets field diagnostics."""
+def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
+    """Decode a graph file: (n, vertex count, edge items), with field diagnostics.
+
+    Items are [u, v, color string] with integer ends; an underlying graph
+    (``colored`` false) may also give [u, v] and leave ``n`` out or null.
+    """
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
-    for field in ("n", "vertices", "edges"):
+    for field in ("n", "vertices", "edges") if colored else ("vertices", "edges"):
         if field not in data:
             raise FormatError(f"missing field {field!r}")
-    n, vertices, raw_edges = data["n"], data["vertices"], data["edges"]
-    if not isinstance(n, int) or not isinstance(vertices, int):
-        raise FormatError("'n' and 'vertices' must be integers")
-    if not isinstance(raw_edges, list):
+    n, vertices, items = data.get("n"), data["vertices"], data["edges"]
+    if not isinstance(n, int) and (colored or n is not None):
+        raise FormatError("'n' must be an integer")
+    if not isinstance(vertices, int):
+        raise FormatError("'vertices' must be an integer")
+    if not isinstance(items, list):
         raise FormatError("'edges' must be an array")
+    shape = "[u, v, colorstring]" if colored else "[u, v] or [u, v, color]"
+    for i, item in enumerate(items):
+        if not (
+            isinstance(item, list)
+            and len(item) in ((3,) if colored else (2, 3))
+            and isinstance(item[0], int)
+            and isinstance(item[1], int)
+            and (not colored or isinstance(item[2], str))
+        ):
+            raise FormatError(f"edges[{i}]: expected {shape} with integers u, v")
+    return n, vertices, items
+
+
+def read_graph(text: str) -> ColoredGraph:
+    """Read the JSON graph format; graph invariants are left to ``validate``."""
+    n, vertices, items = _read(text, colored=True)
     edges: list[Edge] = []
-    for i, item in enumerate(raw_edges):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise FormatError(f"edges[{i}]: expected [u, v, colorstring]")
-        u, v, color_text = item
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(color_text, str)):
-            raise FormatError(f"edges[{i}]: expected [int, int, str]")
+    for i, (u, v, color_text) in enumerate(items):
         try:
             c = ColorVector.from_string(color_text)
         except ValueError as exc:
@@ -328,9 +349,23 @@ def parse(text: str) -> ColoredGraph:
                 f"edges[{i}]: color string length {c.width}, expected n+1 = {n + 1}"
             )
         edges.append((u, v, c))
-    g = ColoredGraph(n, vertices, tuple(edges))
+    return ColoredGraph(n, vertices, tuple(edges))
+
+
+def parse(text: str) -> ColoredGraph:
+    """Read the JSON graph format and require a valid graph."""
+    g = read_graph(text)
     require_valid(g)
     return g
+
+
+def read_underlying(text: str) -> tuple[list[tuple[int, int]], int, int | None]:
+    """Read the underlying graph a census takes: (edges, vertex count, n or None).
+
+    Colored files are accepted and their colors dropped.
+    """
+    n, vertices, items = _read(text, colored=False)
+    return [(item[0], item[1]) for item in items], vertices, n
 
 
 def serialize(g: ColoredGraph) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import UnsupportedDimension
 from .gf2 import Subspace, span
@@ -176,6 +177,15 @@ class NestIndex:
         """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
         return tuple(len(self.nests(k)) for k in range(self.graph.n + 1))
 
+    def valence_faults(self, k: int) -> Iterator[tuple[Nest, int, int]]:
+        """(nest, vertex, valence) wherever a k-nest is not k-valent, in nest order."""
+        g = self.graph
+        for nest, edge_set in zip(self.nests(k), self.edge_sets(k)):
+            for v in nest.vertex_ids:
+                valence = sum(1 for e in g.edges_at(v) if e in edge_set)
+                if valence != k:
+                    yield nest, v, valence
+
     def within(self, nest: Nest, k: int) -> tuple[int, ...]:
         """Sorted indices of the k-nests that are subgraphs of ``nest``.
 
@@ -232,11 +242,9 @@ def regularity_check(g: ColoredGraph) -> RegularityReport:
     each offending (nest, vertex) pair is reported with the valence seen.
     """
     index = NestIndex(g)
-    failures: list[tuple[int, tuple[int, ...], int, int]] = []
-    for k in range(g.n + 1):
-        for nest, edge_set in zip(index.nests(k), index.edge_sets(k)):
-            for v in nest.vertex_ids:
-                valence = sum(1 for e in g.edges_at(v) if e in edge_set)
-                if valence != k:
-                    failures.append((k, nest.edge_ids, v, valence))
-    return RegularityReport(not failures, tuple(failures))
+    failures = tuple(
+        (k, nest.edge_ids, v, valence)
+        for k in range(g.n + 1)
+        for nest, v, valence in index.valence_faults(k)
+    )
+    return RegularityReport(not failures, failures)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ExpansionRefused
 from .expansion import full_expand
 from .gf2 import null_space
-from .graph import ColoredGraph, connection, require_valid
+from .graph import ColoredGraph, require_valid
 from .nests import Nest, NestIndex
 
 
@@ -99,11 +99,11 @@ def realizability_summary(
 
     Surfaces bound a 3-manifold exactly when their Euler characteristic is
     even; an odd characteristic invokes the doubling trick.  Every closed
-    3-manifold bounds, reported unconditionally.  Expansion failures
-    propagate as refusals.  ``index`` is the graph's nest index when the
-    caller already holds one.
+    3-manifold bounds, reported unconditionally.  A coloring that is not
+    good raises ``NotGoodColoring`` from the expansion's circle check;
+    other expansion failures propagate as refusals.  ``index`` is the
+    graph's nest index when the caller already holds one.
     """
-    connection(g)  # goodness is a precondition; raises otherwise
     outcome = full_expand(g, index)
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)

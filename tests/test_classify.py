@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from skelex.classify import (
-    _ParityUnionFind,
     classify_surface,
     homology_mod2,
     manifold_local_check,
@@ -59,37 +58,11 @@ class TestClassifySurface:
         assert (a.orientable, a.genus) == (b.orientable, b.genus)
 
     def test_genus_1500_without_recursion(self):
-        # the disc union-find builds parent chains about as long as the
-        # disc count, far past the interpreter's recursion limit
+        # the orientation walk over the discs reaches paths about as long
+        # as the disc count, far past the interpreter's recursion limit
         report = classify_surface(full_expand(gen_orientable_surface(1500)).complex)
         assert report.orientable
         assert (report.genus, report.euler, report.name) == (1500, -2998, "gT2(1500)")
-
-
-class TestParityUnionFind:
-    def test_long_chain_parities(self):
-        # chain 0 -> 1 -> ... -> size-1 with alternating relations; each
-        # node's parity relative to the root is the xor of the relations
-        # along the chain from it
-        size = 50_000
-        uf = _ParityUnionFind(size)
-        for i in range(size - 1):
-            assert uf.union(i, i + 1, i % 2)
-        expected = [0] * size
-        for i in range(size - 2, -1, -1):
-            expected[i] = expected[i + 1] ^ (i % 2)
-        root = uf.find(size - 1)[0]
-        for i in range(size):
-            assert uf.find(i) == (root, expected[i] ^ expected[root])
-        # a compressed node points straight at the root
-        assert uf.parent[0] == root
-
-    def test_conflict_detected(self):
-        uf = _ParityUnionFind(3)
-        assert uf.union(0, 1, 1)
-        assert uf.union(1, 2, 1)
-        assert not uf.union(0, 2, 1)
-        assert uf.union(0, 2, 0)
 
 
 class TestHomology:

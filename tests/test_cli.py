@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import subprocess
 import sys
+import time
+from itertools import combinations
 
+import pytest
+
+from skelex import graph as graph_mod
 
 from skelex.cli import (
     EXIT_INPUT,
@@ -19,7 +25,7 @@ from skelex.cli import (
 from skelex.graph import serialize
 from skelex.generators import gen_cube, gen_nonorientable_surface
 
-from conftest import CUBE_EDGES, K4_EDGES, criterion_counterexample
+from conftest import CUBE_EDGES, K4_EDGES, criterion_counterexample, nongood_cube
 
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=None):
@@ -86,6 +92,39 @@ class TestValidate:
         code, _, err = run_cli(capsys, monkeypatch, ["validate"], stdin_text="{nope")
         assert code == EXIT_INPUT
         assert "error" in err
+
+
+GRAPH_COMMANDS = [
+    ["validate"], ["nests"], ["expand"], ["classify"], ["realize"], ["realize", "--table"],
+]
+
+
+class TestOneValidation:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = graph_mod.validate
+        monkeypatch.setattr(graph_mod, "validate", lambda g: seen.append(g) or original(g))
+        return seen
+
+    @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=" ".join)
+    def test_valid_graph(self, capsys, monkeypatch, calls, argv):
+        text = serialize(gen_nonorientable_surface(1))
+        code, _, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=" ".join)
+    def test_invalid_graph(self, capsys, monkeypatch, calls, argv):
+        # x1+x2 at vertex 0, which already has x1 and x2
+        doc = json.loads(serialize(gen_cube(2)))
+        doc["edges"][0][2] = "011"
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin_text=json.dumps(doc))
+        assert len(calls) == 1
+        if argv == ["validate"]:  # the report is validate's output
+            assert code == EXIT_REFUSED and "linearly dependent" in out
+        else:
+            assert code == EXIT_INPUT and "linearly dependent" in err
 
 
 class TestNests:
@@ -166,6 +205,17 @@ class TestDualize:
         assert "ridge [0, 1, 2" in err
 
 
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_closed_simplex_boundary_past_the_flag_bound(self, capsys, monkeypatch, k):
+        # (k+1)! full flags, refused before any is listed
+        text = json.dumps({"simplices": [list(s) for s in combinations(range(k + 1), k)]})
+        began = time.perf_counter()
+        code, _, err = run_cli(capsys, monkeypatch, ["dualize"], stdin_text=text)
+        assert time.perf_counter() - began < 1
+        assert code == EXIT_REFUSED
+        assert f"got {math.factorial(k + 1)}" in err
+
+
 class TestCensusCommand:
     def test_k4(self, capsys, monkeypatch):
         text = json.dumps({"n": 2, "vertices": 4, "edges": [list(e) for e in K4_EDGES]})
@@ -226,6 +276,13 @@ class TestRealizeCommand:
         assert code == EXIT_OK
         assert "doubling required: yes" in out
         assert "corank=" in out
+
+    def test_nongood_refused(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            capsys, monkeypatch, ["realize"], stdin_text=serialize(nongood_cube())
+        )
+        assert code == EXIT_REFUSED
+        assert "the coloring is not good" in err
 
     def test_unknown_on_refusal(self, capsys, monkeypatch):
         code, out, _ = run_cli(

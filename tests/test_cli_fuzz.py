@@ -132,8 +132,16 @@ def test_near_miss_graphs(text):
     run_all(text)
 
 
-@FUZZ
+def _simplex_boundary(k: int) -> str:
+    return json.dumps({"simplices": [list(s) for s in combinations(range(k + 1), k)]})
+
+
+# closed simplex boundaries with (k+1)! full flags are refused before any
+# flag is listed; listing the 8-simplex boundary's would take a minute
+@settings(FUZZ, deadline=timedelta(seconds=2))
 @given(near_miss("poset"))
+@example(_simplex_boundary(8))
+@example(_simplex_boundary(9))
 @example('{"top_dim": 1, "cells": 5}')
 @example('{"top_dim": 0, "cells": [[["a"], 0, []]]}')
 @example('{"top_dim": 1, "cells": [["a", 0, []], ["b", 0, []], ["e", 1, ["a", {"b": 1}]]]}')

@@ -10,6 +10,7 @@ import pytest
 from skelex.classify import classify_surface
 from skelex.duality import (
     FacePoset,
+    _full_flag_count,
     dual_colored_graph,
     flags,
     parse_poset,
@@ -37,6 +38,17 @@ class TestFlags:
     def test_two_cell_sphere_flag_count(self):
         for n in (1, 2, 3):
             assert len(flags(sphere_poset(n)).full) == 2 ** (n + 1)
+
+    @pytest.mark.parametrize("poset_factory", [
+        lambda: sphere_poset(1),
+        lambda: sphere_poset(3),
+        delta3,
+        lambda: FacePoset.from_simplices(torus7_simplices()),
+        lambda: FacePoset.from_simplices([list(s) for s in combinations(range(6), 5)]),
+    ])
+    def test_full_flag_count_matches_the_listing(self, poset_factory):
+        poset = poset_factory()
+        assert _full_flag_count(poset) == len(flags(poset).full)
 
     def test_single_vertex_has_no_long_chains(self):
         # a lone 0-cell supports no chain of two or more cells, so a poset

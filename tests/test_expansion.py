@@ -43,12 +43,12 @@ class TestExpand2:
 
     def test_circle_check_is_expand2s_refusal(self, nongood, cube2):
         with pytest.raises(NotGoodColoring) as direct:
-            check_circles(nongood, NestIndex(nongood))
+            check_circles(NestIndex(nongood))
         with pytest.raises(NotGoodColoring) as through:
             expand2(nongood)
         assert str(direct.value) == str(through.value)
         assert "is not a circle" in str(direct.value)
-        assert check_circles(cube2, NestIndex(cube2)) is None
+        assert check_circles(NestIndex(cube2)) is None
 
     def test_low_dimension_refused(self):
         with pytest.raises(UnsupportedDimension):
@@ -71,7 +71,7 @@ class TestBoundarySphere:
     def test_hypercube_three_nest_boundary(self, cube3):
         skeleton = expand2(cube3)
         nest = enumerate_nests(cube3, 3)[0]
-        F = boundary_sphere_complex(cube3, skeleton, nest)
+        F = boundary_sphere_complex(skeleton, nest)
         assert F.counts() == (8, 12, 6)
         assert F.euler() == 2
         assert sphere_check(F, 2).ok
@@ -80,7 +80,7 @@ class TestBoundarySphere:
         skeleton = expand2(counterexample)
         eulers = {}
         for nest in enumerate_nests(counterexample, 3):
-            F = boundary_sphere_complex(counterexample, skeleton, nest)
+            F = boundary_sphere_complex(skeleton, nest)
             label = nest_label(nest)
             eulers.setdefault(label, []).append(
                 (F.euler(), sphere_check(F, 2).ok)
@@ -93,7 +93,7 @@ class TestBoundarySphere:
     def test_dim_mismatch(self, cube3):
         skeleton = expand2(cube3)
         with pytest.raises(ValueError):
-            boundary_sphere_complex(cube3, skeleton, enumerate_nests(cube3, 2)[0])
+            boundary_sphere_complex(skeleton, enumerate_nests(cube3, 2)[0])
 
 
 class TestSphereCheck:

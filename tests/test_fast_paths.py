@@ -200,7 +200,7 @@ def check_expansion(g: ColoredGraph) -> None:
                 {c.index for c in level if nest.contains(c.nest)}
                 for level in skeleton.cells_by_dim
             ]
-            fast = boundary_sphere_complex(g, skeleton, nest)
+            fast = boundary_sphere_complex(skeleton, nest)
             assert fast.cells_by_dim == _subcomplex(skeleton, keep).cells_by_dim
     if outcome.completed:
         c = outcome.complex

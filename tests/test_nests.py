@@ -166,6 +166,8 @@ class TestRegularity:
             good = is_good(g)
             seen_nongood |= not good
             assert good == regularity_check(g).ok
+            # given validity, the 2-nests alone decide goodness
+            assert good == (next(NestIndex(g).valence_faults(2), None) is None)
         assert seen_nongood, "corpus never hit a non-good coloring"
 
     def test_growth_independent_of_seed_choice(self, nongood):

@@ -108,12 +108,12 @@ class TestSharedIndex:
         assert isotropy_report(cube3, index) == isotropy_report(cube3)
         assert realizability_summary(cube3, index) == realizability_summary(cube3)
 
-    def test_realize_table_validates_three_times(self, monkeypatch, capsys):
-        # parse, the one nest index, and the goodness check
+    def test_realize_table_validates_once(self, monkeypatch, capsys):
+        # the one nest index; reading the file and the goodness test do not
         calls = []
         original = graph_mod.validate
         monkeypatch.setattr(graph_mod, "validate", lambda g: calls.append(g) or original(g))
         monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(gen_orientable_surface(2))))
         assert run(["realize", "--table", "--format", "json"]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 1
         assert len(json.loads(capsys.readouterr().out)["isotropy"]) == 22 * 2 + 2
