@@ -6,13 +6,15 @@ Subcommands compose through the shared JSON formats on stdin/stdout:
     skelex generate surface --genus 3 --non-orientable | skelex expand
 
 Exit codes: 0 success, 1 domain refusal (the mathematics rejects the
-input), 2 input error (unreadable or malformed data).
+input, or a scale guard), 2 input error (unreadable or malformed data, or
+an output closed before it was written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence, TextIO
 
@@ -30,6 +32,7 @@ from .errors import (
     ExpansionRefused,
     FlagLimit,
     FormatError,
+    GeneratorLimit,
     InvalidGraph,
     NotCombinatorialManifold,
     NotGoodColoring,
@@ -67,6 +70,7 @@ def _emit(out: str | None, text: str) -> None:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
+        fh.flush()  # a closed stdout fails here, not at interpreter exit
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -411,11 +415,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         NotCombinatorialManifold,
         CensusLimit,
         FlagLimit,
+        GeneratorLimit,
     ) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except SkelexError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # stdout's leftover buffer goes to devnull: the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was fully written", file=sys.stderr)
         return EXIT_INPUT
 
 

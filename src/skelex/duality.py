@@ -274,7 +274,7 @@ def _check_links(p: FacePoset) -> None:
     In both cases the link of every (n-2)-cell must be one circle.  For
     n=3 that makes each vertex link a closed surface, whose vertices are
     the edges at the vertex; it is a 2-sphere when it is also connected
-    with Euler characteristic 2, the test ``sphere_check(F, 2)`` makes.
+    with Euler characteristic 2, by the classification of surfaces.
     """
     n = p.top_dim
     for x in p.cells_of_dim(n - 2):

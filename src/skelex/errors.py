@@ -54,3 +54,7 @@ class CensusLimit(SkelexError):
 
 class FlagLimit(SkelexError):
     """The dualization scale guard (the number of full flags) was exceeded."""
+
+
+class GeneratorLimit(SkelexError):
+    """The generator scale guard (the number of vertices) was exceeded."""

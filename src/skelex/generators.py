@@ -11,10 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import GeneratorLimit
 from .gf2 import ColorVector, Subspace, intersect, span
 from .graph import ColoredGraph, canonicalize, validate
 
 WIDTH = 3  # surface families live over GF(2)^3
+MAX_GENERATED_VERTICES = 100_000  # the scale guard, checked before any edge
+
+
+def _over_limit(vertex_count: object) -> GeneratorLimit:
+    return GeneratorLimit(
+        f"generating is limited to {MAX_GENERATED_VERTICES} vertices,"
+        f" got {vertex_count}"
+    )
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,12 @@ def gen_cube(n: int) -> ColoredGraph:
 
     Vertices are the 0/1-vectors of length n+1; two differing in coordinate
     i are joined by an edge colored x_i.  Valid, pure and good for every n.
+    More than ``MAX_GENERATED_VERTICES`` vertices are refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n + 1 >= MAX_GENERATED_VERTICES.bit_length():  # 2^(n+1) > the limit
+        raise _over_limit(f"2^{n + 1}")
     width = n + 1
     edges = []
     for v in range(1 << width):
@@ -149,9 +161,13 @@ def cycle_table_nonorientable(k: int) -> CycleTable:
 
 def gen_orientable_surface(g: int) -> ColoredGraph:
     """The genus-g orientable family: 8g vertices, 12g edges, 2g+2 circles."""
+    if 8 * g > MAX_GENERATED_VERTICES:
+        raise _over_limit(8 * g)
     return graph_from_cycle_table(2, 8 * g, cycle_table_orientable(g))
 
 
 def gen_nonorientable_surface(k: int) -> ColoredGraph:
     """The genus-k non-orientable family: 4k vertices, 6k edges, k+2 circles."""
+    if 4 * k > MAX_GENERATED_VERTICES:
+        raise _over_limit(4 * k)
     return graph_from_cycle_table(2, 4 * k, cycle_table_nonorientable(k))

@@ -1,0 +1,141 @@
+"""Scale guards and a closed stdout, through the real command line.
+
+Each case runs ``python -m skelex.cli`` in a child process whose address
+space is capped (set in the child only), and may close the child's stdout
+after a few bytes.  Whatever happens, the child must end with exit code
+0, 1 or 2 and a typed message: no traceback, and no "Exception ignored"
+from a flush at interpreter exit.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED
+from skelex.errors import GeneratorLimit
+from skelex.generators import (
+    MAX_GENERATED_VERTICES,
+    gen_cube,
+    gen_nonorientable_surface,
+    gen_orientable_surface,
+)
+from skelex.graph import serialize
+
+ADDRESS_SPACE = 1 << 30  # bytes; far below what an unguarded generator asks for
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_child(args: list[str], keep_bytes: int | None = None) -> tuple[int, str]:
+    """Run the CLI capped; read ``keep_bytes`` of stdout and close it, or
+    read it all when None.  Returns the exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, flushed at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skelex.cli", *args],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=_cap_address_space,
+    )
+    try:
+        if keep_bytes is None:
+            proc.stdout.read()
+        else:
+            proc.stdout.read(keep_bytes)
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8", "replace")
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert code in (EXIT_OK, EXIT_REFUSED, EXIT_INPUT), err
+    assert "Traceback" not in err, err
+    assert "Exception ignored" not in err, err
+    return code, err
+
+
+@pytest.fixture(scope="module")
+def genus_40(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graphs") / "genus40.json"
+    path.write_text(serialize(gen_orientable_surface(40)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+LIMIT = f"generating is limited to {MAX_GENERATED_VERTICES} vertices"
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["cube", "--n", "40"], "2^41"),
+        (["cube", "--n", "16"], "2^17"),
+        (["surface", "--genus", "100000000"], "800000000"),
+        (["surface", "--genus", "12501"], "100008"),
+        (["surface", "--genus", "100000000", "--non-orientable"], "400000000"),
+    ],
+)
+def test_generate_refuses_beyond_the_guard(args, count):
+    code, err = run_child(["generate", *args])
+    assert code == EXIT_REFUSED
+    assert err == f"refused: {LIMIT}, got {count}\n"
+
+
+@pytest.mark.parametrize("keep_bytes", [None, 0, 100])
+def test_genus_1500_still_generates(keep_bytes):
+    code, err = run_child(["generate", "surface", "--genus", "1500"], keep_bytes)
+    if keep_bytes is None:
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert code == EXIT_INPUT
+        assert err == "error: output closed before it was fully written\n"
+
+
+@pytest.mark.parametrize("keep_bytes", [0, 10])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "cube", "--n", "12"],
+        ["nests", "GRAPH"],
+        ["expand", "--dump", "--format", "json", "GRAPH"],
+        ["realize", "--table", "GRAPH"],
+        ["validate", "GRAPH"],
+    ],
+)
+def test_closed_stdout_ends_in_one_error_line(args, keep_bytes, genus_40):
+    args = [genus_40 if a == "GRAPH" else a for a in args]
+    code, err = run_child(args, keep_bytes)
+    # with 0 bytes kept the pipe closes while the interpreter starts; a
+    # short output can reach the pipe whole before 10 bytes are read back
+    if code == EXIT_OK and keep_bytes:
+        assert err == ""
+    else:
+        assert code == EXIT_INPUT
+        assert err == "error: output closed before it was fully written\n"
+
+
+def test_generators_refuse_before_building():
+    with pytest.raises(GeneratorLimit, match=r"got 2\^1000001$"):
+        gen_cube(10**6)
+    with pytest.raises(GeneratorLimit, match="got 100008$"):
+        gen_orientable_surface(12501)
+    with pytest.raises(GeneratorLimit, match="got 100004$"):
+        gen_nonorientable_surface(25001)
+    # below the guard the argument checks still come first
+    with pytest.raises(ValueError):
+        gen_cube(0)
+    with pytest.raises(ValueError):
+        gen_orientable_surface(0)
+

@@ -1,4 +1,5 @@
-"""Skeletal expansion: 2-skeletons, boundary spheres, the n=3 criterion."""
+"""Skeletal expansion: 2-skeletons, the n=3 criterion and its witness, and
+the boundary-sphere oracle."""
 
 from __future__ import annotations
 
@@ -8,19 +9,22 @@ from skelex.errors import NotGoodColoring, UnsupportedDimension
 from skelex.expansion import (
     Cell,
     CellComplex,
-    SphereCheck,
-    _vertex_link_failures,
-    boundary_sphere_complex,
     check_circles,
     criterion_3d,
     expand2,
     full_expand,
-    sphere_check,
-    _subcomplex,
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import ColorVector, span
 from skelex.nests import Nest, NestIndex, enumerate_nests, nest_label
+
+from sphere_oracle import (
+    SphereCheck,
+    _subcomplex,
+    _vertex_link_failures,
+    boundary_sphere_complex,
+    sphere_check,
+)
 
 
 class TestExpand2:
@@ -159,7 +163,9 @@ class TestCriterion:
     def test_refusal_is_full_expands_obstruction(self, cube3, counterexample):
         assert criterion_3d(cube3).refusal is None
         assert criterion_3d(counterexample).refusal == (
-            "counting criterion fails: 5 3-nests != 12 2-nests - 8 vertices"
+            "counting criterion fails: 5 3-nests != 12 2-nests - 8 vertices;"
+            " 3-nest x1·x2·x3 with edges (0, 2, 4, 6, 8, 10) has boundary"
+            " euler characteristic 1"
         )
         assert full_expand(counterexample).obstruction.reason == (
             criterion_3d(counterexample).refusal
@@ -183,6 +189,7 @@ class TestFullExpand:
         assert not out.completed
         assert out.reached_dim == 2
         assert out.obstruction.counts == (8, 12, 5)
+        assert out.obstruction.nest == criterion_3d(counterexample).witness
 
     def test_each_two_cell_in_two_three_cells(self, cube3):
         c = full_expand(cube3).complex

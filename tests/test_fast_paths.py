@@ -3,8 +3,9 @@
 ``NestIndex`` face lists are checked against whole-dimension
 ``Nest.contains`` scans, the sparse boundary ranks of ``homology_mod2``
 against dense ``rank_gf2`` on ``boundary_matrix``, and ``full_expand``
-against a reference expansion that builds every face list and every
-candidate boundary sphere by scans.
+against a reference expansion that builds every face list and checks
+every candidate boundary sphere by scans.  The n=3 counting criterion
+and its witness are checked against that per-nest sphere check.
 """
 
 from __future__ import annotations
@@ -16,24 +17,24 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skelex.classify import homology_mod2
+from skelex.census import enumerate_proper_colorings
+from skelex.classify import homology_mod2, manifold_local_check
 from skelex.cli import run
-from skelex.duality import FacePoset, dual_colored_graph
+from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
-from skelex.expansion import (
-    Cell,
-    CellComplex,
-    _subcomplex,
-    boundary_sphere_complex,
-    full_expand,
-    sphere_check,
-)
+from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import rank_gf2, rank_masks
 from skelex.graph import ColoredGraph, connected_sum, serialize
-from skelex.nests import NestIndex, enumerate_nests, grow_nest, nest_label
+from skelex.nests import NestIndex, enumerate_nests, grow_nest, nest_counts, nest_label
 
-from conftest import CUBE_EDGES, criterion_counterexample, random_valid_coloring
+from conftest import (
+    CUBE_EDGES,
+    colored_from_indices,
+    criterion_counterexample,
+    random_valid_coloring,
+)
+from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check
 
 HYPERCUBE_EDGES = [(u, v) for u, v, _ in gen_cube(3).edges]
 
@@ -54,8 +55,12 @@ def gale_facets(m: int) -> list[list[int]]:
     return facets
 
 
+def cyclic_poset(m: int) -> FacePoset:
+    return FacePoset.from_simplices(gale_facets(m))
+
+
 def cyclic_dual(m: int) -> ColoredGraph:
-    return dual_colored_graph(FacePoset.from_simplices(gale_facets(m)))
+    return dual_colored_graph(cyclic_poset(m))
 
 
 def _same_color_edge(g: ColoredGraph, color) -> int:
@@ -173,6 +178,35 @@ def check_index(g: ColoredGraph) -> None:
     assert index.counts() == tuple(len(index.nests(k)) for k in range(g.n + 1))
 
 
+def check_criterion(g: ColoredGraph) -> bool:
+    """The counting criterion against the per-nest sphere oracle, on a good
+    n=3 coloring; returns whether the criterion holds.
+
+    When it holds, the oracle passes every 3-nest boundary.  When it fails,
+    its witness is the first 3-nest whose boundary has euler characteristic
+    other than 2, that characteristic is the one named, and the oracle
+    fails the witness's boundary.
+    """
+    index = NestIndex(g)
+    skeleton = expand2(g, index)
+    crit = criterion_3d(g, index)
+    nests = index.nests(3)
+    if crit.holds:
+        assert crit.witness is None
+        assert all(sphere_check(boundary_sphere_complex(skeleton, n), 2).ok for n in nests)
+        return True
+    first = nests.index(crit.witness)
+    assert all(boundary_sphere_complex(skeleton, n).euler() == 2 for n in nests[:first])
+    boundary = boundary_sphere_complex(skeleton, crit.witness)
+    assert boundary.euler() == crit.witness_euler != 2
+    assert not sphere_check(boundary, 2).ok
+    assert crit.refusal.endswith(
+        f"; 3-nest {nest_label(crit.witness)} with edges {crit.witness.edge_ids}"
+        f" has boundary euler characteristic {crit.witness_euler}"
+    )
+    return False
+
+
 def check_expansion(g: ColoredGraph) -> None:
     refusal, reference = reference_expand(g)
     if refusal == "not good":
@@ -202,6 +236,9 @@ def check_expansion(g: ColoredGraph) -> None:
             ]
             fast = boundary_sphere_complex(skeleton, nest)
             assert fast.cells_by_dim == _subcomplex(skeleton, keep).cells_by_dim
+        check_criterion(g)
+        if not outcome.completed:
+            assert outcome.obstruction.nest == criterion_3d(g).witness
     if outcome.completed:
         c = outcome.complex
         ranks = dense_ranks(c)
@@ -226,10 +263,26 @@ def test_expansion_matches_reference(name):
 
 
 def test_cyclic_duals_are_homology_spheres():
-    for m in (6, 7):
-        outcome = full_expand(cyclic_dual(m))
+    # C(m,4) duals with 24 to 1,848 vertices: the 3-cells are attached on the
+    # counting criterion alone, so the closed complex is checked whole
+    for m in range(6, 15):
+        poset = cyclic_poset(m)
+        dual = dual_colored_graph(poset)
+        outcome = full_expand(dual)
         assert outcome.completed
+        assert predicted_complex(poset) == nest_counts(dual)
+        assert outcome.complex.euler() == 0
         assert homology_mod2(outcome.complex).betti_mod2 == (1, 0, 0, 1)
+        assert manifold_local_check(outcome.complex).ok
+
+
+def test_criterion_matches_sphere_oracle_on_four_cube_classes():
+    # every class of pure colorings of the 4-cube: 1,839 refused, 1 closed
+    held = [
+        check_criterion(colored_from_indices(HYPERCUBE_EDGES, 16, 3, coloring))
+        for coloring in enumerate_proper_colorings(HYPERCUBE_EDGES, 16, 4)
+    ]
+    assert len(held) == 1840 and sum(held) == 1
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
