@@ -4,21 +4,29 @@ Two pure colorings of one underlying graph are the same class when a
 permutation of the n+1 colors carries one to the other.  Each class is
 named by its first-occurrence form (colors numbered in the order they
 first appear along the edge list), which is its lexicographically least
-member, and only that form is ever enumerated.  For n=3 the counting
-criterion is decided from nest counts before any skeleton is built.
+member, and only that form is ever enumerated.
+
+Every class is valid and good by construction: the underlying graph is
+checked once to be loopless, connected and (n+1)-valent, so a proper
+coloring puts all n+1 unit colors at every vertex.  No class is validated
+again.  For n=3 the counting criterion is decided from component labels
+alone (``class_criterion``); only the classes where it holds, and every
+class for other n, build a nest index and expand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import classify as classify_mod
 from . import expansion
-from .errors import CensusLimit, FormatError
-from .gf2 import ColorVector
+from .errors import CensusLimit, FormatError, InvalidGraph, UnsupportedDimension
+from .gf2 import ColorVector, Subspace, span
 from .graph import ColoredGraph, reach
-from .nests import NestIndex
+from .nests import ColorComponents, Nest, NestIndex
 
 DEFAULT_CENSUS_LIMIT = 16
 
@@ -97,24 +105,57 @@ def enumerate_proper_colorings(
         todo[e] = choices(e)
 
 
-def _colored(edges, vertex_count, n, coloring) -> ColoredGraph:
-    width = n + 1
-    colored_edges = tuple(
-        (u, v, ColorVector.unit(coloring[i], width))
-        for i, (u, v) in enumerate(edges)
+@lru_cache(maxsize=8)
+def _coordinate_spaces(width: int, k: int) -> tuple[Subspace, ...]:
+    """The subspaces spanned by k of the unit vectors, by color subset."""
+    return tuple(
+        span([ColorVector.unit(i, width) for i in subset])
+        for subset in combinations(range(width), k)
     )
-    return ColoredGraph(n, vertex_count, colored_edges)
+
+
+def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
+    """The n=3 counting criterion of a census class, from component labels.
+
+    Each vertex carries all four unit colors, so the k-nests are exactly
+    the components of the subgraphs colored inside the k-subsets of colors.
+    ``Criterion3.decide`` applies ``criterion_3d``'s witness rule, so a
+    failing class names the same witness.
+    """
+    arcs = g.arcs()
+    pairs, triples = (
+        [ColorComponents(arcs, s).label_all() for s in _coordinate_spaces(g.width, k)]
+        for k in (2, 3)
+    )
+    three = sorted(
+        (
+            Nest(edges, vertices, layer.space)
+            for layer in triples
+            for edges, vertices in layer.parts
+        ),
+        key=Nest.key,
+    )
+
+    def faces(nest: Nest) -> int:
+        # a 2-component colored inside the 3-component's colors lies in it
+        # exactly when it meets it: count each such pair's labels there
+        return sum(
+            len({layer.labels[v] for v in nest.vertex_ids})
+            for layer in pairs
+            if layer.space <= nest.color
+        )
+
+    two_nests = sum(len(layer.parts) for layer in pairs)
+    return expansion.Criterion3.decide(g.vertex_count, two_nests, three, faces)
 
 
 def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:
     """Expand and classify one class, deciding the n=3 criterion first."""
-    index = NestIndex(g)
     if g.n == 3:
-        expansion.check_circles(index)
-        crit = expansion.criterion_3d(g, index)
+        crit = class_criterion(g)
         if not crit.holds:
             return CensusEntry(coloring, g, None, crit.refusal)
-    outcome = expansion.full_expand(g, index)
+    outcome = expansion.full_expand(g, NestIndex(g))
     if not outcome.completed:
         return CensusEntry(coloring, g, None, outcome.obstruction.reason)
     if g.n == 2:
@@ -129,7 +170,7 @@ def census(
 
     One entry per class of colorings up to permutation of the n+1 colors,
     named by its lexicographically least member, in ascending order.
-    Refuses graphs beyond the scale guard.
+    Refuses graphs beyond the scale guard, and n < 2 before enumerating.
     """
     if vertex_count > DEFAULT_CENSUS_LIMIT:
         raise CensusLimit(
@@ -152,7 +193,19 @@ def census(
         )
     if sum(1 for _ in reach(0, neighbors.__getitem__)) != vertex_count:
         raise FormatError("underlying graph is not connected")
+    if n < 1:
+        raise InvalidGraph([f"n must be >= 1, got {n}"])
+    if n < 2:
+        raise UnsupportedDimension(f"expansion needs n >= 2, got n={n}")
+    units = [ColorVector.unit(i, n + 1) for i in range(n + 1)]
     return [
-        _entry(coloring, _colored(edges, vertex_count, n, coloring))
+        _entry(
+            coloring,
+            ColoredGraph(
+                n,
+                vertex_count,
+                tuple((u, v, units[c]) for (u, v), c in zip(edges, coloring)),
+            ),
+        )
         for coloring in enumerate_proper_colorings(edges, vertex_count, n + 1)
     ]

@@ -16,6 +16,7 @@ face-preserving correspondence between cells and nests is this link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .errors import NotGoodColoring, UnsupportedDimension
 from .graph import ColoredGraph
@@ -154,6 +155,29 @@ class Criterion3:
     def counts(self) -> tuple[int, int, int]:
         return (self.vertex_count, self.two_nests, self.three_nests)
 
+    @classmethod
+    def decide(
+        cls,
+        vertex_count: int,
+        two_nests: int,
+        three: Sequence[Nest],
+        faces: Callable[[Nest], int],
+    ) -> "Criterion3":
+        """The criterion from the counts, with a witness when it fails.
+
+        ``three`` lists the 3-nests in canonical order and ``faces(nest)``
+        counts the 2-nests inside one; the witness is the first 3-nest whose
+        boundary euler characteristic |V| - |E| + faces(nest) is not 2.
+        """
+        counts = (vertex_count, two_nests, len(three))
+        if len(three) == two_nests - vertex_count:
+            return cls(True, *counts)
+        for nest in three:
+            chi = len(nest.vertex_ids) - len(nest.edge_ids) + faces(nest)
+            if chi != 2:
+                return cls(False, *counts, nest, chi)
+        return cls(False, *counts)  # not good: the sum need not hold
+
     @property
     def refusal(self) -> str | None:
         """Why the expansion cannot close, or None when the criterion holds."""
@@ -186,16 +210,12 @@ def criterion_3d(g: ColoredGraph, index: NestIndex | None = None) -> Criterion3:
         raise UnsupportedDimension(f"criterion applies to n=3 only, got n={g.n}")
     if index is None:
         index = NestIndex(g)
-    v0 = g.vertex_count
-    v2 = len(index.nests(2))
-    v3 = len(index.nests(3))
-    if v3 == v2 - v0:
-        return Criterion3(True, v0, v2, v3)
-    for nest in index.nests(3):
-        chi = len(nest.vertex_ids) - len(nest.edge_ids) + len(index.within(nest, 2))
-        if chi != 2:
-            return Criterion3(False, v0, v2, v3, nest, chi)
-    return Criterion3(False, v0, v2, v3)  # not good: the sum need not hold
+    return Criterion3.decide(
+        g.vertex_count,
+        len(index.nests(2)),
+        index.nests(3),
+        lambda nest: len(index.within(nest, 2)),
+    )
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ from .gf2 import ColorVector, Subspace, intersect, span
 from .graph import ColoredGraph, canonicalize, validate
 
 WIDTH = 3  # surface families live over GF(2)^3
-MAX_GENERATED_VERTICES = 100_000  # the scale guard, checked before any edge
+MAX_GENERATED_VERTICES = 100_000  # the scale guards, checked before any edge
+MAX_GENERATED_EDGES = 150_000  # the largest surface the vertex guard admits
 
 
-def _over_limit(vertex_count: object) -> GeneratorLimit:
-    return GeneratorLimit(
-        f"generating is limited to {MAX_GENERATED_VERTICES} vertices,"
-        f" got {vertex_count}"
-    )
+def _over_limit(
+    count: object, limit: int = MAX_GENERATED_VERTICES, what: str = "vertices"
+) -> GeneratorLimit:
+    return GeneratorLimit(f"generating is limited to {limit} {what}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,16 @@ def gen_cube(n: int) -> ColoredGraph:
 
     Vertices are the 0/1-vectors of length n+1; two differing in coordinate
     i are joined by an edge colored x_i.  Valid, pure and good for every n.
-    More than ``MAX_GENERATED_VERTICES`` vertices are refused.
+    More than ``MAX_GENERATED_VERTICES`` vertices or ``MAX_GENERATED_EDGES``
+    edges are refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n + 1 >= MAX_GENERATED_VERTICES.bit_length():  # 2^(n+1) > the limit
         raise _over_limit(f"2^{n + 1}")
     width = n + 1
+    if width << n > MAX_GENERATED_EDGES:  # (n+1)·2^n edges
+        raise _over_limit(width << n, MAX_GENERATED_EDGES, "edges")
     edges = []
     for v in range(1 << width):
         for i in range(width):

@@ -28,6 +28,7 @@ from .errors import DimensionMismatch, FormatError, InvalidGraph, NotGoodColorin
 from .gf2 import ColorVector, congruent_mod, span
 
 Edge = tuple[int, int, ColorVector]
+Arcs = tuple[tuple[tuple[int, int, int], ...], ...]  # see ColoredGraph.arcs
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,18 @@ class ColoredGraph:
             if 0 <= v < self.vertex_count and v != u:
                 inc[v].append(idx)
         return tuple(tuple(ids) for ids in inc)
+
+    def arcs(self) -> Arcs:
+        """Per vertex, (edge id, far end, color mask) for each edge at it.
+
+        Built afresh on each call, for valid graphs only: every endpoint
+        must be in range.
+        """
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for idx, (u, v, c) in enumerate(self.edges):
+            out[u].append((idx, v, c.mask))
+            out[v].append((idx, u, c.mask))
+        return tuple(map(tuple, out))
 
     def edges_at(self, v: int) -> tuple[int, ...]:
         return self._incidence[v]

@@ -1,12 +1,18 @@
-"""Colored nests: growth from seeds, enumeration, counts and labels.
+"""Colored nests: components per color subspace, enumeration, counts and labels.
 
 A k-nest is a maximal connected subgraph whose edge colors span a
 k-dimensional subspace.  Any k edges sharing a vertex have independent
-colors (validity), so they seed a unique nest: the closure that keeps
-absorbing incident edges whose color stays inside the seed span.
+colors (validity), so they seed a unique nest: the component through
+their common vertex of the subgraph of edges colored inside the seed
+span.  A k-nest is therefore a (subspace, component) pair.  For k >= 2
+each seed is keyed by its sorted color masks, the keys map to their
+subspaces, and the subgraph colored inside each distinct subspace is
+labelled by component once, each component's vertices and edges being
+gathered by the walk that labels it (``ColorComponents``).
 
-Nests are deduplicated by their canonical edge set, never by color,
-since distinct nests may share a color subspace.
+Nests are identified by their canonical edge set, never by color, since
+distinct nests may share a color subspace.  ``grow_nest`` grows one nest
+from its seeds; it builds the 0-nests.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterator
 
 from .errors import UnsupportedDimension
 from .gf2 import Subspace, span
-from .graph import ColoredGraph, require_valid
+from .graph import Arcs, ColoredGraph, require_valid
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,57 @@ def grow_nest(
     return Nest(tuple(sorted(edge_set)), tuple(sorted(vertex_set)), target)
 
 
+class ColorComponents:
+    """The components of the subgraph colored inside one subspace.
+
+    ``arcs`` is the graph's ``ColoredGraph.arcs()``, which the labellings
+    of one graph share.  ``labels[v]`` is the index in ``parts`` of the
+    component through vertex v, or -1 until ``label(v)`` walks it.  The
+    walk gathers the component's sorted edge and vertex ids into ``parts``
+    as it labels.
+    """
+
+    def __init__(self, arcs: Arcs, space: Subspace):
+        self.arcs = arcs
+        self.space = space
+        self.labels = [-1] * len(arcs)
+        self.parts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._inside: dict[int, bool] = {}  # color mask -> lies in the space
+
+    def label(self, v: int) -> int:
+        """The label of the component through ``v``, walked on first use."""
+        found = self.labels[v]
+        if found >= 0:
+            return found
+        arcs, labels, inside = self.arcs, self.labels, self._inside
+        found = len(self.parts)
+        labels[v] = found
+        vertices: list[int] = [v]
+        edges: list[int] = []
+        for w in vertices:  # breadth first: the list grows as the walk goes
+            for e, x, mask in arcs[w]:
+                try:
+                    holds = inside[mask]
+                except KeyError:
+                    holds = inside[mask] = self.space.contains_mask(mask)
+                if not holds:
+                    continue
+                if w < x:  # each edge once, from its lower end
+                    edges.append(e)
+                if labels[x] < 0:
+                    labels[x] = found
+                    vertices.append(x)
+        self.parts.append((tuple(sorted(edges)), tuple(sorted(vertices))))
+        return found
+
+    def label_all(self) -> "ColorComponents":
+        """Walk every component; returns self."""
+        for v, found in enumerate(self.labels):
+            if found < 0:
+                self.label(v)
+        return self
+
+
 def _grow_all(g: ColoredGraph, k: int) -> list[Nest]:
     """Every k-nest of a valid graph, in canonical order."""
     if k == 0:
@@ -95,20 +152,27 @@ def _grow_all(g: ColoredGraph, k: int) -> list[Nest]:
             Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
             for e in range(g.edge_count)
         ]
-    found: list[Nest] = []
-    through: list[list[frozenset[int]]] = [[] for _ in range(g.vertex_count)]
+    # seeds {a, b} and {a, a+b} span one subspace, so components are
+    # labelled per subspace, never per seed key; only components that a
+    # seed reaches are walked, and each of them is a nest
+    arcs = g.arcs()
+    spaces: dict[tuple[int, ...], Subspace] = {}
+    layers: dict[Subspace, ColorComponents] = {}
     for v in range(g.vertex_count):
         for seeds in combinations(g.edges_at(v), k):
-            # a grown closure is maximal, so a known nest through v holding
-            # the seeds is exactly what regrowth would return; a nest grown
-            # here is therefore new
-            if any(edges.issuperset(seeds) for edges in through[v]):
-                continue
-            nest = grow_nest(g, seeds)
-            found.append(nest)
-            edges = frozenset(nest.edge_ids)
-            for w in nest.vertex_ids:
-                through[w].append(edges)
+            key = tuple(sorted(g.color(e).mask for e in seeds))
+            space = spaces.get(key)
+            if space is None:
+                space = spaces[key] = span([g.color(e) for e in seeds])
+            layer = layers.get(space)
+            if layer is None:
+                layer = layers[space] = ColorComponents(arcs, space)
+            layer.label(v)
+    found = [
+        Nest(edges, vertices, layer.space)
+        for layer in layers.values()
+        for edges, vertices in layer.parts
+    ]
     return sorted(found, key=Nest.key)
 
 
@@ -124,7 +188,7 @@ def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
 class NestIndex:
     """The nests of one graph, validated once and enumerated once per dimension.
 
-    Each dimension is grown on first use; its edge sets and its maps from
+    Each dimension is enumerated on first use; its edge sets and its maps from
     each edge and each vertex to the nests through it are built on first
     use too.  Nest ``i`` of dimension k is ``nests(k)[i]``; in particular
     the 0-nest at vertex v has index v and the 1-nest of edge e has index e.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -10,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelex import expansion
-from skelex.census import census, enumerate_proper_colorings
+from skelex import graph as graph_mod
+from skelex import nests as nests_mod
+from skelex.census import census, class_criterion, enumerate_proper_colorings
 from skelex.generators import gen_cube
+from skelex.gf2 import ColorVector, span
+from skelex.graph import is_good, validate
+from skelex.nests import ColorComponents, NestIndex
 
 from census_oracle import all_proper_colorings, canonical_coloring, reference_census
 from conftest import CUBE_EDGES, K4_EDGES, colored_from_indices
@@ -114,6 +120,26 @@ class TestFourCube:
         assert closed.report.betti_mod2 == (1, 0, 0, 1)
         assert skeleta == [closed.graph]
 
+    def test_refused_classes_are_neither_validated_nor_grown(self, monkeypatch):
+        # every class is valid and good by construction, and a refused
+        # class is decided from component labels without a nest index
+        validated, seeds = [], []
+        real_validate, real_grow = graph_mod.validate, nests_mod.grow_nest
+
+        def counted_validate(g):
+            validated.append(g)
+            return real_validate(g)
+
+        def counted_grow(g, seed_edges, vertex=None):
+            seeds.append(tuple(seed_edges))
+            return real_grow(g, seed_edges, vertex)
+
+        monkeypatch.setattr(graph_mod, "validate", counted_validate)
+        monkeypatch.setattr(nests_mod, "grow_nest", counted_grow)
+        entries = census(self.EDGES, 16, 3)
+        assert validated == [e.graph for e in entries if e.refusal is None]
+        assert seeds == [()] * 16  # the closing class's 0-nests
+
     def test_shuffled_edge_order(self):
         edges = self.EDGES[:]
         random.Random(4).shuffle(edges)
@@ -126,3 +152,43 @@ class TestFourCube:
             assert coloring == _first_occurrence(coloring)
             for v in range(16):
                 assert sorted(c for c, e in zip(coloring, edges) if v in e) == [0, 1, 2, 3]
+
+
+def check_counting_path(edges, vertices, n) -> int:
+    """Every class of a census against the nest index; returns the count.
+
+    Each class graph is valid and good, which is why the census checks
+    neither; nu_k from component labels per k-subset of colors equals the
+    index's count, and for n=3 the criterion from labels equals
+    ``criterion_3d``'s, witness and euler characteristic included.
+    """
+    classes = 0
+    for coloring in enumerate_proper_colorings(edges, vertices, n + 1):
+        g = colored_from_indices(edges, vertices, n, coloring)
+        assert validate(g).ok and is_good(g)
+        index = NestIndex(g)
+        counts = index.counts()
+        units = [ColorVector.unit(i, n + 1) for i in range(n + 1)]
+        arcs = g.arcs()
+        for k in range(2, n + 1):
+            assert counts[k] == sum(
+                len(ColorComponents(arcs, span([units[i] for i in s])).label_all().parts)
+                for s in itertools.combinations(range(n + 1), k)
+            )
+        if n == 3:
+            crit = class_criterion(g)
+            reference = expansion.criterion_3d(g, index)
+            assert crit == reference
+            assert crit.counts() == (counts[0], counts[2], counts[3])
+            assert crit.refusal == reference.refusal
+        classes += 1
+    return classes
+
+
+class TestCountingPath:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_graphs(self, name):
+        check_counting_path(*GRAPHS[name])
+
+    def test_four_cube_classes(self):
+        assert check_counting_path(TestFourCube.EDGES, 16, 3) == 1840

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from skelex import census as census_mod
 from skelex import graph as graph_mod
 
 from skelex.cli import (
@@ -256,6 +257,30 @@ class TestCensusCommand:
             "coloring": list(range(10)),
             "refused": "sphere recognition above dimension 2 is unsupported (n=9)",
         }]
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (0, [[0, 1]], "n must be >= 1, got 0"),
+            # an odd cycle has no proper coloring, an even one has a class
+            (1, [[0, 1], [1, 2], [2, 0]], "expansion needs n >= 2, got n=1"),
+            (1, [[0, 1], [1, 2], [2, 3], [3, 0]], "expansion needs n >= 2, got n=1"),
+        ],
+    )
+    def test_dimension_below_two_refused_before_enumerating(
+        self, capsys, monkeypatch, n, edges, message
+    ):
+        def unreachable(*args):
+            raise AssertionError("colorings enumerated")
+
+        monkeypatch.setattr(census_mod, "enumerate_proper_colorings", unreachable)
+        vertices = 1 + max(max(e) for e in edges)
+        text = json.dumps({"n": n, "vertices": vertices, "edges": edges})
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(
+                capsys, monkeypatch, ["census", "--format", fmt], stdin_text=text
+            )
+            assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_scale_guard(self, capsys, monkeypatch):
         big = {"n": 1, "vertices": 40,

@@ -20,6 +20,7 @@ import pytest
 from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED
 from skelex.errors import GeneratorLimit
 from skelex.generators import (
+    MAX_GENERATED_EDGES,
     MAX_GENERATED_VERTICES,
     gen_cube,
     gen_nonorientable_surface,
@@ -31,13 +32,16 @@ ADDRESS_SPACE = 1 << 30  # bytes; far below what an unguarded generator asks for
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _cap_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+def _cap_address_space(limit: int) -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_child(args: list[str], keep_bytes: int | None = None) -> tuple[int, str]:
-    """Run the CLI capped; read ``keep_bytes`` of stdout and close it, or
-    read it all when None.  Returns the exit code and stderr."""
+def run_child(
+    args: list[str], keep_bytes: int | None = None, address_space: int = ADDRESS_SPACE
+) -> tuple[int, str]:
+    """Run the CLI capped at ``address_space`` bytes; read ``keep_bytes`` of
+    stdout and close it, or read it all when None.  Returns the exit code
+    and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, flushed at exit
@@ -47,7 +51,7 @@ def run_child(args: list[str], keep_bytes: int | None = None) -> tuple[int, str]
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-        preexec_fn=_cap_address_space,
+        preexec_fn=lambda: _cap_address_space(address_space),
     )
     try:
         if keep_bytes is None:
@@ -93,6 +97,17 @@ def test_generate_refuses_beyond_the_guard(args, count):
     assert err == f"refused: {LIMIT}, got {count}\n"
 
 
+@pytest.mark.parametrize("n, edges", [(14, 245760), (15, 524288)])
+def test_generate_cube_refuses_beyond_the_edge_guard(n, edges):
+    # 2^(n+1) vertices pass the vertex guard; unguarded, n=15 peaks near
+    # 445 MB and fails under this cap with a MemoryError traceback
+    code, err = run_child(["generate", "cube", "--n", str(n)], address_space=400_000_000)
+    assert code == EXIT_REFUSED
+    assert err == (
+        f"refused: generating is limited to {MAX_GENERATED_EDGES} edges, got {edges}\n"
+    )
+
+
 @pytest.mark.parametrize("keep_bytes", [None, 0, 100])
 def test_genus_1500_still_generates(keep_bytes):
     code, err = run_child(["generate", "surface", "--genus", "1500"], keep_bytes)
@@ -129,6 +144,8 @@ def test_closed_stdout_ends_in_one_error_line(args, keep_bytes, genus_40):
 def test_generators_refuse_before_building():
     with pytest.raises(GeneratorLimit, match=r"got 2\^1000001$"):
         gen_cube(10**6)
+    with pytest.raises(GeneratorLimit, match="150000 edges, got 524288$"):
+        gen_cube(15)
     with pytest.raises(GeneratorLimit, match="got 100008$"):
         gen_orientable_surface(12501)
     with pytest.raises(GeneratorLimit, match="got 100004$"):

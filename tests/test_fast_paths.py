@@ -24,12 +24,13 @@ from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
 from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import rank_gf2, rank_masks
+from skelex.gf2 import ColorVector, rank_gf2, rank_masks, span
 from skelex.graph import ColoredGraph, connected_sum, serialize
 from skelex.nests import NestIndex, enumerate_nests, grow_nest, nest_counts, nest_label
 
 from conftest import (
     CUBE_EDGES,
+    K4_EDGES,
     colored_from_indices,
     criterion_counterexample,
     random_valid_coloring,
@@ -82,12 +83,29 @@ def connected_sums() -> list[ColoredGraph]:
     return out
 
 
+def six_colored_k4() -> ColoredGraph:
+    """The tetrahedron colored by all six vectors of weight 1 and 2.
+
+    Each triangle is a 2-nest colored a, b and a+b, so the seed keys
+    {a, b}, {a, a+b} and {b, a+b} span one subspace.  Valid and good.
+    """
+    colors = ["100", "010", "001", "110", "101", "011"]
+    return ColoredGraph(
+        2,
+        4,
+        tuple(
+            (u, v, ColorVector.from_string(c)) for (u, v), c in zip(K4_EDGES, colors)
+        ),
+    )
+
+
 CORPUS = {
     **{f"cube{n}": (lambda n=n: gen_cube(n)) for n in (2, 3, 4)},
     **{f"gT2({g})": (lambda g=g: gen_orientable_surface(g)) for g in (1, 2, 3)},
     **{f"kP2({k})": (lambda k=k: gen_nonorientable_surface(k)) for k in (1, 2, 3)},
     **{f"sum{i}": (lambda i=i: connected_sums()[i]) for i in range(5)},
     "criterion_counterexample": criterion_counterexample,
+    "six-colored K4": six_colored_k4,
     "C(6,4) dual": lambda: cyclic_dual(6),
     "C(7,4) dual": lambda: cyclic_dual(7),
 }
@@ -255,6 +273,28 @@ def check_expansion(g: ColoredGraph) -> None:
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_index_matches_scans(name):
     check_index(CORPUS[name]())
+
+
+def test_corpus_pins_nests_keyed_by_subspace():
+    # the index labels components once per subspace, not once per seed
+    # key; the regrowth comparison above only tells the two apart on a
+    # graph where distinct seed keys span one subspace
+    keys_share_a_subspace = nests_share_a_subspace = False
+    for make in CORPUS.values():
+        g = make()
+        index = NestIndex(g)
+        for k in range(2, g.n + 1):
+            keys: dict = {}
+            for v in range(g.vertex_count):
+                for seeds in combinations(g.edges_at(v), k):
+                    key = tuple(sorted(g.color(e).mask for e in seeds))
+                    keys.setdefault(span([g.color(e) for e in seeds]), set()).add(key)
+            if any(len(found) > 1 for found in keys.values()):
+                keys_share_a_subspace = True
+            colors = [nest.color for nest in index.nests(k)]
+            if len(set(colors)) < len(colors):
+                nests_share_a_subspace = True
+    assert keys_share_a_subspace and nests_share_a_subspace
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
