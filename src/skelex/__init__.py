@@ -18,7 +18,6 @@ from .classify import (
 from .duality import (
     FacePoset,
     dual_colored_graph,
-    flags,
     parse_poset,
     predicted_complex,
     sphere_poset,
@@ -126,7 +125,6 @@ __all__ = [
     "enumerate_nests",
     "expand2",
     "fixed_circle_check",
-    "flags",
     "full_expand",
     "gen_cube",
     "gen_nonorientable_surface",

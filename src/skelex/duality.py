@@ -2,11 +2,15 @@
 
 Chains of cells with strictly increasing dimension ("flags") are the
 simplices of the barycentric subdivision.  Full flags (one cell per
-dimension 0..n) become the vertices of the dual graph; flags missing
-exactly one dimension k become its edges, colored by the basis vector x_k,
-joining the two full flags that extend them.  A one-short flag extending to
-anything other than two full flags witnesses that the input is not a
-closed combinatorial manifold.
+dimension 0..n) become the vertices of the dual graph.  Two full flags that
+differ only in dimension k are joined by an edge colored x_k: the neighbour
+of f swaps f[k] for the other k-cell between f[k-1] and f[k+1].  That cell
+is unique because in a closed combinatorial manifold every interval from a
+(k-1)-cell to a (k+1)-cell holds exactly two k-cells (the diamond
+property); an interval holding any other number witnesses that the input is
+not one.  ``predicted_complex`` counts the chains of each length in one
+pass up the cells, and the full-flag count of the same pass bounds the
+listing.
 
 Face-poset file format (JSON)::
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FlagLimit, FormatError, NotCombinatorialManifold
@@ -34,7 +37,7 @@ from .graph import ColoredGraph, canonicalize, cycle_fault, reach
 CellId = int | str
 
 # the most full flags (dual vertices) listed: the 7-simplex boundary's
-# 40,320 take seconds, and time grows with the count
+# 40,320 take about a second, and time and memory grow with the count
 MAX_FULL_FLAGS = 100_000
 
 
@@ -171,76 +174,18 @@ def _check_ridges(simplices: list[tuple[int, ...]]) -> None:
             )
 
 
-Flag = tuple[int, ...]
+def _chain_counts(p: FacePoset) -> list[int]:
+    """The number of chains of 1, 2, ..., n+1 cells, counted in one pass up the cells.
 
-
-@dataclass(frozen=True)
-class FlagSets:
-    full: tuple[Flag, ...]
-    one_short: tuple[Flag, ...]
-
-
-def _chains_of_length(p: FacePoset, length: int) -> list[Flag]:
-    """All strictly increasing-by-face chains of exactly ``length`` cells."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
-    chains: list[Flag] = [(c,) for c in range(p.cell_count())]
-    for _ in range(length - 1):
-        chains = [
-            chain + (c,)
-            for chain in chains
-            for c in sorted(p.cofaces[chain[-1]])
-        ]
-    return sorted(chains)
-
-
-def flags(p: FacePoset) -> FlagSets:
-    """Full flags (dual-graph vertices) and one-short flags (its edges)."""
-    n = p.top_dim
-    return FlagSets(
-        tuple(_chains_of_length(p, n + 1)),
-        tuple(_chains_of_length(p, n)) if n >= 1 else (),
-    )
-
-
-def _full_flag_count(p: FacePoset) -> int:
-    """The number of full flags, counted up the dimensions without listing any."""
-    ending_at: list[int] = []  # flags of dims 0..d ending at each cell; cells ascend by dim
-    for c, d in enumerate(p.dim):
-        below = [ending_at[f] for f in p.faces[c] if p.dim[f] == d - 1]
-        ending_at.append(sum(below) if d else 1)
-    return sum(ending_at[c] for c in p.cells_of_dim(p.top_dim))
-
-
-def _missing_dim(p: FacePoset, chain: Flag) -> int:
-    present = {p.dim[c] for c in chain}
-    missing = set(range(p.top_dim + 1)) - present
-    assert len(missing) == 1, f"chain {chain} misses dims {missing}"
-    return missing.pop()
-
-
-def _extensions(p: FacePoset, chain: Flag, k: int) -> list[Flag]:
-    """Full flags obtained by inserting a dim-k cell into the chain."""
-    below = None
-    above = None
-    for c in chain:
-        if p.dim[c] == k - 1:
-            below = c
-        if p.dim[c] == k + 1:
-            above = c
-    candidates = []
-    for c in p.cells_of_dim(k):
-        if below is not None and below not in p.faces[c]:
-            continue
-        if above is not None and c not in p.faces[above]:
-            continue
-        candidates.append(c)
-    position = sum(1 for c in chain if p.dim[c] < k)
-    return [chain[:position] + (c,) + chain[position:] for c in candidates]
-
-
-def _describe_flag(p: FacePoset, chain: Flag) -> str:
-    return "[" + " < ".join(repr(p.order[c]) for c in chain) + "]"
+    A chain is a set of cells totally ordered by the face relation.  A chain
+    of n+1 cells holds one cell of each dimension 0..n: it is a full flag.
+    """
+    width = p.top_dim + 1
+    ending: list[list[int]] = []  # chains of each length ending at each cell; cells ascend by dim
+    for fs in p.faces:
+        below = [sum(column) for column in zip(*(ending[f] for f in fs))] or [0] * width
+        ending.append([1, *below[:-1]])
+    return [sum(column) for column in zip(*ending)]
 
 
 _NAMES = ("vertex", "edge", "2-cell")
@@ -300,43 +245,83 @@ def _check_links(p: FacePoset) -> None:
             )
 
 
-def dual_colored_graph(p: FacePoset) -> ColoredGraph:
-    """The dual graph: full flags as vertices, one-short flags as edges.
+BOTTOM, TOP = -1, -2  # below the 0-cells and above the n-cells; no cell has these indices
 
-    Each one-short flag missing dimension k must extend to exactly two full
-    flags; the edge joining them is colored x_k.  The result is a valid,
-    connected, pure (n+1)-valent graph.  More than ``MAX_FULL_FLAGS`` full
-    flags, counted before any is listed, are refused with ``FlagLimit``.
+
+def _diamonds(p: FacePoset, facets: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """The two k-cells strictly between each (k-1)-cell and (k+1)-cell over it.
+
+    Every such interval in a closed manifold's poset holds exactly two cells
+    (the diamond property).  Flag exchange reads only the intervals that
+    full flags pass through, so every interval is checked here, and one
+    holding any other number of cells is refused.  Pairs keyed by ``BOTTOM``
+    hold the two vertices of each 1-cell and pairs keyed by ``TOP`` the two
+    n-cells over each (n-1)-cell; both counts were checked before.
+    """
+    n = p.top_dim
+    between: dict[tuple[int, int], list[int]] = {}
+    for b, d in enumerate(p.dim):
+        if d == 1:
+            between[BOTTOM, b] = facets[b]
+        if d == n - 1:
+            between[b, TOP] = sorted(p.cofaces[b])
+        if d < 2:
+            continue
+        for c in facets[b]:
+            for a in facets[c]:
+                between.setdefault((a, b), []).append(c)
+        for a in sorted(a for a in p.faces[b] if p.dim[a] == d - 2):
+            if (count := len(between.get((a, b), ()))) != 2:
+                raise NotCombinatorialManifold(
+                    f"between {d - 2}-cell {p.order[a]!r} and {d}-cell {p.order[b]!r}"
+                    f" lie {count} {d - 1}-cells, expected 2"
+                )
+    return between
+
+
+def dual_colored_graph(p: FacePoset) -> ColoredGraph:
+    """The dual graph: full flags as vertices, joined by flag exchange.
+
+    The neighbour of full flag f across color x_k swaps f[k] for the other
+    k-cell between f[k-1] and f[k+1].  The result is a valid, connected,
+    pure (n+1)-valent graph whose vertices are the full flags in sorted
+    order.  More than ``MAX_FULL_FLAGS`` full flags, counted before any is
+    listed, are refused with ``FlagLimit``.
     """
     n = p.top_dim
     if n < 1:
         raise NotCombinatorialManifold("top dimension must be >= 1")
     if n in (2, 3):
         _check_links(p)
-    # a ridge outside two top cells leaves a one-short flag with one
-    # extension; refuse it before the flags, (n+1)! per simplex, are listed
+    # refuse a ridge outside two top cells before anything is counted
     for r in p.cells_of_dim(n - 1):
         if len(p.cofaces[r]) != 2:
             raise NotCombinatorialManifold(
                 f"{n - 1}-cell {p.order[r]!r} lies in {len(p.cofaces[r])}"
                 f" of the {n}-cells, expected 2"
             )
-    if (count := _full_flag_count(p)) > MAX_FULL_FLAGS:
+    facets = [sorted(f for f in fs if p.dim[f] == p.dim[c] - 1) for c, fs in enumerate(p.faces)]
+    between = _diamonds(p, facets)
+    if (count := _chain_counts(p)[n]) > MAX_FULL_FLAGS:
         raise FlagLimit(f"dualizing is limited to {MAX_FULL_FLAGS} full flags, got {count}")
-    fl = flags(p)
-    vertex_index = {flag: i for i, flag in enumerate(fl.full)}
+    up: list[list[int]] = [[] for _ in p.dim]
+    for c, fs in enumerate(facets):
+        for f in fs:
+            up[f].append(c)
+    full: list[tuple[int, ...]] = [(c,) for c in p.cells_of_dim(0)]
+    for _ in range(n):
+        full = [f + (c,) for f in full for c in up[f[-1]]]
+    index = {f: i for i, f in enumerate(full)}
+    units = [ColorVector.unit(k, n + 1) for k in range(n + 1)]
     edges = []
-    for chain in fl.one_short:
-        k = _missing_dim(p, chain)
-        extensions = _extensions(p, chain, k)
-        if len(extensions) != 2:
-            raise NotCombinatorialManifold(
-                f"flag {_describe_flag(p, chain)} (missing dim {k}) extends to"
-                f" {len(extensions)} full flags, expected 2"
-            )
-        a, b = (vertex_index[f] for f in extensions)
-        edges.append((a, b, ColorVector.unit(k, n + 1)))
-    return canonicalize(ColoredGraph(n, len(fl.full), tuple(edges)))
+    for i, f in enumerate(full):
+        ends = (BOTTOM, *f, TOP)
+        for k in range(n + 1):
+            a, b = between[ends[k], ends[k + 2]]
+            other = a if b == f[k] else b
+            if other > f[k]:  # each edge once, from its smaller flag
+                edges.append((i, index[f[:k] + (other,) + f[k + 1:]], units[k]))
+    return canonicalize(ColoredGraph(n, len(full), tuple(edges)))
 
 
 def predicted_complex(p: FacePoset) -> tuple[int, ...]:
@@ -347,8 +332,7 @@ def predicted_complex(p: FacePoset) -> tuple[int, ...]:
     nest counts of ``dual_colored_graph(p)`` when the input is a closed
     combinatorial manifold.
     """
-    n = p.top_dim
-    return tuple(len(_chains_of_length(p, n - m + 1)) for m in range(n + 1))
+    return tuple(reversed(_chain_counts(p)))
 
 
 def sphere_poset(n: int) -> FacePoset:

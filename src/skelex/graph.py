@@ -30,6 +30,8 @@ from .gf2 import ColorVector, congruent_mod, span
 Edge = tuple[int, int, ColorVector]
 Arcs = tuple[tuple[tuple[int, int, int], ...], ...]  # see ColoredGraph.arcs
 
+MAX_LISTED_PROBLEMS = 20  # a validation report lists this many, then counts the rest
+
 
 @dataclass(frozen=True)
 class ColoredGraph:
@@ -160,7 +162,7 @@ def validate(g: ColoredGraph) -> ValidationReport:
         if c.is_zero:
             problems.append(f"edge {idx}: zero color")
     if problems:
-        return ValidationReport(False, tuple(problems))
+        return _report(problems)
     # an (n+1)-regular graph has V(n+1)/2 edges; checked before any
     # per-vertex work, so a huge declared vertex count costs nothing
     if 2 * g.edge_count != g.vertex_count * g.width:
@@ -185,6 +187,14 @@ def validate(g: ColoredGraph) -> ValidationReport:
             )
     if not g.is_connected():
         problems.append("graph is not connected")
+    return _report(problems)
+
+
+def _report(problems: list[str]) -> ValidationReport:
+    """The first ``MAX_LISTED_PROBLEMS`` problems, then one line counting the rest."""
+    if len(problems) > MAX_LISTED_PROBLEMS:
+        rest = len(problems) - MAX_LISTED_PROBLEMS
+        problems = problems[:MAX_LISTED_PROBLEMS] + [f"and {rest} more problems"]
     return ValidationReport(not problems, tuple(problems))
 
 

@@ -3,10 +3,13 @@ criterion counterexample."""
 
 from __future__ import annotations
 
+import json
 import random
+from itertools import combinations
 
 import pytest
 
+from skelex.duality import FacePoset
 from skelex.gf2 import ColorVector, span
 from skelex.graph import ColoredGraph
 from skelex.generators import gen_cube
@@ -144,6 +147,60 @@ def torus7_simplices() -> list[list[int]]:
     return [[i % 7, (i + 1) % 7, (i + 3) % 7] for i in range(7)] + [
         [i % 7, (i + 2) % 7, (i + 3) % 7] for i in range(7)
     ]
+
+
+def gale_facets(m: int) -> list[list[int]]:
+    """Facets of the cyclic polytope C(m,4) by Gale's evenness condition:
+    a 4-set is a facet when every two vertices outside it are separated by
+    an even number of its members."""
+    facets = []
+    for subset in combinations(range(m), 4):
+        outside = [v for v in range(m) if v not in subset]
+        if all(
+            sum(1 for x in subset if i < x < j) % 2 == 0
+            for i, j in combinations(outside, 2)
+        ):
+            facets.append(list(subset))
+    assert len(facets) == m * (m - 3) // 2
+    return facets
+
+
+def simplex_boundary_text(k: int) -> str:
+    """The boundary of the k-simplex in the simplicial poset format."""
+    return json.dumps({"simplices": [list(s) for s in combinations(range(k + 1), k)]})
+
+
+def edited(p: FacePoset, drop=None, add=None) -> FacePoset:
+    """``p`` with one cell id dropped, or one cell added as
+    (id, dim, its faces, the cells it is a face of)."""
+    dims = {cid: p.dim[c] for c, cid in enumerate(p.order)}
+    faces = {cid: {p.order[f] for f in p.faces[c]} for c, cid in enumerate(p.order)}
+    if drop is not None:
+        del dims[drop], faces[drop]
+        for fs in faces.values():
+            fs.discard(drop)
+    if add is not None:
+        cid, dim, below, above = add
+        dims[cid] = dim
+        faces[cid] = set(below)
+        for c in above:
+            faces[c].add(cid)
+    return FacePoset(dims, faces)
+
+
+# a 1-cell in both 3-cells of sphere_poset(4) and in no 2-cell: no full
+# flag passes through it
+GAP_CELL = ("c1_3", 1, ["c0_1", "c0_2"], ["c3_1", "c3_2"])
+# a third 2-cell between the 1-cells and both 3-cells of sphere_poset(4)
+THIRD_CELL = ("c2_3", 2, ["c1_1", "c1_2"], ["c3_1", "c3_2"])
+
+
+def poset_document(p: FacePoset) -> dict:
+    """``p`` in the face-poset file format, every face listed."""
+    return {"top_dim": p.top_dim, "cells": [
+        [cid, p.dim[c], sorted(p.order[f] for f in p.faces[c])]
+        for c, cid in enumerate(p.order)
+    ]}
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,19 @@ from skelex.cli import (
     run,
 )
 from skelex.graph import serialize
+from skelex.duality import sphere_poset
 from skelex.generators import gen_cube, gen_nonorientable_surface
 
-from conftest import CUBE_EDGES, K4_EDGES, criterion_counterexample, nongood_cube
+from conftest import (
+    CUBE_EDGES,
+    GAP_CELL,
+    K4_EDGES,
+    THIRD_CELL,
+    criterion_counterexample,
+    edited,
+    nongood_cube,
+    poset_document,
+)
 
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=None):
@@ -205,6 +215,15 @@ class TestDualize:
         assert code == EXIT_REFUSED
         assert "ridge [0, 1, 2" in err
 
+    @pytest.mark.parametrize("cell, interval", [
+        (GAP_CELL, "between 1-cell 'c1_3' and 3-cell 'c3_1' lie 0 2-cells"),
+        (THIRD_CELL, "between 1-cell 'c1_1' and 3-cell 'c3_1' lie 3 2-cells"),
+    ])
+    def test_interval_without_two_cells_refused(self, capsys, monkeypatch, cell, interval):
+        text = json.dumps(poset_document(edited(sphere_poset(4), add=cell)))
+        code, out, err = run_cli(capsys, monkeypatch, ["dualize"], stdin_text=text)
+        assert (code, out) == (EXIT_REFUSED, "")
+        assert err == f"refused: {interval}, expected 2\n"
 
     @pytest.mark.parametrize("k", [8, 9])
     def test_closed_simplex_boundary_past_the_flag_bound(self, capsys, monkeypatch, k):

@@ -18,10 +18,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skelex.cli import run
+from skelex.duality import sphere_poset
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.graph import serialize
 
-from conftest import K4_EDGES
+from conftest import (
+    GAP_CELL,
+    K4_EDGES,
+    THIRD_CELL,
+    edited,
+    poset_document,
+    simplex_boundary_text,
+)
 
 COMMANDS = [
     ["validate"], ["nests"], ["expand"], ["classify"], ["dualize"],
@@ -132,16 +140,14 @@ def test_near_miss_graphs(text):
     run_all(text)
 
 
-def _simplex_boundary(k: int) -> str:
-    return json.dumps({"simplices": [list(s) for s in combinations(range(k + 1), k)]})
-
-
 # closed simplex boundaries with (k+1)! full flags are refused before any
 # flag is listed; listing the 8-simplex boundary's would take a minute
 @settings(FUZZ, deadline=timedelta(seconds=2))
 @given(near_miss("poset"))
-@example(_simplex_boundary(8))
-@example(_simplex_boundary(9))
+@example(simplex_boundary_text(8))
+@example(simplex_boundary_text(9))
+@example(json.dumps(poset_document(edited(sphere_poset(4), add=GAP_CELL))))
+@example(json.dumps(poset_document(edited(sphere_poset(4), add=THIRD_CELL))))
 @example('{"top_dim": 1, "cells": 5}')
 @example('{"top_dim": 0, "cells": [[["a"], 0, []]]}')
 @example('{"top_dim": 1, "cells": [["a", 0, []], ["b", 0, []], ["e", 1, ["a", {"b": 1}]]]}')

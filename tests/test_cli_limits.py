@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED
+from skelex.duality import MAX_FULL_FLAGS
 from skelex.errors import GeneratorLimit
 from skelex.generators import (
     MAX_GENERATED_EDGES,
@@ -27,6 +28,8 @@ from skelex.generators import (
     gen_orientable_surface,
 )
 from skelex.graph import serialize
+
+from conftest import simplex_boundary_text
 
 ADDRESS_SPACE = 1 << 30  # bytes; far below what an unguarded generator asks for
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -72,10 +75,21 @@ def run_child(
 
 
 @pytest.fixture(scope="module")
-def genus_40(tmp_path_factory):
-    path = tmp_path_factory.mktemp("graphs") / "genus40.json"
-    path.write_text(serialize(gen_orientable_surface(40)) + "\n", encoding="utf-8")
-    return str(path)
+def inputs(tmp_path_factory) -> dict[str, str]:
+    """Input files by the placeholder that stands for them in argument lists."""
+    folder = tmp_path_factory.mktemp("inputs")
+    texts = {
+        "GRAPH": serialize(gen_orientable_surface(40)),
+        "CUBE": serialize(gen_cube(2)),
+        "SPHERE6": simplex_boundary_text(7),  # 40,320 full flags
+        "SPHERE7": simplex_boundary_text(8),  # 362,880 full flags
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = folder / f"{name.lower()}.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    return paths
 
 
 LIMIT = f"generating is limited to {MAX_GENERATED_VERTICES} vertices"
@@ -127,10 +141,13 @@ def test_genus_1500_still_generates(keep_bytes):
         ["expand", "--dump", "--format", "json", "GRAPH"],
         ["realize", "--table", "GRAPH"],
         ["validate", "GRAPH"],
+        ["dualize", "SPHERE6"],
+        ["classify", "CUBE"],
+        ["census", "CUBE"],
     ],
 )
-def test_closed_stdout_ends_in_one_error_line(args, keep_bytes, genus_40):
-    args = [genus_40 if a == "GRAPH" else a for a in args]
+def test_closed_stdout_ends_in_one_error_line(args, keep_bytes, inputs):
+    args = [inputs.get(a, a) for a in args]
     code, err = run_child(args, keep_bytes)
     # with 0 bytes kept the pipe closes while the interpreter starts; a
     # short output can reach the pipe whole before 10 bytes are read back
@@ -139,6 +156,14 @@ def test_closed_stdout_ends_in_one_error_line(args, keep_bytes, genus_40):
     else:
         assert code == EXIT_INPUT
         assert err == "error: output closed before it was fully written\n"
+
+
+def test_dualize_refuses_beyond_the_flag_guard(inputs):
+    # the 8-simplex boundary's face poset has 510 cells; its full flags are
+    # counted, never listed
+    code, err = run_child(["dualize", inputs["SPHERE7"]], address_space=200_000_000)
+    assert code == EXIT_REFUSED
+    assert err == f"refused: dualizing is limited to {MAX_FULL_FLAGS} full flags, got 362880\n"
 
 
 def test_generators_refuse_before_building():

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skelex.classify import classify_surface
 from skelex.duality import (
     FacePoset,
-    _full_flag_count,
+    _chain_counts,
     dual_colored_graph,
-    flags,
     parse_poset,
     predicted_complex,
     sphere_poset,
@@ -23,47 +25,93 @@ from skelex.generators import gen_cube
 from skelex.graph import color_isomorphic, is_good, is_pure, validate
 from skelex.nests import nest_counts
 
-from conftest import torus7_simplices
+from conftest import GAP_CELL, THIRD_CELL, edited, gale_facets, torus7_simplices
+from flag_oracle import _chains_of_length, flags, listed_complex, one_short_dual
 
 
 def delta3() -> FacePoset:
     return FacePoset.from_simplices([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
 
+def simplex_boundary(k: int) -> FacePoset:
+    """The boundary of the k-simplex, a (k-1)-sphere."""
+    return FacePoset.from_simplices([list(s) for s in combinations(range(k + 1), k)])
+
+
+# the 6-vertex minimal triangulation of the projective plane (antipodal
+# icosahedron quotient): every pair of vertices is an edge, ten triangles
+RP2 = [
+    [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 6], [1, 4, 5],
+    [2, 3, 4], [2, 3, 5], [2, 4, 6], [3, 5, 6], [4, 5, 6],
+]
+
+
+def sphere_times_circle() -> FacePoset:
+    """The product of the minimal 2-sphere and circle decompositions."""
+    sphere = {f"s{d}{s}": d for d in range(3) for s in (1, 2)}
+    circle = {f"c{d}{s}": d for d in range(2) for s in (1, 2)}
+
+    def lower(cid):
+        d = int(cid[1])
+        kind = cid[0]
+        return {f"{kind}{dd}{ss}" for dd in range(d) for ss in (1, 2)}
+
+    dims: dict = {}
+    faces: dict = {}
+    for a, da in sphere.items():
+        for b, db in circle.items():
+            cid = a + "x" + b
+            dims[cid] = da + db
+            closure_a = lower(a) | {a}
+            closure_b = lower(b) | {b}
+            faces[cid] = {
+                aa + "x" + bb for aa in closure_a for bb in closure_b
+            } - {cid}
+    return FacePoset(dims, faces)
+
+
 class TestFlags:
+    """The listing in ``flag_oracle`` against the chain counter."""
+
     def test_simplex_boundary_full_flags(self):
         # 4 triangles x 3 edges x 2 vertices orderings = 24 maximal chains
         assert len(flags(delta3()).full) == 24
+        assert _chain_counts(delta3())[2] == 24
 
     def test_two_cell_sphere_flag_count(self):
         for n in (1, 2, 3):
             assert len(flags(sphere_poset(n)).full) == 2 ** (n + 1)
+            assert _chain_counts(sphere_poset(n))[n] == 2 ** (n + 1)
 
     @pytest.mark.parametrize("poset_factory", [
         lambda: sphere_poset(1),
         lambda: sphere_poset(3),
         delta3,
         lambda: FacePoset.from_simplices(torus7_simplices()),
-        lambda: FacePoset.from_simplices([list(s) for s in combinations(range(6), 5)]),
+        lambda: simplex_boundary(5),
     ])
     def test_full_flag_count_matches_the_listing(self, poset_factory):
         poset = poset_factory()
-        assert _full_flag_count(poset) == len(flags(poset).full)
+        counts = _chain_counts(poset)
+        assert counts[poset.top_dim] == len(flags(poset).full)
+        assert counts == [
+            len(_chains_of_length(poset, length)) for length in range(1, poset.top_dim + 2)
+        ]
 
     def test_single_vertex_has_no_long_chains(self):
         # a lone 0-cell supports no chain of two or more cells, so a poset
         # missing its higher cells can never produce full flags
-        from skelex.duality import _chains_of_length
-
         p = FacePoset({"v": 0}, {"v": set()})
         assert _chains_of_length(p, 2) == []
         assert _chains_of_length(p, 1) == [(0,)]
+        assert _chain_counts(p) == [1]
 
     def test_simplex_boundary_one_short_count(self):
         # chains of two cells in the tetrahedron boundary: 12 vertex-edge,
         # 12 vertex-triangle, 12 edge-triangle
         p = delta3()
         assert len(flags(p).one_short) == 36
+        assert _chain_counts(p)[1] == 36
 
     def test_one_short_flags_miss_one_dimension(self):
         p = delta3()
@@ -71,6 +119,24 @@ class TestFlags:
             dims = sorted(p.dim[c] for c in chain)
             assert len(dims) == 2
             assert dims in ([0, 1], [0, 2], [1, 2])
+
+
+ORACLE_POSETS = {
+    **{f"sphere_poset({n})": (lambda n=n: sphere_poset(n)) for n in range(1, 6)},
+    "delta3": delta3,
+    "torus7": lambda: FacePoset.from_simplices(torus7_simplices()),
+    "RP2": lambda: FacePoset.from_simplices(RP2),
+    "S2 x S1": sphere_times_circle,
+    **{f"C({m},4)": (lambda m=m: FacePoset.from_simplices(gale_facets(m))) for m in range(6, 15)},
+    "6-simplex boundary": lambda: simplex_boundary(6),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_POSETS))
+def test_exchange_matches_the_one_short_listing(name):
+    poset = ORACLE_POSETS[name]()
+    assert dual_colored_graph(poset) == one_short_dual(poset)
+    assert predicted_complex(poset) == listed_complex(poset)
 
 
 class TestDualGraph:
@@ -99,13 +165,7 @@ class TestDualGraph:
         assert report.orientable and report.genus == 1
 
     def test_projective_plane_triangulation(self):
-        # the 6-vertex minimal triangulation (antipodal icosahedron quotient):
-        # every pair of vertices is an edge, ten triangles
-        faces = [
-            [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 6], [1, 4, 5],
-            [2, 3, 4], [2, 3, 5], [2, 4, 6], [3, 5, 6], [4, 5, 6],
-        ]
-        poset = FacePoset.from_simplices(faces)
+        poset = FacePoset.from_simplices(RP2)
         assert poset.euler() == 1
         dual = dual_colored_graph(poset)
         assert nest_counts(dual) == predicted_complex(poset)
@@ -140,26 +200,7 @@ class TestDualGraph:
         from skelex.classify import homology_mod2
         from skelex.expansion import criterion_3d
 
-        sphere = {f"s{d}{s}": d for d in range(3) for s in (1, 2)}
-        circle = {f"c{d}{s}": d for d in range(2) for s in (1, 2)}
-
-        def lower(cells, cid):
-            d = int(cid[1])
-            kind = cid[0]
-            return {f"{kind}{dd}{ss}" for dd in range(d) for ss in (1, 2)}
-
-        dims: dict = {}
-        faces: dict = {}
-        for a, da in sphere.items():
-            for b, db in circle.items():
-                cid = a + "x" + b
-                dims[cid] = da + db
-                closure_a = lower(sphere, a) | {a}
-                closure_b = lower(circle, b) | {b}
-                faces[cid] = {
-                    aa + "x" + bb for aa in closure_a for bb in closure_b
-                } - {cid}
-        poset = FacePoset(dims, faces)
+        poset = sphere_times_circle()
         dual = dual_colored_graph(poset)
         assert is_pure(dual)
         assert nest_counts(dual) == predicted_complex(poset) == (96, 192, 120, 24)
@@ -169,8 +210,8 @@ class TestDualGraph:
         assert homology_mod2(outcome.complex).betti_mod2 == (1, 1, 1, 1)
 
     def test_open_manifold_rejected(self):
-        # drop one triangle from the tetrahedron boundary: some edge-chain
-        # extends to a single full flag
+        # drop one triangle from the tetrahedron boundary: vertex links
+        # become paths
         p = FacePoset.from_simplices([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
         with pytest.raises(NotCombinatorialManifold):
             dual_colored_graph(p)
@@ -369,10 +410,107 @@ class TestOpenSimplices:
             parse_poset(json.dumps({"simplices": [[0, 0, 1]]}))
 
     def test_open_8_simplex_refused_before_flags(self):
-        # 9! full flags would be listed before the one-short flag check
+        # its ridges are refused before its 9! full flags are counted or listed
         poset = FacePoset.from_simplices([list(range(9))])
         with pytest.raises(NotCombinatorialManifold) as info:
             dual_colored_graph(poset)
         assert str(info.value) == (
             "7-cell 's0_1_2_3_4_5_6_7' lies in 1 of the 8-cells, expected 2"
         )
+
+
+class TestIntervals:
+    """Every interval from a (k-1)-cell to a (k+1)-cell holds two k-cells."""
+
+    def test_cell_outside_every_full_flag_refused(self):
+        p = edited(sphere_poset(4), add=GAP_CELL)
+        with pytest.raises(NotCombinatorialManifold) as info:
+            dual_colored_graph(p)
+        assert str(info.value) == (
+            "between 1-cell 'c1_3' and 3-cell 'c3_1' lie 0 2-cells, expected 2"
+        )
+        with pytest.raises(NotCombinatorialManifold, match="extends to 0 full flags"):
+            one_short_dual(p)
+
+    def test_third_cell_in_an_interval_refused(self):
+        p = edited(sphere_poset(4), add=THIRD_CELL)
+        with pytest.raises(NotCombinatorialManifold) as info:
+            dual_colored_graph(p)
+        assert str(info.value) == (
+            "between 1-cell 'c1_1' and 3-cell 'c3_1' lie 3 2-cells, expected 2"
+        )
+        with pytest.raises(NotCombinatorialManifold, match="extends to 3 full flags"):
+            one_short_dual(p)
+
+    def test_cell_outside_every_one_short_flag_refused(self):
+        # a 2-cell bounded by one 1-cell and lying only in the 5-cells: no
+        # one-short flag passes through it, so the listing accepted the
+        # poset and dualized it to the 6-cube
+        p = edited(sphere_poset(5), add=("c2_3", 2, ["c1_1"], ["c5_1"]))
+        assert one_short_dual(p) == dual_colored_graph(sphere_poset(5))
+        with pytest.raises(NotCombinatorialManifold) as info:
+            dual_colored_graph(p)
+        assert str(info.value) == (
+            "between 0-cell 'c0_1' and 2-cell 'c2_3' lie 1 1-cells, expected 2"
+        )
+
+
+def _subset(draw, cells: list[str]) -> list[str]:
+    return draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+
+
+@st.composite
+def perturbed_spheres(draw) -> FacePoset:
+    """sphere_poset(3..5) with one cell of dimension 1..n-1 dropped or added."""
+    n = draw(st.integers(3, 5))
+    d = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        return edited(sphere_poset(n), drop=f"c{d}_{draw(st.sampled_from((1, 2)))}")
+    below = [
+        c for dd in range(d)
+        for c in (["c0_1", "c0_2"] if d == 1 else _subset(draw, [f"c{dd}_1", f"c{dd}_2"]))
+    ]
+    above = _subset(draw, [f"c{dd}_{s}" for dd in range(d + 1, n + 1) for s in (1, 2)])
+    return edited(sphere_poset(n), add=(f"c{d}_3", d, below, above))
+
+
+def _refused_or_dual(dualize, poset: FacePoset):
+    try:
+        return dualize(poset)
+    except NotCombinatorialManifold as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_spheres())
+def test_perturbed_spheres_match_the_oracle(poset):
+    oracle = _refused_or_dual(one_short_dual, poset)
+    dual = _refused_or_dual(dual_colored_graph, poset)
+    if isinstance(oracle, NotCombinatorialManifold):
+        assert isinstance(dual, NotCombinatorialManifold)
+    elif not isinstance(dual, NotCombinatorialManifold):
+        assert dual == oracle
+
+
+def _stirling2(n: int, k: int) -> int:
+    """Partitions of n labelled items into k nonempty blocks."""
+    row = [1] + [0] * k  # S(0, j)
+    for i in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+class TestLargeFamilies:
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_simplex_boundary_chain_census(self, k):
+        # chains of j proper faces of the k-simplex are ordered partitions of
+        # its n+2 vertices into j+1 blocks; listing them runs out of memory
+        n = k - 1
+        assert predicted_complex(simplex_boundary(k)) == tuple(
+            factorial(n - m + 2) * _stirling2(n + 2, n - m + 2) for m in range(n + 1)
+        )
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_simplex_boundary_nest_census(self, k):
+        poset = simplex_boundary(k)
+        assert predicted_complex(poset) == nest_counts(dual_colored_graph(poset))

@@ -33,27 +33,12 @@ from conftest import (
     K4_EDGES,
     colored_from_indices,
     criterion_counterexample,
+    gale_facets,
     random_valid_coloring,
 )
 from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check
 
 HYPERCUBE_EDGES = [(u, v) for u, v, _ in gen_cube(3).edges]
-
-
-def gale_facets(m: int) -> list[list[int]]:
-    """Facets of the cyclic polytope C(m,4) by Gale's evenness condition:
-    a 4-set is a facet when every two vertices outside it are separated by
-    an even number of its members."""
-    facets = []
-    for subset in combinations(range(m), 4):
-        outside = [v for v in range(m) if v not in subset]
-        if all(
-            sum(1 for x in subset if i < x < j) % 2 == 0
-            for i, j in combinations(outside, 2)
-        ):
-            facets.append(list(subset))
-    assert len(facets) == m * (m - 3) // 2
-    return facets
 
 
 def cyclic_poset(m: int) -> FacePoset:

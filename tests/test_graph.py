@@ -10,6 +10,7 @@ import pytest
 from skelex.errors import DimensionMismatch, FormatError, InvalidGraph
 from skelex.gf2 import ColorVector, congruent_mod, span
 from skelex.graph import (
+    MAX_LISTED_PROBLEMS,
     ColoredGraph,
     canonicalize,
     check_good,
@@ -84,6 +85,20 @@ class TestValidate:
         assert len(report.problems) == 1
         assert "0 edges" in report.problems[0]
         assert "9000000" in report.problems[0]
+
+    def test_problem_list_is_capped(self):
+        # genus 500 has 4,000 vertices; one color on every edge makes each
+        # vertex's colors dependent, and zero on every edge makes 6,000 bad edges
+        g = gen_orientable_surface(500)
+        for color, bad, first in [
+            (cv("100"), 4000, "vertex 0: incident colors ['100', '100', '100'] are linearly dependent"),
+            (cv("000"), 6000, "edge 0: zero color"),
+        ]:
+            report = validate(ColoredGraph(2, g.vertex_count, tuple((u, v, color) for u, v, _ in g.edges)))
+            assert not report.ok
+            assert len(report.problems) == MAX_LISTED_PROBLEMS + 1
+            assert report.problems[0] == first
+            assert report.problems[-1] == f"and {bad - MAX_LISTED_PROBLEMS} more problems"
 
 
 class TestPurity:
