@@ -124,7 +124,10 @@ def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
     """
     arcs = g.arcs()
     pairs, triples = (
-        [ColorComponents(arcs, s).label_all() for s in _coordinate_spaces(g.width, k)]
+        [
+            ColorComponents(s, g.vertex_count).label_all(arcs)
+            for s in _coordinate_spaces(g.width, k)
+        ]
         for k in (2, 3)
     )
     three = sorted(
@@ -135,18 +138,7 @@ def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
         ),
         key=Nest.key,
     )
-
-    def faces(nest: Nest) -> int:
-        # a 2-component colored inside the 3-component's colors lies in it
-        # exactly when it meets it: count each such pair's labels there
-        return sum(
-            len({layer.labels[v] for v in nest.vertex_ids})
-            for layer in pairs
-            if layer.space <= nest.color
-        )
-
-    two_nests = sum(len(layer.parts) for layer in pairs)
-    return expansion.Criterion3.decide(g.vertex_count, two_nests, three, faces)
+    return expansion.Criterion3.decide(g.vertex_count, pairs, three)
 
 
 def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:

@@ -26,13 +26,12 @@ Cell ids may be strings or integers; face lists may name any proper faces
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import combinations
 
 from .errors import FlagLimit, FormatError, NotCombinatorialManifold
 from .gf2 import ColorVector
-from .graph import ColoredGraph, canonicalize, cycle_fault, reach
+from .graph import ColoredGraph, canonicalize, cycle_fault, reach, read_object
 
 CellId = int | str
 
@@ -357,12 +356,7 @@ def sphere_poset(n: int) -> FacePoset:
 
 def parse_poset(text: str) -> FacePoset:
     """Parse either the explicit poset format or the simplicial shortcut."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FormatError("top level must be an object")
+    data = read_object(text)
     if "simplices" in data:
         simplices = data["simplices"]
         if not isinstance(simplices, list) or not all(

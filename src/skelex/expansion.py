@@ -16,11 +16,11 @@ face-preserving correspondence between cells and nests is this link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import NotGoodColoring, UnsupportedDimension
 from .graph import ColoredGraph
-from .nests import Nest, NestIndex, nest_label
+from .nests import ColorComponents, Nest, NestIndex, components_within, nest_label
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,23 @@ class Criterion3:
     def decide(
         cls,
         vertex_count: int,
-        two_nests: int,
+        pairs: Sequence[ColorComponents],
         three: Sequence[Nest],
-        faces: Callable[[Nest], int],
     ) -> "Criterion3":
         """The criterion from the counts, with a witness when it fails.
 
-        ``three`` lists the 3-nests in canonical order and ``faces(nest)``
-        counts the 2-nests inside one; the witness is the first 3-nest whose
-        boundary euler characteristic |V| - |E| + faces(nest) is not 2.
+        ``pairs`` are the component layers whose parts are the 2-nests and
+        ``three`` lists the 3-nests in canonical order; the witness is the
+        first 3-nest whose boundary euler characteristic |V| - |E| + #faces
+        is not 2, its faces being the 2-nests ``components_within`` finds.
         """
+        two_nests = sum(len(layer.parts) for layer in pairs)
         counts = (vertex_count, two_nests, len(three))
         if len(three) == two_nests - vertex_count:
             return cls(True, *counts)
         for nest in three:
-            chi = len(nest.vertex_ids) - len(nest.edge_ids) + faces(nest)
+            faces = sum(1 for _ in components_within(pairs, nest))
+            chi = len(nest.vertex_ids) - len(nest.edge_ids) + faces
             if chi != 2:
                 return cls(False, *counts, nest, chi)
         return cls(False, *counts)  # not good: the sum need not hold
@@ -210,12 +212,7 @@ def criterion_3d(g: ColoredGraph, index: NestIndex | None = None) -> Criterion3:
         raise UnsupportedDimension(f"criterion applies to n=3 only, got n={g.n}")
     if index is None:
         index = NestIndex(g)
-    return Criterion3.decide(
-        g.vertex_count,
-        len(index.nests(2)),
-        index.nests(3),
-        lambda nest: len(index.within(nest, 2)),
-    )
+    return Criterion3.decide(g.vertex_count, index.layers(2), index.nests(3))
 
 
 @dataclass(frozen=True)

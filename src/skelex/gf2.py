@@ -35,11 +35,7 @@ class ColorVector:
         """Parse a '0'/'1' string, leftmost character = x0 coefficient."""
         if not text or any(c not in "01" for c in text):
             raise ValueError(f"color literal must be a nonempty 0/1 string, got {text!r}")
-        mask = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                mask |= 1 << i
-        return cls(mask, len(text))
+        return cls(int(text[::-1], 2), len(text))
 
     @classmethod
     def unit(cls, i: int, width: int) -> "ColorVector":
@@ -63,11 +59,8 @@ class ColorVector:
             )
         return ColorVector(self.mask ^ other.mask, self.width)
 
-    def coeff(self, i: int) -> int:
-        return (self.mask >> i) & 1
-
     def __str__(self) -> str:
-        return "".join("1" if self.coeff(i) else "0" for i in range(self.width))
+        return format(self.mask, f"0{self.width}b")[::-1]
 
     def __repr__(self) -> str:
         return f"ColorVector({str(self)!r})"

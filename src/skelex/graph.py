@@ -14,7 +14,8 @@ edge array order defines edge ids.
 
 This module is the only reader of graph files: ``read_graph`` checks the
 format alone, ``parse`` adds the validity gate, and ``read_underlying``
-reads the colorless graph a census takes.
+reads the colorless graph a census takes.  ``read_object`` decodes the
+top-level JSON object of graph and face-poset files alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, InvalidGraph, NotGoodColoring
-from .gf2 import ColorVector, congruent_mod, span
+from .gf2 import ColorVector, congruent_mod, rank_masks
 
 Edge = tuple[int, int, ColorVector]
 Arcs = tuple[tuple[tuple[int, int, int], ...], ...]  # see ColoredGraph.arcs
@@ -180,7 +181,7 @@ def validate(g: ColoredGraph) -> ValidationReport:
             )
             continue
         colors = [g.color(e) for e in incident]
-        if span(colors).dim != g.width:
+        if rank_masks(c.mask for c in colors) != g.width:
             problems.append(
                 f"vertex {v}: incident colors {[str(c) for c in colors]}"
                 " are linearly dependent"
@@ -323,18 +324,24 @@ def canonicalize(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(g.n, g.vertex_count, tuple(normalized))
 
 
-def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
-    """Decode a graph file: (n, vertex count, edge items), with field diagnostics.
-
-    Items are [u, v, color string] with integer ends; an underlying graph
-    (``colored`` false) may also give [u, v] and leave ``n`` out or null.
-    """
+def read_object(text: str) -> dict:
+    """Decode a JSON document whose top level must be an object."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
+    return data
+
+
+def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
+    """Decode a graph file: (n, vertex count, edge items), with field diagnostics.
+
+    Items are [u, v, color string] with integer ends; an underlying graph
+    (``colored`` false) may also give [u, v] and leave ``n`` out or null.
+    """
+    data = read_object(text)
     for field in ("n", "vertices", "edges") if colored else ("vertices", "edges"):
         if field not in data:
             raise FormatError(f"missing field {field!r}")

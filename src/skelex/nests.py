@@ -10,6 +10,13 @@ subspaces, and the subgraph colored inside each distinct subspace is
 labelled by component once, each component's vertices and edges being
 gathered by the walk that labels it (``ColorComponents``).
 
+The face relation is read from the same labels.  A component colored
+inside a subspace of a nest's colors lies in the nest exactly when it
+meets it, so the k-nests inside a nest are the components labelled on
+its vertices in the k-layers (one labelling per k-dimensional subspace)
+whose subspace lies in the nest's (``components_within``).
+``NestIndex`` and the census both read faces this way.
+
 Nests are identified by their canonical edge set, never by color, since
 distinct nests may share a color subspace.  ``grow_nest`` grows one nest
 from its seeds; it builds the 0-nests.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import UnsupportedDimension
 from .gf2 import Subspace, span
@@ -95,26 +102,25 @@ def grow_nest(
 class ColorComponents:
     """The components of the subgraph colored inside one subspace.
 
-    ``arcs`` is the graph's ``ColoredGraph.arcs()``, which the labellings
-    of one graph share.  ``labels[v]`` is the index in ``parts`` of the
-    component through vertex v, or -1 until ``label(v)`` walks it.  The
-    walk gathers the component's sorted edge and vertex ids into ``parts``
-    as it labels.
+    ``labels[v]`` is the index in ``parts`` of the component through vertex
+    v, or -1 until ``label(v, arcs)`` walks it.  ``arcs`` is the graph's
+    ``ColoredGraph.arcs()``, which the labellings of one graph share; it is
+    passed to each walk and never kept.  The walk gathers the component's
+    sorted edge and vertex ids into ``parts`` as it labels.
     """
 
-    def __init__(self, arcs: Arcs, space: Subspace):
-        self.arcs = arcs
+    def __init__(self, space: Subspace, vertex_count: int):
         self.space = space
-        self.labels = [-1] * len(arcs)
+        self.labels = [-1] * vertex_count
         self.parts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._inside: dict[int, bool] = {}  # color mask -> lies in the space
 
-    def label(self, v: int) -> int:
+    def label(self, v: int, arcs: Arcs) -> int:
         """The label of the component through ``v``, walked on first use."""
         found = self.labels[v]
         if found >= 0:
             return found
-        arcs, labels, inside = self.arcs, self.labels, self._inside
+        labels, inside = self.labels, self._inside
         found = len(self.parts)
         labels[v] = found
         vertices: list[int] = [v]
@@ -135,45 +141,31 @@ class ColorComponents:
         self.parts.append((tuple(sorted(edges)), tuple(sorted(vertices))))
         return found
 
-    def label_all(self) -> "ColorComponents":
+    def label_all(self, arcs: Arcs) -> "ColorComponents":
         """Walk every component; returns self."""
         for v, found in enumerate(self.labels):
             if found < 0:
-                self.label(v)
+                self.label(v, arcs)
         return self
 
 
-def _grow_all(g: ColoredGraph, k: int) -> list[Nest]:
-    """Every k-nest of a valid graph, in canonical order."""
-    if k == 0:
-        return [grow_nest(g, (), vertex=v) for v in range(g.vertex_count)]
-    if k == 1:
-        return [
-            Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
-            for e in range(g.edge_count)
-        ]
-    # seeds {a, b} and {a, a+b} span one subspace, so components are
-    # labelled per subspace, never per seed key; only components that a
-    # seed reaches are walked, and each of them is a nest
-    arcs = g.arcs()
-    spaces: dict[tuple[int, ...], Subspace] = {}
-    layers: dict[Subspace, ColorComponents] = {}
-    for v in range(g.vertex_count):
-        for seeds in combinations(g.edges_at(v), k):
-            key = tuple(sorted(g.color(e).mask for e in seeds))
-            space = spaces.get(key)
-            if space is None:
-                space = spaces[key] = span([g.color(e) for e in seeds])
-            layer = layers.get(space)
-            if layer is None:
-                layer = layers[space] = ColorComponents(arcs, space)
-            layer.label(v)
-    found = [
-        Nest(edges, vertices, layer.space)
-        for layer in layers.values()
-        for edges, vertices in layer.parts
-    ]
-    return sorted(found, key=Nest.key)
+def components_within(
+    layers: Sequence[ColorComponents], nest: Nest
+) -> Iterator[tuple[int, int]]:
+    """(layer position, label) of each walked component inside ``nest``.
+
+    A component colored inside a subspace of ``nest.color`` lies in
+    ``nest`` exactly when it meets it, so the components inside are read
+    off the labels on the nest's vertices.  Label -1 is skipped: no walk
+    reached that vertex in that layer, and on a coloring that is not good
+    such an unwalked component need not be a nest.
+    """
+    for i, layer in enumerate(layers):
+        if layer.space <= nest.color:
+            labels = layer.labels
+            for found in {labels[v] for v in nest.vertex_ids}:
+                if found >= 0:
+                    yield i, found
 
 
 def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
@@ -188,65 +180,90 @@ def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
 class NestIndex:
     """The nests of one graph, validated once and enumerated once per dimension.
 
-    Each dimension is enumerated on first use; its edge sets and its maps from
-    each edge and each vertex to the nests through it are built on first
-    use too.  Nest ``i`` of dimension k is ``nests(k)[i]``; in particular
-    the 0-nest at vertex v has index v and the 1-nest of edge e has index e.
+    Each dimension is enumerated on first use.  Nest ``i`` of dimension k is
+    ``nests(k)[i]``; in particular the 0-nest at vertex v has index v and
+    the 1-nest of edge e has index e.  For k >= 2 the component layers that
+    enumerate the k-nests are kept, with each component's index, and the
+    face relation is read from their labels.
     """
 
     def __init__(self, g: ColoredGraph):
         require_valid(g)
         self.graph = g
         self._nests: dict[int, tuple[Nest, ...]] = {}
-        self._edge_sets: dict[int, tuple[frozenset[int], ...]] = {}
-        self._through: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+        self._layers: dict[int, tuple[ColorComponents, ...]] = {}
+        self._positions: dict[int, tuple[tuple[int, ...], ...]] = {}  # per layer, per label
 
     def nests(self, k: int) -> tuple[Nest, ...]:
         """All k-nests in canonical order; raises outside 0..n."""
         if k not in self._nests:
             if not 0 <= k <= self.graph.n:
                 raise UnsupportedDimension(f"nest dimension {k} outside 0..{self.graph.n}")
-            self._nests[k] = tuple(_grow_all(self.graph, k))
+            self._nests[k] = self._enumerate(k)
         return self._nests[k]
 
-    def edge_sets(self, k: int) -> tuple[frozenset[int], ...]:
-        """The edge set of each k-nest, aligned with ``nests(k)``."""
-        if k not in self._edge_sets:
-            self._edge_sets[k] = tuple(frozenset(n.edge_ids) for n in self.nests(k))
-        return self._edge_sets[k]
+    def _enumerate(self, k: int) -> tuple[Nest, ...]:
+        g = self.graph
+        if k == 0:
+            return tuple(grow_nest(g, (), vertex=v) for v in range(g.vertex_count))
+        if k == 1:
+            return tuple(
+                Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
+                for e in range(g.edge_count)
+            )
+        # seeds {a, b} and {a, a+b} span one subspace, so components are
+        # labelled per subspace, never per seed key; only components that a
+        # seed reaches are walked, and each of them is a nest
+        arcs = g.arcs()
+        spaces: dict[tuple[int, ...], Subspace] = {}
+        by_space: dict[Subspace, ColorComponents] = {}
+        for v in range(g.vertex_count):
+            for seeds in combinations(g.edges_at(v), k):
+                key = tuple(sorted(g.color(e).mask for e in seeds))
+                space = spaces.get(key)
+                if space is None:
+                    space = spaces[key] = span([g.color(e) for e in seeds])
+                layer = by_space.get(space)
+                if layer is None:
+                    layer = by_space[space] = ColorComponents(space, g.vertex_count)
+                layer.label(v, arcs)
+        layers = self._layers[k] = tuple(by_space.values())
+        # distinct k-nests have distinct edge sets, so this is Nest.key order
+        parts = sorted(
+            (edges, vertices, i, found)
+            for i, layer in enumerate(layers)
+            for found, (edges, vertices) in enumerate(layer.parts)
+        )
+        positions = [[0] * len(layer.parts) for layer in layers]
+        for j, (_, _, i, found) in enumerate(parts):
+            positions[i][found] = j
+        self._positions[k] = tuple(map(tuple, positions))
+        return tuple(Nest(edges, vertices, layers[i].space) for edges, vertices, i, _ in parts)
 
-    def _incidence(self, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """(per edge, per vertex): indices of the k-nests through it."""
-        if k not in self._through:
-            g = self.graph
-            by_edge: list[list[int]] = [[] for _ in range(g.edge_count)]
-            by_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
-            for i, nest in enumerate(self.nests(k)):
-                for e in nest.edge_ids:
-                    by_edge[e].append(i)
-                for v in nest.vertex_ids:
-                    by_vertex[v].append(i)
-            self._through[k] = (tuple(map(tuple, by_edge)), tuple(map(tuple, by_vertex)))
-        return self._through[k]
-
-    def through_edge(self, k: int, e: int) -> tuple[int, ...]:
-        """Indices of the k-nests containing edge ``e``."""
-        return self._incidence(k)[0][e]
-
-    def through_vertex(self, k: int, v: int) -> tuple[int, ...]:
-        """Indices of the k-nests containing vertex ``v``."""
-        return self._incidence(k)[1][v]
+    def layers(self, k: int) -> tuple[ColorComponents, ...]:
+        """The labellings whose components are the k-nests; none for k < 2."""
+        self.nests(k)
+        return self._layers.get(k, ())
 
     def counts(self) -> tuple[int, ...]:
         """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
         return tuple(len(self.nests(k)) for k in range(self.graph.n + 1))
 
     def valence_faults(self, k: int) -> Iterator[tuple[Nest, int, int]]:
-        """(nest, vertex, valence) wherever a k-nest is not k-valent, in nest order."""
-        g = self.graph
-        for nest, edge_set in zip(self.nests(k), self.edge_sets(k)):
+        """(nest, vertex, valence) wherever a k-nest is not k-valent, in nest order.
+
+        The valence at v counts the arcs at v colored inside the nest's subspace.
+        """
+        arcs = self.graph.arcs()
+        held: dict[Subspace, dict[int, bool]] = {}  # space -> mask -> lies in it
+        for nest in self.nests(k):
+            inside = held.setdefault(nest.color, {})
             for v in nest.vertex_ids:
-                valence = sum(1 for e in g.edges_at(v) if e in edge_set)
+                valence = 0
+                for _, _, mask in arcs[v]:
+                    if mask not in inside:
+                        inside[mask] = nest.color.contains_mask(mask)
+                    valence += inside[mask]
                 if valence != k:
                     yield nest, v, valence
 
@@ -254,19 +271,17 @@ class NestIndex:
         """Sorted indices of the k-nests that are subgraphs of ``nest``.
 
         With k = nest.dim - 1 these are the nest's faces.  The 0- and
-        1-nests inside are its vertices and edges, by their indices.  A
-        k-nest with k >= 2 lies inside ``nest`` exactly when its edges do,
-        so the candidates are the k-nests through the edges of ``nest``.
+        1-nests inside are its vertices and edges, by their indices; the
+        k-nests inside for k >= 2 are the components ``components_within``
+        finds among the k-layers.
         """
         if k == 0:
             return nest.vertex_ids
         if k == 1:
             return nest.edge_ids
-        edges = frozenset(nest.edge_ids)
-        lower = self.edge_sets(k)
-        by_edge = self._incidence(k)[0]
-        candidates = {j for e in nest.edge_ids for j in by_edge[e]}
-        return tuple(sorted(j for j in candidates if lower[j] <= edges))
+        inside = components_within(self.layers(k), nest)
+        positions = self._positions[k]
+        return tuple(sorted(positions[i][found] for i, found in inside))
 
 
 def nest_counts(g: ColoredGraph) -> tuple[int, ...]:

@@ -172,7 +172,7 @@ def check_counting_path(edges, vertices, n) -> int:
         arcs = g.arcs()
         for k in range(2, n + 1):
             assert counts[k] == sum(
-                len(ColorComponents(arcs, span([units[i] for i in s])).label_all().parts)
+                len(ColorComponents(span([units[i] for i in s]), vertices).label_all(arcs).parts)
                 for s in itertools.combinations(range(n + 1), k)
             )
         if n == 3:

@@ -9,6 +9,7 @@ from a flush at interpreter exit.
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED
-from skelex.duality import MAX_FULL_FLAGS
+from skelex.duality import MAX_FULL_FLAGS, sphere_poset
 from skelex.errors import GeneratorLimit
 from skelex.generators import (
     MAX_GENERATED_EDGES,
@@ -29,7 +30,7 @@ from skelex.generators import (
 )
 from skelex.graph import serialize
 
-from conftest import simplex_boundary_text
+from conftest import poset_document, simplex_boundary_text
 
 ADDRESS_SPACE = 1 << 30  # bytes; far below what an unguarded generator asks for
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -164,6 +165,77 @@ def test_dualize_refuses_beyond_the_flag_guard(inputs):
     code, err = run_child(["dualize", inputs["SPHERE7"]], address_space=200_000_000)
     assert code == EXIT_REFUSED
     assert err == f"refused: dualizing is limited to {MAX_FULL_FLAGS} full flags, got 362880\n"
+
+
+def _oversized(field: str, value: int) -> str:
+    """The 3-cube's graph file with one declared count or endpoint replaced."""
+    data = json.loads(serialize(gen_cube(2)))
+    if field == "endpoint":
+        data["edges"][0][1] = value
+    else:
+        data[field] = value
+    return json.dumps(data)
+
+
+OVERSIZED = {
+    "vertices 10^12": _oversized("vertices", 10**12),
+    "vertices -5": _oversized("vertices", -5),
+    "n 10^9": _oversized("n", 10**9),
+    "endpoint 10^15": _oversized("endpoint", 10**15),
+    "endpoint -10^15": _oversized("endpoint", -(10**15)),
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate"],
+        ["nests"],
+        ["expand"],
+        ["classify"],
+        ["realize"],
+        ["realize", "--table"],
+        ["census"],
+    ],
+)
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_declarations_are_refused(args, name, tmp_path):
+    # declared counts are checked before anything is sized by them; under
+    # the cap an allocation of 10^12 vertices would end in MemoryError
+    path = tmp_path / "graph.json"
+    path.write_text(OVERSIZED[name], encoding="utf-8")
+    code, err = run_child([*args, str(path)])
+    assert code in (EXIT_REFUSED, EXIT_INPUT)
+    if args == ["validate"] and code == EXIT_REFUSED:
+        assert err == ""  # the report goes to stdout
+    else:
+        assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1, err
+
+
+def test_census_refuses_an_oversized_n(inputs):
+    code, err = run_child(["census", "--n", str(10**9), inputs["CUBE"]])
+    assert code == EXIT_INPUT
+    assert err.startswith("error: underlying graph is not 1000000001-valent")
+
+
+@pytest.mark.parametrize(
+    "top_dim, extra, message",
+    [
+        (10**12, [], "stated top_dim 1000000000000 but cells reach 3"),
+        (
+            10**12,
+            [["big", 10**12, ["c3_1"]]],
+            "cell 'big': faces cover dims [0, 1, 2, 3], expected 0..999999999999",
+        ),
+    ],
+)
+def test_dualize_refuses_an_oversized_dimension(top_dim, extra, message, tmp_path):
+    document = poset_document(sphere_poset(3))
+    document = {"top_dim": top_dim, "cells": document["cells"] + extra}
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, err = run_child(["dualize", str(path)])
+    assert (code, err) == (EXIT_INPUT, f"error: {message}\n")
 
 
 def test_generators_refuse_before_building():

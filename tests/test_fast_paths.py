@@ -1,6 +1,6 @@
 """Fast paths against slow oracles.
 
-``NestIndex`` face lists are checked against whole-dimension
+``NestIndex`` face lists and valences are checked against whole-dimension
 ``Nest.contains`` scans, the sparse boundary ranks of ``homology_mod2``
 against dense ``rank_gf2`` on ``boundary_matrix``, and ``full_expand``
 against a reference expansion that builds every face list and checks
@@ -166,15 +166,15 @@ def check_index(g: ColoredGraph) -> None:
     for k in range(g.n + 1):
         nests = index.nests(k)
         assert list(nests) == grown_from_every_seed(g, k)
-        assert index.edge_sets(k) == tuple(frozenset(n.edge_ids) for n in nests)
-        for e in range(g.edge_count):
-            assert index.through_edge(k, e) == tuple(
-                i for i, n in enumerate(nests) if e in n.edge_ids
-            )
-        for v in range(g.vertex_count):
-            assert index.through_vertex(k, v) == tuple(
-                i for i, n in enumerate(nests) if v in n.vertex_ids
-            )
+        parts = sorted(part for layer in index.layers(k) for part in layer.parts)
+        assert parts == ([nest.key() for nest in nests] if k >= 2 else [])
+        assert list(index.valence_faults(k)) == [
+            (nest, v, valence)
+            for nest in nests
+            for v in nest.vertex_ids
+            for valence in [sum(1 for e in g.edges_at(v) if e in nest.edge_ids)]
+            if valence != k
+        ]
         for nest in nests:
             for j in range(k):
                 assert tuple(index.within(nest, j)) == scan_within(nest, index.nests(j))

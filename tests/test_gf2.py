@@ -26,6 +26,11 @@ class TestColorVector:
         assert str(v("0110")) == "0110"
         assert v("100").mask == 0b001  # leftmost char is the x0 coefficient
         assert v("001").mask == 0b100
+        for width in range(1, 11):
+            for mask in range(1 << width):
+                text = "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
+                assert str(ColorVector(mask, width)) == text
+                assert ColorVector.from_string(text) == ColorVector(mask, width)
 
     def test_addition_is_xor(self):
         assert v("110") + v("011") == v("101")
