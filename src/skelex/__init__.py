@@ -31,6 +31,7 @@ from .errors import (
     GeneratorLimit,
     InvalidGraph,
     InvalidModulus,
+    NestLimit,
     NotCombinatorialManifold,
     NotGoodColoring,
     SkelexError,
@@ -75,9 +76,6 @@ from .graph import (
 from .nests import (
     Nest,
     NestIndex,
-    enumerate_nests,
-    grow_nest,
-    nest_counts,
     nest_label,
     regularity_check,
 )
@@ -107,6 +105,7 @@ __all__ = [
     "IsotropyRecord",
     "Nest",
     "NestIndex",
+    "NestLimit",
     "NotCombinatorialManifold",
     "NotGoodColoring",
     "SkelexError",
@@ -122,21 +121,18 @@ __all__ = [
     "contains",
     "criterion_3d",
     "dual_colored_graph",
-    "enumerate_nests",
     "expand2",
     "fixed_circle_check",
     "full_expand",
     "gen_cube",
     "gen_nonorientable_surface",
     "gen_orientable_surface",
-    "grow_nest",
     "homology_mod2",
     "intersect",
     "is_good",
     "is_pure",
     "isotropy_report",
     "manifold_local_check",
-    "nest_counts",
     "nest_label",
     "parse",
     "parse_poset",

@@ -17,16 +17,14 @@ class for other n, build a nest index and expand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import classify as classify_mod
 from . import expansion
 from .errors import CensusLimit, FormatError, InvalidGraph, UnsupportedDimension
-from .gf2 import ColorVector, Subspace, span
+from .gf2 import ColorVector
 from .graph import ColoredGraph, reach
-from .nests import ColorComponents, Nest, NestIndex
+from .nests import ColorComponents, NestIndex, order_nests, star_spaces
 
 DEFAULT_CENSUS_LIMIT = 16
 
@@ -105,15 +103,6 @@ def enumerate_proper_colorings(
         todo[e] = choices(e)
 
 
-@lru_cache(maxsize=8)
-def _coordinate_spaces(width: int, k: int) -> tuple[Subspace, ...]:
-    """The subspaces spanned by k of the unit vectors, by color subset."""
-    return tuple(
-        span([ColorVector.unit(i, width) for i in subset])
-        for subset in combinations(range(width), k)
-    )
-
-
 def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
     """The n=3 counting criterion of a census class, from component labels.
 
@@ -123,21 +112,15 @@ def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
     failing class names the same witness.
     """
     arcs = g.arcs()
+    units = tuple(1 << i for i in range(g.width))
     pairs, triples = (
         [
             ColorComponents(s, g.vertex_count).label_all(arcs)
-            for s in _coordinate_spaces(g.width, k)
+            for s in star_spaces(units, g.width, k)
         ]
         for k in (2, 3)
     )
-    three = sorted(
-        (
-            Nest(edges, vertices, layer.space)
-            for layer in triples
-            for edges, vertices in layer.parts
-        ),
-        key=Nest.key,
-    )
+    three, _ = order_nests(triples)
     return expansion.Criterion3.decide(g.vertex_count, pairs, three)
 
 

@@ -58,3 +58,7 @@ class FlagLimit(SkelexError):
 
 class GeneratorLimit(SkelexError):
     """The generator scale guard (the number of vertices) was exceeded."""
+
+
+class NestLimit(SkelexError):
+    """The nest listing scale guard (the ids all nests list) was exceeded."""

@@ -1,14 +1,17 @@
 """Colored nests: components per color subspace, enumeration, counts and labels.
 
 A k-nest is a maximal connected subgraph whose edge colors span a
-k-dimensional subspace.  Any k edges sharing a vertex have independent
-colors (validity), so they seed a unique nest: the component through
-their common vertex of the subgraph of edges colored inside the seed
-span.  A k-nest is therefore a (subspace, component) pair.  For k >= 2
-each seed is keyed by its sorted color masks, the keys map to their
-subspaces, and the subgraph colored inside each distinct subspace is
+k-dimensional subspace.  On a valid graph the colors at a vertex, its
+star, are a basis, so the k-nests through a vertex are the components
+through it of the subgraphs colored inside the spans of the k-subsets of
+its star (``star_spaces``).  A k-nest is therefore a (subspace,
+component) pair.  The subgraph colored inside each distinct subspace is
 labelled by component once, each component's vertices and edges being
-gathered by the walk that labels it (``ColorComponents``).
+gathered by the walk that labels it (``ColorComponents``).  Every
+dimension takes this one path: the zero subspace's components are single
+vertices and a color's line has single edges as components, so the
+0-nests are the vertices and the 1-nests the edges.  ``order_nests``
+puts the components of one dimension in canonical nest order.
 
 The face relation is read from the same labels.  A component colored
 inside a subspace of a nest's colors lies in the nest exactly when it
@@ -17,19 +20,19 @@ its vertices in the k-layers (one labelling per k-dimensional subspace)
 whose subspace lies in the nest's (``components_within``).
 ``NestIndex`` and the census both read faces this way.
 
-Nests are identified by their canonical edge set, never by color, since
-distinct nests may share a color subspace.  ``grow_nest`` grows one nest
-from its seeds; it builds the 0-nests.
+Nests are identified by their canonical edge and vertex sets, never by
+color, since distinct nests may share a color subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedDimension
-from .gf2 import Subspace, span
+from .gf2 import ColorVector, Subspace, span
 from .graph import Arcs, ColoredGraph, require_valid
 
 
@@ -53,60 +56,28 @@ class Nest:
         return set(other.edge_ids) <= set(self.edge_ids)
 
 
-def grow_nest(
-    g: ColoredGraph,
-    seed_edges: tuple[int, ...] | list[int],
-    vertex: int | None = None,
-) -> Nest:
-    """The unique nest containing the seed edges (or the vertex, if none).
+@lru_cache(maxsize=128)
+def star_spaces(star: tuple[int, ...], width: int, k: int) -> tuple[Subspace, ...]:
+    """The spans of the k-subsets of ``star``, color masks forming a basis.
 
-    Seeds must share a common vertex; an empty seed list with ``vertex``
-    grows the 0-nest at that vertex.
+    Distinct subsets of a basis span distinct subspaces, so this lists the
+    C(len(star), k) k-subspaces a vertex with this star seeds.
     """
-    seeds = tuple(seed_edges)
-    if not seeds:
-        if vertex is None:
-            raise ValueError("empty seed needs an explicit vertex for the 0-nest")
-        return Nest((), (vertex,), span([], width=g.width))
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seed edges {seeds} contain duplicates")
-    shared = set(g.ends(seeds[0]))
-    for e in seeds[1:]:
-        shared &= set(g.ends(e))
-    if not shared:
-        raise ValueError(f"seed edges {seeds} do not share a common vertex")
-
-    target = span([g.color(e) for e in seeds])
-    # breadth-first closure over edges whose color stays inside the span
-    edge_set = set(seeds)
-    vertex_set: set[int] = set()
-    frontier: list[int] = []
-    for e in seeds:
-        for v in g.ends(e):
-            if v not in vertex_set:
-                vertex_set.add(v)
-                frontier.append(v)
-    while frontier:
-        v = frontier.pop()
-        for e in g.edges_at(v):
-            if e in edge_set or not target.contains_mask(g.color(e).mask):
-                continue
-            edge_set.add(e)
-            w = g.other_end(e, v)
-            if w not in vertex_set:
-                vertex_set.add(w)
-                frontier.append(w)
-    return Nest(tuple(sorted(edge_set)), tuple(sorted(vertex_set)), target)
+    return tuple(
+        span([ColorVector(mask, width) for mask in subset], width=width)
+        for subset in combinations(star, k)
+    )
 
 
 class ColorComponents:
     """The components of the subgraph colored inside one subspace.
 
     ``labels[v]`` is the index in ``parts`` of the component through vertex
-    v, or -1 until ``label(v, arcs)`` walks it.  ``arcs`` is the graph's
-    ``ColoredGraph.arcs()``, which the labellings of one graph share; it is
-    passed to each walk and never kept.  The walk gathers the component's
-    sorted edge and vertex ids into ``parts`` as it labels.
+    v, or -1 until ``label(v, arcs)`` walks it; callers walk from
+    unlabelled vertices only.  ``arcs`` is the graph's ``ColoredGraph.arcs()``,
+    which the labellings of one graph share; it is passed to each walk and
+    never kept.  The walk gathers the component's sorted edge and vertex
+    ids into ``parts`` as it labels.
     """
 
     def __init__(self, space: Subspace, vertex_count: int):
@@ -116,10 +87,7 @@ class ColorComponents:
         self._inside: dict[int, bool] = {}  # color mask -> lies in the space
 
     def label(self, v: int, arcs: Arcs) -> int:
-        """The label of the component through ``v``, walked on first use."""
-        found = self.labels[v]
-        if found >= 0:
-            return found
+        """Walk the component through the unlabelled vertex ``v``; its label."""
         labels, inside = self.labels, self._inside
         found = len(self.parts)
         labels[v] = found
@@ -168,23 +136,35 @@ def components_within(
                     yield i, found
 
 
-def enumerate_nests(g: ColoredGraph, k: int) -> list[Nest]:
-    """All distinct k-nests, grown from every k-subset of edges at every vertex.
+def order_nests(
+    layers: Sequence[ColorComponents],
+) -> tuple[tuple[Nest, ...], tuple[tuple[int, ...], ...]]:
+    """The layers' components as nests in ``Nest.key`` order, and where each went.
 
-    Requires 0 <= k <= n.  On good colorings every k-nest arises this way
-    exactly once per (vertex, seed subset) it contains.
+    ``positions[i][found]`` is the index among the nests of component
+    ``found`` of ``layers[i]``.  The layers must hold distinct nests of one
+    dimension, so no two components share a key.
     """
-    return list(NestIndex(g).nests(k))
+    parts = sorted(
+        (edges, vertices, i, found)
+        for i, layer in enumerate(layers)
+        for found, (edges, vertices) in enumerate(layer.parts)
+    )
+    positions = [[0] * len(layer.parts) for layer in layers]
+    for j, (_, _, i, found) in enumerate(parts):
+        positions[i][found] = j
+    nests = tuple(Nest(edges, vertices, layers[i].space) for edges, vertices, i, _ in parts)
+    return nests, tuple(map(tuple, positions))
 
 
 class NestIndex:
     """The nests of one graph, validated once and enumerated once per dimension.
 
     Each dimension is enumerated on first use.  Nest ``i`` of dimension k is
-    ``nests(k)[i]``; in particular the 0-nest at vertex v has index v and
-    the 1-nest of edge e has index e.  For k >= 2 the component layers that
-    enumerate the k-nests are kept, with each component's index, and the
-    face relation is read from their labels.
+    ``nests(k)[i]``; since keys sort by their ids, the 0-nest at vertex v
+    has index v and the 1-nest of edge e has index e.  The component layers
+    that enumerate each dimension are kept, with each component's index,
+    and the face relation is read from their labels.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -203,47 +183,33 @@ class NestIndex:
         return self._nests[k]
 
     def _enumerate(self, k: int) -> tuple[Nest, ...]:
+        # layers are keyed by subspace, never by star subset: the subsets
+        # {a, b} and {a, a+b} of two stars share one; only components that a
+        # star reaches are walked, and each of them is a nest
         g = self.graph
-        if k == 0:
-            return tuple(grow_nest(g, (), vertex=v) for v in range(g.vertex_count))
-        if k == 1:
-            return tuple(
-                Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
-                for e in range(g.edge_count)
-            )
-        # seeds {a, b} and {a, a+b} span one subspace, so components are
-        # labelled per subspace, never per seed key; only components that a
-        # seed reaches are walked, and each of them is a nest
         arcs = g.arcs()
-        spaces: dict[tuple[int, ...], Subspace] = {}
         by_space: dict[Subspace, ColorComponents] = {}
-        for v in range(g.vertex_count):
-            for seeds in combinations(g.edges_at(v), k):
-                key = tuple(sorted(g.color(e).mask for e in seeds))
-                space = spaces.get(key)
-                if space is None:
-                    space = spaces[key] = span([g.color(e) for e in seeds])
-                layer = by_space.get(space)
-                if layer is None:
-                    layer = by_space[space] = ColorComponents(space, g.vertex_count)
-                layer.label(v, arcs)
+        by_star: dict[tuple[int, ...], list[ColorComponents]] = {}
+        for v, at in enumerate(arcs):
+            star = tuple(sorted([mask for _, _, mask in at]))
+            seeded = by_star.get(star)
+            if seeded is None:
+                seeded = by_star[star] = []
+                for space in star_spaces(star, g.width, k):
+                    if space not in by_space:
+                        by_space[space] = ColorComponents(space, g.vertex_count)
+                    seeded.append(by_space[space])
+            for layer in seeded:
+                if layer.labels[v] < 0:
+                    layer.label(v, arcs)
         layers = self._layers[k] = tuple(by_space.values())
-        # distinct k-nests have distinct edge sets, so this is Nest.key order
-        parts = sorted(
-            (edges, vertices, i, found)
-            for i, layer in enumerate(layers)
-            for found, (edges, vertices) in enumerate(layer.parts)
-        )
-        positions = [[0] * len(layer.parts) for layer in layers]
-        for j, (_, _, i, found) in enumerate(parts):
-            positions[i][found] = j
-        self._positions[k] = tuple(map(tuple, positions))
-        return tuple(Nest(edges, vertices, layers[i].space) for edges, vertices, i, _ in parts)
+        nests, self._positions[k] = order_nests(layers)
+        return nests
 
     def layers(self, k: int) -> tuple[ColorComponents, ...]:
-        """The labellings whose components are the k-nests; none for k < 2."""
+        """The labellings whose components are the k-nests."""
         self.nests(k)
-        return self._layers.get(k, ())
+        return self._layers[k]
 
     def counts(self) -> tuple[int, ...]:
         """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
@@ -282,11 +248,6 @@ class NestIndex:
         inside = components_within(self.layers(k), nest)
         positions = self._positions[k]
         return tuple(sorted(positions[i][found] for i, found in inside))
-
-
-def nest_counts(g: ColoredGraph) -> tuple[int, ...]:
-    """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
-    return NestIndex(g).counts()
 
 
 def _factor(mask: int, width: int) -> str:

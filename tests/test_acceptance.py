@@ -30,7 +30,7 @@ from skelex.graph import (
     is_pure,
     validate,
 )
-from skelex.nests import nest_counts, regularity_check
+from skelex.nests import NestIndex, regularity_check
 from skelex.realize import isotropy_report, realizability_summary
 
 from conftest import (
@@ -128,14 +128,14 @@ def test_criterion_1_surface_families():
         graph = gen_orientable_surface(g)
         assert validate(graph).ok and is_pure(graph) and is_good(graph)
         assert (graph.vertex_count, graph.edge_count) == (8 * g, 12 * g)
-        assert nest_counts(graph) == (8 * g, 12 * g, 2 * g + 2)
+        assert NestIndex(graph).counts() == (8 * g, 12 * g, 2 * g + 2)
         report = classify_surface(full_expand(graph).complex)
         assert report.orientable and report.euler == 2 - 2 * g
     for k in range(1, 7):
         graph = gen_nonorientable_surface(k)
         assert validate(graph).ok and is_pure(graph) and is_good(graph)
         assert (graph.vertex_count, graph.edge_count) == (4 * k, 6 * k)
-        assert nest_counts(graph) == (4 * k, 6 * k, k + 2)
+        assert NestIndex(graph).counts() == (4 * k, 6 * k, k + 2)
         report = classify_surface(full_expand(graph).complex)
         assert not report.orientable and report.euler == 2 - k
 
@@ -178,16 +178,16 @@ def test_criterion_4_duality():
         poset = sphere_poset(n)
         dual = dual_colored_graph(poset)
         assert color_isomorphic(dual, gen_cube(n))
-        assert nest_counts(dual) == predicted_complex(poset)
+        assert NestIndex(dual).counts() == predicted_complex(poset)
 
     delta = FacePoset.from_simplices([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     dual = dual_colored_graph(delta)
-    assert nest_counts(dual) == predicted_complex(delta)
+    assert NestIndex(dual).counts() == predicted_complex(delta)
     assert classify_surface(full_expand(dual).complex).name == "S2"
 
     torus = FacePoset.from_simplices(torus7_simplices())
     dual = dual_colored_graph(torus)
-    assert nest_counts(dual) == predicted_complex(torus)
+    assert NestIndex(dual).counts() == predicted_complex(torus)
     report = classify_surface(full_expand(dual).complex)
     assert report.orientable and report.genus == 1
 
@@ -200,7 +200,7 @@ def test_criterion_5_property_suite():
         assert outcome.completed, (name, tag)
         complex_ = outcome.complex
         assert complex_.boundary_condition_holds(), (name, tag)
-        counts = nest_counts(graph)
+        counts = NestIndex(graph).counts()
         chi = complex_.euler()
         assert sum((-1) ** k * c for k, c in enumerate(counts)) == chi, (name, tag)
         assert complex_.counts() == counts, (name, tag)

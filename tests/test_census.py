@@ -123,22 +123,23 @@ class TestFourCube:
     def test_refused_classes_are_neither_validated_nor_grown(self, monkeypatch):
         # every class is valid and good by construction, and a refused
         # class is decided from component labels without a nest index
-        validated, seeds = [], []
-        real_validate, real_grow = graph_mod.validate, nests_mod.grow_nest
+        validated, indexed = [], []
+        real_validate, real_init = graph_mod.validate, nests_mod.NestIndex.__init__
 
         def counted_validate(g):
             validated.append(g)
             return real_validate(g)
 
-        def counted_grow(g, seed_edges, vertex=None):
-            seeds.append(tuple(seed_edges))
-            return real_grow(g, seed_edges, vertex)
+        def counted_init(index, g):
+            indexed.append(g)
+            real_init(index, g)
 
         monkeypatch.setattr(graph_mod, "validate", counted_validate)
-        monkeypatch.setattr(nests_mod, "grow_nest", counted_grow)
+        monkeypatch.setattr(nests_mod.NestIndex, "__init__", counted_init)
         entries = census(self.EDGES, 16, 3)
         assert validated == [e.graph for e in entries if e.refusal is None]
-        assert seeds == [()] * 16  # the closing class's 0-nests
+        (closed,) = [e for e in entries if e.refusal is None]
+        assert indexed == [closed.graph]  # one index, for the closing class
 
     def test_shuffled_edge_order(self):
         edges = self.EDGES[:]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED
+from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED, MAX_LISTED_NEST_IDS
 from skelex.duality import MAX_FULL_FLAGS, sphere_poset
 from skelex.errors import GeneratorLimit
 from skelex.generators import (
@@ -82,6 +82,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
     texts = {
         "GRAPH": serialize(gen_orientable_surface(40)),
         "CUBE": serialize(gen_cube(2)),
+        "CUBE11": serialize(gen_cube(11)),
+        "CUBE12": serialize(gen_cube(12)),
         "SPHERE6": simplex_boundary_text(7),  # 40,320 full flags
         "SPHERE7": simplex_boundary_text(8),  # 362,880 full flags
     }
@@ -165,6 +167,22 @@ def test_dualize_refuses_beyond_the_flag_guard(inputs):
     code, err = run_child(["dualize", inputs["SPHERE7"]], address_space=200_000_000)
     assert code == EXIT_REFUSED
     assert err == f"refused: dualizing is limited to {MAX_FULL_FLAGS} full flags, got 362880\n"
+
+
+@pytest.mark.parametrize(
+    "options", [[], ["--format", "json"], ["--dim", "0"], ["--dim", "0", "--format", "json"]]
+)
+@pytest.mark.parametrize("n, ids", [(11, 67108864), (12, 285212672)])
+def test_nests_refuses_beyond_the_listing_guard(n, ids, options, inputs):
+    # all nests of a valid graph list V·2^(n+1) + E·2^n vertex and edge ids,
+    # counted before any nest is enumerated; unguarded, both cubes end in
+    # MemoryError under this cap, n=12 after about two minutes, whatever --dim
+    code, err = run_child(["nests", *options, inputs[f"CUBE{n}"]])
+    assert code == EXIT_REFUSED
+    assert err == (
+        f"refused: listing nests is limited to {MAX_LISTED_NEST_IDS} vertex and"
+        f" edge ids, got {ids}\n"
+    )
 
 
 def _oversized(field: str, value: int) -> str:

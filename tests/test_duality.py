@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skelex.classify import classify_surface
+from skelex.classify import classify_surface, homology_mod2
 from skelex.duality import (
     FacePoset,
     _chain_counts,
@@ -22,8 +22,8 @@ from skelex.duality import (
 from skelex.errors import FormatError, NotCombinatorialManifold
 from skelex.expansion import full_expand
 from skelex.generators import gen_cube
-from skelex.graph import color_isomorphic, is_good, is_pure, validate
-from skelex.nests import nest_counts
+from skelex.graph import color_isomorphic, connected_sum, is_good, is_pure, validate
+from skelex.nests import NestIndex
 
 from conftest import GAP_CELL, THIRD_CELL, edited, gale_facets, torus7_simplices
 from flag_oracle import _chains_of_length, flags, listed_complex, one_short_dual
@@ -168,7 +168,7 @@ class TestDualGraph:
         poset = FacePoset.from_simplices(RP2)
         assert poset.euler() == 1
         dual = dual_colored_graph(poset)
-        assert nest_counts(dual) == predicted_complex(poset)
+        assert NestIndex(dual).counts() == predicted_complex(poset)
         report = classify_surface(full_expand(dual).complex)
         assert not report.orientable and report.genus == 1
         assert report.euler == poset.euler()
@@ -186,7 +186,7 @@ class TestDualGraph:
         dual = dual_colored_graph(poset)
         assert (dual.vertex_count, dual.edge_count) == (120, 240)
         assert is_pure(dual)
-        assert nest_counts(dual) == predicted_complex(poset) == (120, 240, 150, 30)
+        assert NestIndex(dual).counts() == predicted_complex(poset) == (120, 240, 150, 30)
         assert criterion_3d(dual).holds
         outcome = full_expand(dual)
         assert outcome.completed
@@ -203,7 +203,7 @@ class TestDualGraph:
         poset = sphere_times_circle()
         dual = dual_colored_graph(poset)
         assert is_pure(dual)
-        assert nest_counts(dual) == predicted_complex(poset) == (96, 192, 120, 24)
+        assert NestIndex(dual).counts() == predicted_complex(poset) == (96, 192, 120, 24)
         assert criterion_3d(dual).holds
         outcome = full_expand(dual)
         assert outcome.completed
@@ -231,7 +231,7 @@ class TestPredictedCensus:
     def test_nest_census_equals_flag_census(self, poset_factory):
         poset = poset_factory()
         dual = dual_colored_graph(poset)
-        assert nest_counts(dual) == predicted_complex(poset)
+        assert NestIndex(dual).counts() == predicted_complex(poset)
 
     def test_sphere2_prediction_matches_cube(self):
         assert predicted_complex(sphere_poset(2)) == (8, 12, 6)
@@ -513,4 +513,69 @@ class TestLargeFamilies:
     @pytest.mark.parametrize("k", [5, 6])
     def test_simplex_boundary_nest_census(self, k):
         poset = simplex_boundary(k)
-        assert predicted_complex(poset) == nest_counts(dual_colored_graph(poset))
+        assert predicted_complex(poset) == NestIndex(dual_colored_graph(poset)).counts()
+
+
+def check_nests_are_chains(poset: FacePoset) -> None:
+    """The dual's nests against the poset's chains, with no nest index.
+
+    Vertex i of the dual is the i-th sorted full flag.  A k-nest colored by
+    the k units x_d, d in S, must be exactly the flags that agree outside
+    S, so nests map one to one onto chains of n-k+1 cells (a flag without
+    its cells of dimension in S).  A nest lies in another exactly when its
+    chain holds the other's chain.
+    """
+    n = poset.top_dim
+    full = flags(poset).full
+    index = NestIndex(dual_colored_graph(poset))
+    chains = []
+    for k in range(n + 1):
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for unit_set in combinations(range(n + 1), k):
+            for i, flag in enumerate(full):
+                kept = tuple(c for d, c in enumerate(flag) if d not in unit_set)
+                grouped.setdefault(kept, []).append(i)
+        found = {}
+        for nest in index.nests(k):
+            units = [d for d in range(n + 1) if nest.color.contains_mask(1 << d)]
+            assert len(units) == k
+            kept = tuple(c for d, c in enumerate(full[nest.vertex_ids[0]]) if d not in units)
+            assert kept not in found
+            assert list(nest.vertex_ids) == grouped[kept]
+            found[kept] = nest
+        assert sorted(found) == _chains_of_length(poset, n - k + 1)
+        chains.append([frozenset(kept) for kept in found])
+    for k in range(n + 1):
+        for nest, chain in zip(index.nests(k), chains[k]):
+            for j in range(k):
+                assert index.within(nest, j) == tuple(
+                    i for i, lower in enumerate(chains[j]) if chain < lower
+                )
+
+
+@pytest.mark.parametrize(
+    "poset_factory",
+    [
+        *(lambda m=m: FacePoset.from_simplices(gale_facets(m)) for m in (6, 7, 8)),
+        *(lambda k=k: simplex_boundary(k) for k in (2, 3, 4, 5)),
+        lambda: FacePoset.from_simplices(torus7_simplices()),
+        sphere_times_circle,
+    ],
+    ids=["C(6,4)", "C(7,4)", "C(8,4)", "S1", "S2", "S3", "S4", "torus7", "S2 x S1"],
+)
+def test_nests_of_the_dual_are_chains(poset_factory):
+    check_nests_are_chains(poset_factory())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_connected_sums_of_sphere_times_circle(k):
+    # each summand adds one handle: b1 = b2 = k on 96k flags
+    total = dual_colored_graph(sphere_times_circle())
+    for _ in range(k - 1):
+        piece = dual_colored_graph(sphere_times_circle())
+        edge = next(e for e in range(piece.edge_count) if piece.color(e) == total.color(0))
+        total = connected_sum(total, 0, piece, edge)
+    assert total.vertex_count == 96 * k
+    outcome = full_expand(total)
+    assert outcome.completed
+    assert homology_mod2(outcome.complex).betti_mod2 == (1, k, k, 1)

@@ -11,7 +11,7 @@ from skelex.expansion import CellComplex, expand2, full_expand
 from skelex.generators import gen_cube
 from skelex.gf2 import ColorVector, intersect, rank_gf2, span
 from skelex.graph import ColoredGraph, color_isomorphic, connected_sum, parse, validate
-from skelex.nests import Nest, grow_nest, nest_label
+from skelex.nests import Nest, NestIndex, nest_label
 
 
 class TestVectorConstruction:
@@ -76,7 +76,7 @@ class TestGraphEdges:
 
 class TestNestEdges:
     def test_vertex_nest_label(self, cube2):
-        nest = grow_nest(cube2, (), vertex=0)
+        nest = NestIndex(cube2).nests(0)[0]
         assert nest_label(nest) == "1"
 
     def test_mixed_basis_factor_label(self):

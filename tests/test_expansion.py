@@ -16,7 +16,7 @@ from skelex.expansion import (
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import ColorVector, span
-from skelex.nests import Nest, NestIndex, enumerate_nests, nest_label
+from skelex.nests import Nest, NestIndex, nest_label
 
 from sphere_oracle import (
     SphereCheck,
@@ -74,7 +74,7 @@ class TestExpand2:
 class TestBoundarySphere:
     def test_hypercube_three_nest_boundary(self, cube3):
         skeleton = expand2(cube3)
-        nest = enumerate_nests(cube3, 3)[0]
+        nest = NestIndex(cube3).nests(3)[0]
         F = boundary_sphere_complex(skeleton, nest)
         assert F.counts() == (8, 12, 6)
         assert F.euler() == 2
@@ -83,7 +83,7 @@ class TestBoundarySphere:
     def test_counterexample_nest_types(self, counterexample):
         skeleton = expand2(counterexample)
         eulers = {}
-        for nest in enumerate_nests(counterexample, 3):
+        for nest in NestIndex(counterexample).nests(3):
             F = boundary_sphere_complex(skeleton, nest)
             label = nest_label(nest)
             eulers.setdefault(label, []).append(
@@ -97,13 +97,13 @@ class TestBoundarySphere:
     def test_dim_mismatch(self, cube3):
         skeleton = expand2(cube3)
         with pytest.raises(ValueError):
-            boundary_sphere_complex(skeleton, enumerate_nests(cube3, 2)[0])
+            boundary_sphere_complex(skeleton, NestIndex(cube3).nests(2)[0])
 
 
 class TestSphereCheck:
     def test_circle(self, cube2):
         skeleton = expand2(cube2)
-        nest = enumerate_nests(cube2, 2)[0]
+        nest = NestIndex(cube2).nests(2)[0]
         keep = [
             {c.index for c in cells if nest.contains(c.nest)}
             for cells in skeleton.cells_by_dim[:2]
@@ -113,7 +113,7 @@ class TestSphereCheck:
 
     def test_two_disjoint_circles_fail(self, cube2):
         skeleton = expand2(cube2)
-        nests = enumerate_nests(cube2, 2)
+        nests = NestIndex(cube2).nests(2)
         # two vertex-disjoint squares of the cube
         a = next(n for n in nests if n.vertex_ids == (0, 1, 2, 3))
         b = next(n for n in nests if n.vertex_ids == (4, 5, 6, 7))

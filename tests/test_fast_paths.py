@@ -26,7 +26,7 @@ from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expa
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import ColorVector, rank_gf2, rank_masks, span
 from skelex.graph import ColoredGraph, connected_sum, serialize
-from skelex.nests import NestIndex, enumerate_nests, grow_nest, nest_counts, nest_label
+from skelex.nests import NestIndex, nest_label
 
 from conftest import (
     CUBE_EDGES,
@@ -36,6 +36,7 @@ from conftest import (
     gale_facets,
     random_valid_coloring,
 )
+from nest_oracle import grow_nest
 from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check
 
 HYPERCUBE_EDGES = [(u, v) for u, v, _ in gen_cube(3).edges]
@@ -124,7 +125,8 @@ def reference_expand(g: ColoredGraph):
     that is not a circle, "criterion" or "n>=4" for the early stops, and
     the full obstruction reason for a boundary that is not a 2-sphere.
     """
-    by_dim = [enumerate_nests(g, k) for k in range(3)]
+    index = NestIndex(g)
+    by_dim = [index.nests(k) for k in range(3)]
     for nest in by_dim[2]:
         for v in nest.vertex_ids:
             if sum(1 for e in g.edges_at(v) if e in nest.edge_ids) != 2:
@@ -141,7 +143,7 @@ def reference_expand(g: ColoredGraph):
         return None, skeleton
     if g.n >= 4:
         return "n>=4", skeleton
-    three = enumerate_nests(g, 3)
+    three = index.nests(3)
     if len(three) != len(by_dim[2]) - g.vertex_count:
         return "criterion", skeleton
     three_cells = []
@@ -167,7 +169,7 @@ def check_index(g: ColoredGraph) -> None:
         nests = index.nests(k)
         assert list(nests) == grown_from_every_seed(g, k)
         parts = sorted(part for layer in index.layers(k) for part in layer.parts)
-        assert parts == ([nest.key() for nest in nests] if k >= 2 else [])
+        assert parts == [nest.key() for nest in nests]
         assert list(index.valence_faults(k)) == [
             (nest, v, valence)
             for nest in nests
@@ -232,7 +234,7 @@ def check_expansion(g: ColoredGraph) -> None:
             assert reason == refusal
     if g.n == 3:
         skeleton = CellComplex(g, outcome.complex.cells_by_dim[:3], outcome.complex.index)
-        for nest in enumerate_nests(g, 3):
+        for nest in NestIndex(g).nests(3):
             keep = [
                 {c.index for c in level if nest.contains(c.nest)}
                 for level in skeleton.cells_by_dim
@@ -295,7 +297,7 @@ def test_cyclic_duals_are_homology_spheres():
         dual = dual_colored_graph(poset)
         outcome = full_expand(dual)
         assert outcome.completed
-        assert predicted_complex(poset) == nest_counts(dual)
+        assert predicted_complex(poset) == NestIndex(dual).counts()
         assert outcome.complex.euler() == 0
         assert homology_mod2(outcome.complex).betti_mod2 == (1, 0, 0, 1)
         assert manifold_local_check(outcome.complex).ok

@@ -14,7 +14,7 @@ from skelex.generators import (
     gen_orientable_surface,
     graph_from_cycle_table,
 )
-from skelex.nests import enumerate_nests
+from skelex.nests import NestIndex
 
 
 class TestCube:
@@ -72,7 +72,7 @@ class TestOrientableFamily:
             )
             expected.add(pairs)
         found = set()
-        for nest in enumerate_nests(graph, 2):
+        for nest in NestIndex(graph).nests(2):
             found.add(
                 frozenset(tuple(sorted(graph.ends(e))) for e in nest.edge_ids)
             )
@@ -112,7 +112,7 @@ class TestNonorientableFamily:
             )
             expected.add(pairs)
         found = set()
-        for nest in enumerate_nests(graph, 2):
+        for nest in NestIndex(graph).nests(2):
             found.add(
                 frozenset(tuple(sorted(graph.ends(e))) for e in nest.edge_ids)
             )

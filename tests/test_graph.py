@@ -24,7 +24,7 @@ from skelex.graph import (
     validate,
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.nests import enumerate_nests, nest_label
+from skelex.nests import NestIndex, nest_label
 
 from conftest import CUBE_EDGES, random_valid_coloring
 
@@ -183,9 +183,7 @@ class TestConnectedSum:
         a, b = gen_nonorientable_surface(1), gen_nonorientable_surface(1)
         s = connected_sum(a, self._edge_with_color(a, "100"), b, self._edge_with_color(b, "100"))
         assert (s.vertex_count, s.edge_count) == (8, 12)
-        from skelex.nests import nest_counts
-
-        assert nest_counts(s)[2] == 4
+        assert NestIndex(s).counts()[2] == 4
 
     def test_crossed_pattern_also_valid(self):
         a, b = gen_orientable_surface(1), gen_orientable_surface(1)
@@ -291,7 +289,7 @@ class TestIsomorphismAtScale:
         recoloured = ColoredGraph(genus200.n, genus200.vertex_count, tuple(
             (u, v, swap.get(c, c)) for u, v, c in self.relabelled(genus200, 7).edges
         ))
-        labels = Counter(nest_label(n) for n in enumerate_nests(genus200, 2))
+        labels = Counter(nest_label(n) for n in NestIndex(genus200).nests(2))
         assert labels["x0·x2"] != labels["x1·x2"]
         assert not color_isomorphic(genus200, recoloured)
 

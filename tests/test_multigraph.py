@@ -14,7 +14,7 @@ from skelex.classify import classify_surface, homology_mod2, manifold_local_chec
 from skelex.expansion import criterion_3d, full_expand
 from skelex.gf2 import ColorVector
 from skelex.graph import ColoredGraph, is_good, is_pure, validate
-from skelex.nests import nest_counts
+from skelex.nests import NestIndex
 
 
 def banana(n: int) -> ColoredGraph:
@@ -30,7 +30,7 @@ class TestSurfaceBanana:
         assert validate(g).ok and is_pure(g) and is_good(g)
 
     def test_nests_are_bigons(self):
-        assert nest_counts(banana(2)) == (2, 3, 3)
+        assert NestIndex(banana(2)).counts() == (2, 3, 3)
 
     def test_expands_to_sphere(self):
         out = full_expand(banana(2))

@@ -16,16 +16,10 @@ from skelex.generators import (
     gen_nonorientable_surface,
     gen_orientable_surface,
 )
-from skelex.nests import (
-    NestIndex,
-    enumerate_nests,
-    grow_nest,
-    nest_counts,
-    nest_label,
-    regularity_check,
-)
+from skelex.nests import NestIndex, nest_label, regularity_check
 
 from conftest import CUBE_EDGES, random_valid_coloring
+from nest_oracle import grow_nest
 
 
 class TestGrowNest:
@@ -71,28 +65,28 @@ class TestGrowNest:
 class TestEnumerate:
     def test_cube_two_nests(self, cube2):
         # the 3-cube has C(3,2) * 2 = 6 square faces
-        assert len(enumerate_nests(cube2, 2)) == 6
+        assert len(NestIndex(cube2).nests(2)) == 6
 
     def test_orientable_family_counts(self):
         for g in (1, 2, 3):
             graph = gen_orientable_surface(g)
-            assert len(enumerate_nests(graph, 2)) == 2 * g + 2
+            assert len(NestIndex(graph).nests(2)) == 2 * g + 2
 
     def test_nonorientable_family_counts(self):
         for k in (1, 2, 3):
             graph = gen_nonorientable_surface(k)
-            assert len(enumerate_nests(graph, 2)) == k + 2
+            assert len(NestIndex(graph).nests(2)) == k + 2
 
     def test_out_of_range(self, cube2):
         with pytest.raises(UnsupportedDimension):
-            enumerate_nests(cube2, 3)
+            NestIndex(cube2).nests(3)
         with pytest.raises(UnsupportedDimension):
-            enumerate_nests(cube2, -1)
+            NestIndex(cube2).nests(-1)
 
     def test_hypercube_counts(self, cube3):
         # faces of the 4-cube: C(4,k) * 2^(4-k)
         expected = tuple(comb(4, k) * 2 ** (4 - k) for k in range(4))
-        assert nest_counts(cube3) == expected == (16, 32, 24, 8)
+        assert NestIndex(cube3).counts() == expected == (16, 32, 24, 8)
 
     @pytest.mark.parametrize(
         "graph_factory",
@@ -102,7 +96,7 @@ class TestEnumerate:
     def test_span_exactness(self, graph_factory):
         g = graph_factory()
         for k in range(g.n + 1):
-            for nest in enumerate_nests(g, k):
+            for nest in NestIndex(g).nests(k):
                 colors = [g.color(e) for e in nest.edge_ids]
                 assert span(colors, width=g.width).dim == k == nest.dim
 
@@ -115,7 +109,7 @@ class TestEnumerate:
         # every k-subset of edges at every vertex lies in exactly one k-nest
         g = graph_factory()
         for k in range(1, g.n + 1):
-            nests = enumerate_nests(g, k)
+            nests = NestIndex(g).nests(k)
             for v in range(g.vertex_count):
                 star = g.edges_at(v)
                 through = [n for n in nests if v in n.vertex_ids]
@@ -130,7 +124,7 @@ class TestEnumerate:
 class TestLabels:
     def test_single_color(self, cube2):
         nest = next(
-            n for n in enumerate_nests(cube2, 1)
+            n for n in NestIndex(cube2).nests(1)
             if str(cube2.color(n.edge_ids[0])) == "001"
         )
         assert nest_label(nest) == "x2"
@@ -144,7 +138,7 @@ class TestLabels:
         assert nest_label(nest) == "x0·x1"
 
     def test_three_nest_label(self, cube3):
-        labels = {nest_label(n) for n in enumerate_nests(cube3, 3)}
+        labels = {nest_label(n) for n in NestIndex(cube3).nests(3)}
         assert labels == {"x0·x1·x2", "x0·x1·x3", "x0·x2·x3", "x1·x2·x3"}
 
 
@@ -173,7 +167,7 @@ class TestRegularity:
     def test_growth_independent_of_seed_choice(self, nongood):
         # regrowing a nest from any of its own vertex-local edge subsets
         # returns the same nest, even on a non-good coloring
-        for nest in enumerate_nests(nongood, 2):
+        for nest in NestIndex(nongood).nests(2):
             edge_set = set(nest.edge_ids)
             for v in nest.vertex_ids:
                 local = [e for e in nongood.edges_at(v) if e in edge_set]
