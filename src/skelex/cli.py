@@ -6,8 +6,9 @@ Subcommands compose through the shared JSON formats on stdin/stdout:
     skelex generate surface --genus 3 --non-orientable | skelex expand
 
 Exit codes: 0 success, 1 domain refusal (the mathematics rejects the
-input, or a scale guard), 2 input error (unreadable or malformed data, or
-an output closed before it was written).
+input, or a scale guard), 2 input error (unreadable or malformed data, an
+output closed before it was written, or an ``--out`` file that cannot be
+opened for writing).
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def _read_text(path: str | None) -> str:
 def _open_out(path: str | None) -> TextIO:
     if path in (None, "-"):
         return sys.stdout
-    return open(path, "w", encoding="utf-8")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(out: str | None, text: str | Iterable[str]) -> None:
@@ -316,6 +320,11 @@ def _cmd_realize(args) -> int:
         _emit(args.out, f"realizability: unknown (expansion refused: {exc})")
         return EXIT_REFUSED
     records = realize_mod.isotropy_report(g, index) if args.table else []
+    # nests of one color subspace share one kernel: each is rendered once
+    terms = {
+        basis: [realize_mod.render_t_vector(m, g.width) for m in basis]
+        for basis in {r.subgroup_basis for r in records}
+    }
     if args.format == "json":
         payload: dict = {
             "euler": summary.euler,
@@ -330,10 +339,7 @@ def _cmd_realize(args) -> int:
                     "edges": list(r.nest.edge_ids),
                     "corank": r.corank,
                     "copies": r.copies,
-                    "kernel": [
-                        realize_mod.render_t_vector(m, g.width)
-                        for m in r.subgroup_basis
-                    ],
+                    "kernel": terms[r.subgroup_basis],
                 }
                 for r in records
             ]
@@ -346,10 +352,7 @@ def _cmd_realize(args) -> int:
         f"fixed points: {summary.fixed_point_count}",
     ]
     for record in records:
-        basis = ", ".join(
-            realize_mod.render_t_vector(m, g.width)
-            for m in record.subgroup_basis
-        ) or "0"
+        basis = ", ".join(terms[record.subgroup_basis]) or "0"
         lines.append(
             f"nest dim={record.nest.dim} edges={list(record.nest.edge_ids)}"
             f" corank={record.corank} copies={record.copies}"

@@ -57,6 +57,7 @@ def graph_from_cycle_table(
             if u == v:
                 raise AssertionError(f"cycle stalls at vertex {u}")
             pair_hits.setdefault((min(u, v), max(u, v)), []).append(color)
+    lines: dict[tuple[Subspace, ...], ColorVector] = {}  # one per circle color pair
     edges = []
     for (u, v), colors in sorted(pair_hits.items()):
         if len(colors) != 2:
@@ -64,12 +65,16 @@ def graph_from_cycle_table(
                 f"vertex pair ({u}, {v}) occurs in {len(colors)} circles,"
                 " expected exactly 2"
             )
-        line = intersect(colors[0], colors[1])
-        if line.dim != 1:
-            raise AssertionError(
-                f"circle colors at pair ({u}, {v}) intersect in dim {line.dim}"
-            )
-        edges.append((u, v, ColorVector(line.basis[0], line.width)))
+        pair = tuple(colors)
+        color = lines.get(pair)
+        if color is None:
+            line = intersect(colors[0], colors[1])
+            if line.dim != 1:
+                raise AssertionError(
+                    f"circle colors at pair ({u}, {v}) intersect in dim {line.dim}"
+                )
+            color = lines[pair] = ColorVector(line.basis[0], line.width)
+        edges.append((u, v, color))
     if table.total_length() != 2 * len(edges):
         raise AssertionError(
             f"cycle lengths sum to {table.total_length()}, expected"

@@ -366,18 +366,26 @@ def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
 
 
 def read_graph(text: str) -> ColoredGraph:
-    """Read the JSON graph format; graph invariants are left to ``validate``."""
+    """Read the JSON graph format; graph invariants are left to ``validate``.
+
+    Each distinct color string is parsed and width-checked once, at its
+    first edge, so a bad string is named at the first edge that carries it.
+    """
     n, vertices, items = _read(text, colored=True)
+    colors: dict[str, ColorVector] = {}
     edges: list[Edge] = []
     for i, (u, v, color_text) in enumerate(items):
-        try:
-            c = ColorVector.from_string(color_text)
-        except ValueError as exc:
-            raise FormatError(f"edges[{i}]: {exc}") from exc
-        if c.width != n + 1:
-            raise FormatError(
-                f"edges[{i}]: color string length {c.width}, expected n+1 = {n + 1}"
-            )
+        c = colors.get(color_text)
+        if c is None:
+            try:
+                c = ColorVector.from_string(color_text)
+            except ValueError as exc:
+                raise FormatError(f"edges[{i}]: {exc}") from exc
+            if c.width != n + 1:
+                raise FormatError(
+                    f"edges[{i}]: color string length {c.width}, expected n+1 = {n + 1}"
+                )
+            colors[color_text] = c
         edges.append((u, v, c))
     return ColoredGraph(n, vertices, tuple(edges))
 

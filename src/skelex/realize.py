@@ -4,7 +4,10 @@ For each nest the joint kernel of its edge colors is a subgroup of the
 acting group whose co-rank equals the nest dimension; the quotient carries
 2^dim copies of the nest's cell.  Subgroup bases are reported in the dual
 basis t0..tn of the group (x_i(t_j) is 1 exactly when i == j), so kernels
-are plain GF(2) null spaces of the color rows.  The quotient space itself
+are plain GF(2) null spaces of the color rows.  The edge colors of a nest
+span its color subspace, so the kernel depends on that subspace alone and
+is computed once per distinct subspace; the per-nest null space of the
+edge colors is kept in ``tests/`` as the oracle.  The quotient space itself
 is never built; only its isotropy bookkeeping is.
 """
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ExpansionRefused
 from .expansion import full_expand
-from .gf2 import null_space
+from .gf2 import Subspace, null_space
 from .graph import ColoredGraph, require_valid
 from .nests import Nest, NestIndex
 
@@ -27,22 +30,21 @@ class IsotropyRecord:
     copies: int
 
 
-def _kernel_of_nest(g: ColoredGraph, nest: Nest) -> tuple[int, ...]:
-    rows = [g.color(e).mask for e in nest.edge_ids]
-    return null_space(rows, g.width)
-
-
 def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[IsotropyRecord]:
     """One record per nest of every dimension, in canonical nest order.
 
-    ``index`` is the graph's nest index when the caller already holds one.
+    Nests with one color subspace share one kernel tuple.  ``index`` is the
+    graph's nest index when the caller already holds one.
     """
     if index is None:
         index = NestIndex(g)
+    kernels: dict[Subspace, tuple[int, ...]] = {}
     records: list[IsotropyRecord] = []
     for k in range(g.n + 1):
         for nest in index.nests(k):
-            kernel = _kernel_of_nest(g, nest)
+            kernel = kernels.get(nest.color)
+            if kernel is None:
+                kernel = kernels[nest.color] = null_space(nest.color.basis, g.width)
             corank = g.width - len(kernel)
             if corank != nest.dim:
                 raise AssertionError(

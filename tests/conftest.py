@@ -149,6 +149,46 @@ def torus7_simplices() -> list[list[int]]:
     ]
 
 
+def six_colored_k4() -> ColoredGraph:
+    """The tetrahedron colored by all six vectors of weight 1 and 2.
+
+    Each triangle is a 2-nest colored a, b and a+b, so the seed keys
+    {a, b}, {a, a+b} and {b, a+b} span one subspace.  Valid and good.
+    """
+    colors = ["100", "010", "001", "110", "101", "011"]
+    return ColoredGraph(
+        2,
+        4,
+        tuple(
+            (u, v, ColorVector.from_string(c)) for (u, v), c in zip(K4_EDGES, colors)
+        ),
+    )
+
+
+def sphere_times_circle() -> FacePoset:
+    """The product of the minimal 2-sphere and circle decompositions."""
+    sphere = {f"s{d}{s}": d for d in range(3) for s in (1, 2)}
+    circle = {f"c{d}{s}": d for d in range(2) for s in (1, 2)}
+
+    def lower(cid):
+        d = int(cid[1])
+        kind = cid[0]
+        return {f"{kind}{dd}{ss}" for dd in range(d) for ss in (1, 2)}
+
+    dims: dict = {}
+    faces: dict = {}
+    for a, da in sphere.items():
+        for b, db in circle.items():
+            cid = a + "x" + b
+            dims[cid] = da + db
+            closure_a = lower(a) | {a}
+            closure_b = lower(b) | {b}
+            faces[cid] = {
+                aa + "x" + bb for aa in closure_a for bb in closure_b
+            } - {cid}
+    return FacePoset(dims, faces)
+
+
 def gale_facets(m: int) -> list[list[int]]:
     """Facets of the cyclic polytope C(m,4) by Gale's evenness condition:
     a 4-set is a facet when every two vertices outside it are separated by

@@ -36,6 +36,7 @@ from conftest import (
     edited,
     nongood_cube,
     poset_document,
+    simplex_boundary_text,
 )
 
 
@@ -356,6 +357,41 @@ class TestOutFlag:
         )
         assert code == EXIT_OK
         assert target.read_text().splitlines()[0] == "S2"
+
+
+OUT_COMMANDS = {
+    "validate": (["validate"], "cube"),
+    "nests": (["nests"], "cube"),
+    "expand": (["expand"], "cube"),
+    "classify": (["classify"], "cube"),
+    "realize": (["realize", "--table"], "cube"),
+    "dualize": (["dualize"], "poset"),
+    "generate": (["generate", "cube", "--n", "2"], None),
+    "census": (["census"], "k4"),
+}
+
+
+class TestUnwritableOut:
+    """A target that cannot be opened is an input error, not a traceback."""
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize("name", list(OUT_COMMANDS))
+    def test_refused_with_one_line(self, capsys, monkeypatch, tmp_path, name, target):
+        argv, source = OUT_COMMANDS[name]
+        stdin_text = {
+            "cube": serialize(gen_cube(2)),
+            "poset": simplex_boundary_text(3),
+            "k4": json.dumps({"n": 2, "vertices": 4, "edges": K4_EDGES}),
+            None: None,
+        }[source]
+        out = tmp_path / "absent" / "x.json" if target == "missing directory" else tmp_path
+        code, stdout, err = run_cli(
+            capsys, monkeypatch, argv + ["--out", str(out)], stdin_text=stdin_text
+        )
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
 
 
 class TestCensusMachinery:

@@ -25,7 +25,14 @@ from skelex.generators import gen_cube
 from skelex.graph import color_isomorphic, connected_sum, is_good, is_pure, validate
 from skelex.nests import NestIndex
 
-from conftest import GAP_CELL, THIRD_CELL, edited, gale_facets, torus7_simplices
+from conftest import (
+    GAP_CELL,
+    THIRD_CELL,
+    edited,
+    gale_facets,
+    sphere_times_circle,
+    torus7_simplices,
+)
 from flag_oracle import _chains_of_length, flags, listed_complex, one_short_dual
 
 
@@ -44,30 +51,6 @@ RP2 = [
     [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 6], [1, 4, 5],
     [2, 3, 4], [2, 3, 5], [2, 4, 6], [3, 5, 6], [4, 5, 6],
 ]
-
-
-def sphere_times_circle() -> FacePoset:
-    """The product of the minimal 2-sphere and circle decompositions."""
-    sphere = {f"s{d}{s}": d for d in range(3) for s in (1, 2)}
-    circle = {f"c{d}{s}": d for d in range(2) for s in (1, 2)}
-
-    def lower(cid):
-        d = int(cid[1])
-        kind = cid[0]
-        return {f"{kind}{dd}{ss}" for dd in range(d) for ss in (1, 2)}
-
-    dims: dict = {}
-    faces: dict = {}
-    for a, da in sphere.items():
-        for b, db in circle.items():
-            cid = a + "x" + b
-            dims[cid] = da + db
-            closure_a = lower(a) | {a}
-            closure_b = lower(b) | {b}
-            faces[cid] = {
-                aa + "x" + bb for aa in closure_a for bb in closure_b
-            } - {cid}
-    return FacePoset(dims, faces)
 
 
 class TestFlags:

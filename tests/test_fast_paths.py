@@ -24,17 +24,17 @@ from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
 from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import ColorVector, rank_gf2, rank_masks, span
+from skelex.gf2 import rank_gf2, rank_masks, span
 from skelex.graph import ColoredGraph, connected_sum, serialize
 from skelex.nests import NestIndex, nest_label
 
 from conftest import (
     CUBE_EDGES,
-    K4_EDGES,
     colored_from_indices,
     criterion_counterexample,
     gale_facets,
     random_valid_coloring,
+    six_colored_k4,
 )
 from nest_oracle import grow_nest
 from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check
@@ -67,22 +67,6 @@ def connected_sums() -> list[ColoredGraph]:
         chain = connected_sum(chain, 0, other, _same_color_edge(other, chain.color(0)))
     out.append(chain)
     return out
-
-
-def six_colored_k4() -> ColoredGraph:
-    """The tetrahedron colored by all six vectors of weight 1 and 2.
-
-    Each triangle is a 2-nest colored a, b and a+b, so the seed keys
-    {a, b}, {a, a+b} and {b, a+b} span one subspace.  Valid and good.
-    """
-    colors = ["100", "010", "001", "110", "101", "011"]
-    return ColoredGraph(
-        2,
-        4,
-        tuple(
-            (u, v, ColorVector.from_string(c)) for (u, v), c in zip(K4_EDGES, colors)
-        ),
-    )
 
 
 CORPUS = {

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from skelex import generators as generators_mod
+from skelex.gf2 import ColorVector, span
 from skelex.graph import is_good, is_pure, validate
 from skelex.generators import (
     CycleTable,
@@ -121,8 +123,6 @@ class TestNonorientableFamily:
 
 class TestReconstruction:
     def test_pair_seen_once_fails(self):
-        from skelex.gf2 import ColorVector, span
-
         plane01 = span([ColorVector.unit(0, 3), ColorVector.unit(1, 3)])
         table = CycleTable(((plane01, (0, 1, 2, 3)),))
         with pytest.raises(AssertionError):
@@ -135,3 +135,43 @@ class TestReconstruction:
             gen_nonorientable_surface(-1)
         with pytest.raises(ValueError):
             gen_cube(0)
+
+
+def _circle_color_pairs(table: CycleTable) -> set:
+    """The distinct (circle color, circle color) pairs over the table's edges."""
+    hits: dict = {}
+    for color, cycle in table.entries:
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            hits.setdefault((min(u, v), max(u, v)), []).append(color)
+    return {tuple(colors) for colors in hits.values()}
+
+
+class TestOneIntersectionPerColorPair:
+    @pytest.mark.parametrize(
+        "table",
+        [cycle_table_orientable(16), cycle_table_nonorientable(16)],
+        ids=["gT2(16)", "kP2(16)"],
+    )
+    def test_intersect_once_per_distinct_pair(self, monkeypatch, table):
+        calls = []
+        original = generators_mod.intersect
+        monkeypatch.setattr(
+            generators_mod, "intersect",
+            lambda a, b: calls.append((a, b)) or original(a, b),
+        )
+        vertices = 1 + max(v for _, cycle in table.entries for v in cycle)
+        g = graph_from_cycle_table(2, vertices, table)
+        assert g.edge_count == table.total_length() // 2
+        assert sorted(calls, key=str) == sorted(_circle_color_pairs(table), key=str)
+
+    def test_plane_intersection_named_at_first_pair(self):
+        # the long x0x2 circle of kP2(2) recolored x0x1: it then meets the
+        # x0x1 circle in a plane, first at pair (0, 6), then at (1, 3),
+        # (2, 4) and (5, 7)
+        table = cycle_table_nonorientable(2)
+        plane01 = span([ColorVector.unit(0, 3), ColorVector.unit(1, 3)])
+        entries = list(table.entries)
+        entries[1] = (plane01, entries[1][1])
+        with pytest.raises(AssertionError) as info:
+            graph_from_cycle_table(2, 8, CycleTable(tuple(entries)))
+        assert str(info.value) == "circle colors at pair (0, 6) intersect in dim 2"

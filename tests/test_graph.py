@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from skelex.graph import (
     is_good,
     is_pure,
     parse,
+    read_graph,
     serialize,
     validate,
 )
@@ -248,6 +250,43 @@ class TestFileFormat:
         text = '{"n": 2, "vertices": 2, "edges": [[0, 1, "100"], [0, 1, "100"], [0, 1, "010"], [0, 1, "001"]]}'
         with pytest.raises(InvalidGraph):
             parse(text)
+
+
+class TestReadGraphColors:
+    """Each distinct color string is parsed once, diagnostics unchanged."""
+
+    @staticmethod
+    def document(colors) -> str:
+        edges = [[i, i + 1, c] for i, c in enumerate(colors)]
+        return json.dumps({"n": 2, "vertices": len(colors) + 1, "edges": edges})
+
+    def test_repeated_bad_string_named_at_its_first_edge(self):
+        colors = ["100", "010", "100", "1x0", "001", "010", "100", "1x0"]
+        with pytest.raises(FormatError) as info:
+            read_graph(self.document(colors))
+        assert str(info.value) == (
+            "edges[3]: color literal must be a nonempty 0/1 string, got '1x0'"
+        )
+
+    def test_wrong_width_named_at_its_first_edge(self):
+        colors = ["100", "010", "001", "100", "1000", "010", "1000"]
+        with pytest.raises(FormatError) as info:
+            read_graph(self.document(colors))
+        assert str(info.value) == "edges[4]: color string length 4, expected n+1 = 3"
+
+    def test_one_parse_per_distinct_string(self, monkeypatch):
+        text = serialize(gen_orientable_surface(8))
+        strings = [c for _, _, c in json.loads(text)["edges"]]
+        calls = []
+        original = ColorVector.from_string
+        monkeypatch.setattr(
+            ColorVector, "from_string",
+            staticmethod(lambda s: calls.append(s) or original(s)),
+        )
+        g = read_graph(text)
+        assert len(strings) == g.edge_count == 96
+        assert sorted(calls) == sorted(set(strings))
+        assert [str(c) for _, _, c in g.edges] == strings
 
 
 class TestIsomorphism:

@@ -9,17 +9,22 @@ import sys
 import pytest
 
 from skelex import graph as graph_mod
+from skelex import realize as realize_mod
 from skelex.cli import run
+from skelex.duality import FacePoset, dual_colored_graph
 from skelex.errors import ExpansionRefused
 from skelex.graph import serialize
 from skelex.nests import NestIndex
-from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
+from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.realize import (
     fixed_circle_check,
     isotropy_report,
     realizability_summary,
     render_t_vector,
 )
+
+from conftest import gale_facets, six_colored_k4, sphere_times_circle
+from isotropy_oracle import _kernel_of_nest
 
 
 class TestIsotropy:
@@ -117,3 +122,86 @@ class TestSharedIndex:
         assert run(["realize", "--table", "--format", "json"]) == 0
         assert len(calls) == 1
         assert len(json.loads(capsys.readouterr().out)["isotropy"]) == 22 * 2 + 2
+
+
+ORACLE_CORPUS = {
+    **{f"cube{n}": (lambda n=n: gen_cube(n)) for n in (2, 3, 4, 5)},
+    **{f"gT2({g})": (lambda g=g: gen_orientable_surface(g)) for g in range(1, 9)},
+    **{f"kP2({g})": (lambda g=g: gen_nonorientable_surface(g)) for g in range(1, 9)},
+    "six-colored K4": six_colored_k4,
+    **{
+        f"C({m},4) dual": (
+            lambda m=m: dual_colored_graph(FacePoset.from_simplices(gale_facets(m)))
+        )
+        for m in (6, 7, 8)
+    },
+    "S2 x S1 dual": lambda: dual_colored_graph(sphere_times_circle()),
+}
+
+
+class TestKernelsPerSubspace:
+    """One kernel per color subspace against the per-nest null space."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CORPUS))
+    def test_matches_per_nest_oracle(self, name):
+        g = ORACLE_CORPUS[name]()
+        index = NestIndex(g)
+        records = isotropy_report(g, index)
+        nests = [nest for k in range(g.n + 1) for nest in index.nests(k)]
+        assert [r.nest for r in records] == nests
+        for record in records:
+            assert record.subgroup_basis == _kernel_of_nest(g, record.nest)
+
+    def test_k4_nests_have_more_edge_colors_than_dimensions(self):
+        # each triangle of the six-colored K4 carries three distinct colors
+        # a, b, a+b: the oracle reduces a dependent row the subspace basis lacks
+        g = six_colored_k4()
+        top = NestIndex(g).nests(2)
+        assert top and all(
+            len({g.color(e) for e in nest.edge_ids}) == 3 for nest in top
+        )
+
+    def test_one_null_space_per_distinct_subspace(self, monkeypatch):
+        g = gen_orientable_surface(512)
+        index = NestIndex(g)
+        subspaces = {nest.color for k in range(g.n + 1) for nest in index.nests(k)}
+        calls = []
+        original = realize_mod.null_space
+        monkeypatch.setattr(
+            realize_mod, "null_space",
+            lambda rows, width: calls.append(tuple(rows)) or original(rows, width),
+        )
+        records = isotropy_report(g, index)
+        assert len(records) == 4096 + 6144 + 1026
+        assert len(subspaces) == 7
+        assert sorted(calls) == sorted(space.basis for space in subspaces)
+
+    def test_wrong_kernel_names_the_first_nest(self, monkeypatch, cube3):
+        # a kernel that is wrong on lines only: the first 1-nest is named
+        original = realize_mod.null_space
+        monkeypatch.setattr(
+            realize_mod, "null_space",
+            lambda rows, width: () if len(rows) == 1 else original(rows, width),
+        )
+        first = NestIndex(cube3).nests(1)[0]
+        with pytest.raises(AssertionError) as info:
+            isotropy_report(cube3)
+        assert str(info.value) == (
+            f"nest {first.edge_ids}: kernel co-rank 4 differs from nest dimension 1"
+        )
+
+    def test_table_renders_each_kernel_once(self, monkeypatch, capsys):
+        calls = []
+        original = realize_mod.render_t_vector
+        monkeypatch.setattr(
+            realize_mod, "render_t_vector",
+            lambda mask, width: calls.append(mask) or original(mask, width),
+        )
+        text = serialize(gen_orientable_surface(2))
+        kernels = {r.subgroup_basis for r in isotropy_report(graph_mod.parse(text))}
+        for fmt in ("text", "json"):
+            calls.clear()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run(["realize", "--table", "--format", fmt]) == 0
+            capsys.readouterr()
+            assert sorted(calls) == sorted(m for basis in kernels for m in basis)
