@@ -30,7 +30,6 @@ from .errors import (
     FormatError,
     GeneratorLimit,
     InvalidGraph,
-    InvalidModulus,
     NestLimit,
     NotCombinatorialManifold,
     NotGoodColoring,
@@ -52,21 +51,14 @@ from .generators import (
 from .gf2 import (
     ColorVector,
     Subspace,
-    congruent_mod,
-    contains,
     intersect,
-    rank_gf2,
     rank_masks,
     span,
 )
 from .graph import (
     ColoredGraph,
-    Connection,
-    check_good,
     color_isomorphic,
     connected_sum,
-    connection,
-    is_good,
     is_pure,
     parse,
     read_graph,
@@ -77,11 +69,9 @@ from .nests import (
     Nest,
     NestIndex,
     nest_label,
-    regularity_check,
 )
 from .realize import (
     IsotropyRecord,
-    fixed_circle_check,
     isotropy_report,
     realizability_summary,
 )
@@ -91,7 +81,6 @@ __all__ = [
     "CensusLimit",
     "ColorVector",
     "ColoredGraph",
-    "Connection",
     "DimensionMismatch",
     "ExpansionOutcome",
     "ExpansionRefused",
@@ -101,7 +90,6 @@ __all__ = [
     "GeneratorLimit",
     "HomologyReport",
     "InvalidGraph",
-    "InvalidModulus",
     "IsotropyRecord",
     "Nest",
     "NestIndex",
@@ -112,24 +100,18 @@ __all__ = [
     "Subspace",
     "SurfaceReport",
     "UnsupportedDimension",
-    "check_good",
     "classify_surface",
     "color_isomorphic",
-    "congruent_mod",
     "connected_sum",
-    "connection",
-    "contains",
     "criterion_3d",
     "dual_colored_graph",
     "expand2",
-    "fixed_circle_check",
     "full_expand",
     "gen_cube",
     "gen_nonorientable_surface",
     "gen_orientable_surface",
     "homology_mod2",
     "intersect",
-    "is_good",
     "is_pure",
     "isotropy_report",
     "manifold_local_check",
@@ -137,11 +119,9 @@ __all__ = [
     "parse",
     "parse_poset",
     "predicted_complex",
-    "rank_gf2",
     "rank_masks",
     "read_graph",
     "realizability_summary",
-    "regularity_check",
     "serialize",
     "span",
     "sphere_poset",

@@ -192,8 +192,8 @@ def manifold_local_check(c: CellComplex) -> LocalCheckReport:
         for cell in c.cells_by_dim[k]:
             for v in cell.nest.vertex_ids:
                 at_vertex[k][v].append(cell)
-    for v in range(g.vertex_count):
-        star = set(g.edges_at(v))
+    for v, at in enumerate(g.arcs()):
+        star = {e for e, _, _ in at}
         for k in range(1, top + 1):
             incident = at_vertex[k][v]
             expected = comb(len(star), k)

@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 domain refusal (the mathematics rejects the
 input, or a scale guard), 2 input error (unreadable or malformed data, an
 output closed before it was written, or an ``--out`` file that cannot be
 opened for writing).
+
+The ``--out`` file is opened, and truncated, before the subcommand does
+any work, as a shell redirection would: a target that cannot be opened is
+refused at once, and a command that fails leaves the file empty.
 """
 
 from __future__ import annotations
@@ -74,19 +78,14 @@ def _open_out(path: str | None) -> TextIO:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(out: str | None, text: str | Iterable[str]) -> None:
+def _emit(fh: TextIO, text: str | Iterable[str]) -> None:
     """Write ``text``, or its chunks one by one, ending in a newline."""
-    fh = _open_out(out)
-    try:
-        last = ""
-        for last in [text] if isinstance(text, str) else text:
-            fh.write(last)
-        if not last.endswith("\n"):
-            fh.write("\n")
-        fh.flush()  # a closed stdout fails here, not at interpreter exit
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    last = ""
+    for last in [text] if isinstance(text, str) else text:
+        fh.write(last)
+    if not last.endswith("\n"):
+        fh.write("\n")
+    fh.flush()  # a closed stdout fails here, not at interpreter exit
 
 
 # ------------------------------------------------------------ renderers
@@ -426,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = sys.stdout
     try:
+        out = args.out = _open_out(args.out)  # subcommands emit to the handle
         return args.func(args)
     except (FormatError, InvalidGraph, UnsupportedDimension, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -450,6 +451,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output closed before it was fully written", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .errors import FlagLimit, FormatError, NotCombinatorialManifold
 from .gf2 import ColorVector
-from .graph import ColoredGraph, canonicalize, cycle_fault, reach, read_object
+from .graph import ColoredGraph, canonicalize, cycle_fault, is_integer, reach, read_object
 
 CellId = int | str
 
@@ -360,7 +360,7 @@ def parse_poset(text: str) -> FacePoset:
     if "simplices" in data:
         simplices = data["simplices"]
         if not isinstance(simplices, list) or not all(
-            isinstance(s, list) and all(isinstance(v, int) for v in s)
+            isinstance(s, list) and all(is_integer(v) for v in s)
             for s in simplices
         ):
             raise FormatError("'simplices' must be an array of integer arrays")
@@ -375,11 +375,13 @@ def parse_poset(text: str) -> FacePoset:
         if not (isinstance(item, list) and len(item) == 3):
             raise FormatError(f"cells[{i}]: expected [id, dim, [face ids]]")
         cid, dim, fs = item
-        if not isinstance(dim, int) or not isinstance(fs, list):
+        if not is_integer(dim) or not isinstance(fs, list):
             raise FormatError(f"cells[{i}]: expected [id, int, list]")
-        if not all(isinstance(c, (str, int)) for c in [cid, *fs]):
+        if not all(isinstance(c, str) or is_integer(c) for c in [cid, *fs]):
             raise FormatError(f"cells[{i}]: cell ids must be strings or integers")
         cells.append((cid, dim, fs))
+    if not is_integer(data["top_dim"]):
+        raise FormatError("'top_dim' must be an integer")
     poset = FacePoset.from_cells(cells)
     if poset.top_dim != data["top_dim"]:
         raise FormatError(

@@ -16,10 +16,6 @@ class DimensionMismatch(SkelexError):
     """Vectors or subspaces of different ambient dimension were combined."""
 
 
-class InvalidModulus(SkelexError):
-    """Congruence modulus must be a nonzero vector."""
-
-
 class InvalidGraph(SkelexError):
     """A colored-graph invariant is violated (reported problems attached)."""
 

@@ -63,20 +63,6 @@ class CellComplex:
     def euler(self) -> int:
         return sum((-1) ** k * len(cells) for k, cells in enumerate(self.cells_by_dim))
 
-    def boundary_matrix(self, k: int) -> list[list[int]]:
-        """The matrix of the boundary map from k-cells to (k-1)-cells.
-
-        Rows are (k-1)-cells, columns k-cells, entries in {0, 1}.
-        """
-        if not 1 <= k <= self.top_dim:
-            raise ValueError(f"boundary matrix index {k} outside 1..{self.top_dim}")
-        rows = len(self.cells_by_dim[k - 1])
-        matrix = [[0] * len(self.cells_by_dim[k]) for _ in range(rows)]
-        for cell in self.cells_by_dim[k]:
-            for f in cell.faces:
-                matrix[f][cell.index] = 1
-        return matrix
-
     def boundary_condition_holds(self) -> bool:
         """Does the composite of consecutive boundary maps vanish mod 2?"""
         for k in range(2, self.top_dim + 1):

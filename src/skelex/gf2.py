@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, InvalidModulus
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True, order=True)
@@ -145,26 +145,6 @@ def span(vectors: Sequence[ColorVector], *, width: int | None = None) -> Subspac
     return Subspace(_rref(v.mask for v in vectors), w)
 
 
-def contains(s: Subspace, v: ColorVector) -> bool:
-    """Membership test: does ``v`` reduce to zero against the basis of ``s``?"""
-    if s.width != v.width:
-        raise DimensionMismatch(
-            f"subspace width {s.width} does not match vector width {v.width}"
-        )
-    return s.contains_mask(v.mask)
-
-
-def congruent_mod(a: ColorVector, b: ColorVector, m: ColorVector) -> bool:
-    """True iff a + b lies in {0, m}."""
-    if not (a.width == b.width == m.width):
-        raise DimensionMismatch(
-            f"mixed widths in congruence: {a.width}, {b.width}, {m.width}"
-        )
-    if m.is_zero:
-        raise InvalidModulus("congruence modulus must be nonzero")
-    return (a.mask ^ b.mask) in (0, m.mask)
-
-
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Canonical basis of s1 and s2's intersection (Zassenhaus over GF(2)).
 
@@ -180,20 +160,6 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     low = (1 << w) - 1
     inter = [row >> w for row in _rref(combined) if (row & low) == 0]
     return Subspace(_rref(inter), w)
-
-
-def rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2) of a rectangular 0/1 matrix (0 for an empty one)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged rows: all matrix rows must have equal length")
-    if any(e not in (0, 1) for r in rows for e in r):
-        raise ValueError("matrix entries must be 0 or 1")
-    masks = (sum(bit << i for i, bit in enumerate(r)) for r in rows)
-    return len(_rref(masks))
 
 
 def rank_masks(columns: Iterable[int]) -> int:

@@ -1,9 +1,10 @@
-"""Colored regular graphs: reading, validity, purity, goodness and the connection.
+"""Colored regular graphs: reading, validity, purity and connected sums.
 
 A graph carries ``n`` and a list of edges ``(u, v, color)`` where colors are
 vectors of GF(2)^(n+1).  Edge ids are list positions, incidence is by
 edge-end, so parallel edges are first-class citizens; loops are rejected
 because a loop would put two dependent color slots on one vertex.
+``ColoredGraph.arcs`` is the one per-vertex view of the incidence.
 
 Graph file format (JSON, UTF-8)::
 
@@ -22,11 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatch, FormatError, InvalidGraph, NotGoodColoring
-from .gf2 import ColorVector, congruent_mod, rank_masks
+from .errors import DimensionMismatch, FormatError, InvalidGraph
+from .gf2 import ColorVector, rank_masks
 
 Edge = tuple[int, int, ColorVector]
 Arcs = tuple[tuple[tuple[int, int, int], ...], ...]  # see ColoredGraph.arcs
@@ -48,30 +48,18 @@ class ColoredGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v, _) in enumerate(self.edges):
-            if 0 <= u < self.vertex_count:
-                inc[u].append(idx)
-            if 0 <= v < self.vertex_count and v != u:
-                inc[v].append(idx)
-        return tuple(tuple(ids) for ids in inc)
-
     def arcs(self) -> Arcs:
         """Per vertex, (edge id, far end, color mask) for each edge at it.
 
-        Built afresh on each call, for valid graphs only: every endpoint
-        must be in range.
+        Built afresh on each call and never kept.  Every endpoint must be
+        in range and no edge a loop: ``validate`` builds it only once its
+        range and loop checks pass.
         """
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for idx, (u, v, c) in enumerate(self.edges):
             out[u].append((idx, v, c.mask))
             out[v].append((idx, u, c.mask))
         return tuple(map(tuple, out))
-
-    def edges_at(self, v: int) -> tuple[int, ...]:
-        return self._incidence[v]
 
     def ends(self, e: int) -> tuple[int, int]:
         u, v, _ = self.edges[e]
@@ -80,21 +68,8 @@ class ColoredGraph:
     def color(self, e: int) -> ColorVector:
         return self.edges[e][2]
 
-    def other_end(self, e: int, v: int) -> int:
-        u, w, _ = self.edges[e]
-        return w if v == u else u
-
     def color_image(self) -> frozenset[ColorVector]:
         return frozenset(c for _, _, c in self.edges)
-
-    def neighbors(self, v: int) -> list[int]:
-        """The other end of each edge at v, with multiplicity."""
-        return [self.other_end(e, v) for e in self._incidence[v]]
-
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
-        return sum(1 for _ in reach(0, self.neighbors)) == self.vertex_count
 
 
 def reach(
@@ -173,20 +148,18 @@ def validate(g: ColoredGraph) -> ValidationReport:
             f" != {g.vertex_count}·{g.width} = {g.vertex_count * g.width}",
         ))
 
-    for v in range(g.vertex_count):
-        incident = g.edges_at(v)
-        if len(incident) != g.width:
-            problems.append(
-                f"vertex {v}: valence {len(incident)}, expected {g.width}"
-            )
+    arcs = g.arcs()
+    for v, at in enumerate(arcs):
+        if len(at) != g.width:
+            problems.append(f"vertex {v}: valence {len(at)}, expected {g.width}")
             continue
-        colors = [g.color(e) for e in incident]
-        if rank_masks(c.mask for c in colors) != g.width:
+        if rank_masks(mask for _, _, mask in at) != g.width:
             problems.append(
-                f"vertex {v}: incident colors {[str(c) for c in colors]}"
+                f"vertex {v}: incident colors {[str(g.color(e)) for e, _, _ in at]}"
                 " are linearly dependent"
             )
-    if not g.is_connected():
+    reached = sum(1 for _ in reach(0, lambda v: (x for _, x, _ in arcs[v])))
+    if reached != g.vertex_count:
         problems.append("graph is not connected")
     return _report(problems)
 
@@ -209,64 +182,6 @@ def is_pure(g: ColoredGraph) -> bool:
     """True iff the coloring uses exactly n+1 distinct vectors."""
     require_valid(g)
     return len(g.color_image()) == g.width
-
-
-@dataclass(frozen=True)
-class Connection:
-    """Per-edge bijections between the edge stars of its two endpoints.
-
-    ``maps[(e, v)]`` sends each edge at v to its partner at the other end
-    of e; colors of partners are congruent modulo the color of e.
-    """
-
-    maps: dict[tuple[int, int], dict[int, int]]
-
-    def across(self, e: int, tail: int) -> dict[int, int]:
-        return self.maps[(e, tail)]
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    good: bool
-    connection: Connection | None
-    witness: tuple[int, int, int] | None  # (edge e1, vertex v, edge e0 at v)
-
-
-def check_good(g: ColoredGraph) -> GoodnessReport:
-    """Decide goodness and build the connection when it exists.
-
-    For every edge e1 = (v, w) and every e0 at v there must be exactly one
-    e2 at w whose color is congruent to e0's modulo e1's; the collected
-    partner maps form the connection.
-    """
-    require_valid(g)
-    maps: dict[tuple[int, int], dict[int, int]] = {}
-    for e1, (u1, v1, c1) in enumerate(g.edges):
-        for tail, head in ((u1, v1), (v1, u1)):
-            table: dict[int, int] = {}
-            for e0 in g.edges_at(tail):
-                c0 = g.color(e0)
-                partners = [
-                    e2 for e2 in g.edges_at(head)
-                    if congruent_mod(c0, g.color(e2), c1)
-                ]
-                if len(partners) != 1:
-                    return GoodnessReport(False, None, (e1, tail, e0))
-                table[e0] = partners[0]
-            maps[(e1, tail)] = table
-    return GoodnessReport(True, Connection(maps), None)
-
-
-def is_good(g: ColoredGraph) -> bool:
-    return check_good(g).good
-
-
-def connection(g: ColoredGraph) -> Connection:
-    report = check_good(g)
-    if not report.good:
-        raise NotGoodColoring(f"coloring is not good, witness {report.witness}")
-    assert report.connection is not None
-    return report.connection
 
 
 def connected_sum(
@@ -335,6 +250,11 @@ def read_object(text: str) -> dict:
     return data
 
 
+def is_integer(value) -> bool:
+    """Is a decoded JSON value an integer?  JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
     """Decode a graph file: (n, vertex count, edge items), with field diagnostics.
 
@@ -346,9 +266,9 @@ def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
         if field not in data:
             raise FormatError(f"missing field {field!r}")
     n, vertices, items = data.get("n"), data["vertices"], data["edges"]
-    if not isinstance(n, int) and (colored or n is not None):
+    if not is_integer(n) and (colored or n is not None):
         raise FormatError("'n' must be an integer")
-    if not isinstance(vertices, int):
+    if not is_integer(vertices):
         raise FormatError("'vertices' must be an integer")
     if not isinstance(items, list):
         raise FormatError("'edges' must be an array")
@@ -357,8 +277,8 @@ def _read(text: str, colored: bool) -> tuple[int | None, int, list[list]]:
         if not (
             isinstance(item, list)
             and len(item) in ((3,) if colored else (2, 3))
-            and isinstance(item[0], int)
-            and isinstance(item[1], int)
+            and is_integer(item[0])
+            and is_integer(item[1])
             and (not colored or isinstance(item[2], str))
         ):
             raise FormatError(f"edges[{i}]: expected {shape} with integers u, v")
@@ -431,33 +351,32 @@ def color_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
     require_valid(g2)
     stars1, stars2 = _color_stars(g1), _color_stars(g2)
     return any(
-        _propagate(g1, g2, stars1, stars2, start)
+        _propagate(stars1, stars2, start)
         for start in range(g2.vertex_count)
         if stars2[start].keys() == stars1[0].keys()
     )
 
 
-def _color_stars(g: ColoredGraph) -> list[dict[ColorVector, int]]:
-    """Per vertex: the edge at it of each color."""
-    return [{g.color(e): e for e in g.edges_at(v)} for v in range(g.vertex_count)]
+def _color_stars(g: ColoredGraph) -> list[dict[int, int]]:
+    """Per vertex: the far end of the edge at it of each color mask."""
+    return [{mask: x for _, x, mask in at} for at in g.arcs()]
 
 
-def _propagate(g1, g2, stars1, stars2, start: int) -> bool:
+def _propagate(stars1, stars2, start: int) -> bool:
     """Does sending vertex 0 of g1 to ``start`` extend to an isomorphism?"""
     image = {0: start}
 
     def extends(v: int) -> bool:
         # each edge at v goes to the same-colored edge at v's image
         w = image[v]
-        for color, e in stars1[v].items():
-            f = stars2[w].get(color)
-            if f is None:
+        for mask, u in stars1[v].items():
+            x = stars2[w].get(mask)
+            if x is None:
                 return False
-            u, x = g1.other_end(e, v), g2.other_end(f, w)
             if image.setdefault(u, x) != x:
                 return False
         return True
 
-    return all(extends(v) for v in reach(0, g1.neighbors)) and (
-        len(set(image.values())) == g1.vertex_count
+    return all(extends(v) for v in reach(0, lambda v: stars1[v].values())) and (
+        len(set(image.values())) == len(stars1)
     )

@@ -266,25 +266,3 @@ def nest_label(nest: Nest) -> str:
     if nest.dim == 0:
         return "1"
     return "·".join(_factor(m, nest.color.width) for m in nest.color.basis)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    ok: bool
-    failures: tuple[tuple[int, tuple[int, ...], int, int], ...]
-    # entries: (nest dim, nest edge ids, vertex, valence found)
-
-
-def regularity_check(g: ColoredGraph) -> RegularityReport:
-    """Verify every k-nest is a connected regular k-valent subgraph.
-
-    Passes for every nest exactly when the coloring is good; on failure
-    each offending (nest, vertex) pair is reported with the valence seen.
-    """
-    index = NestIndex(g)
-    failures = tuple(
-        (k, nest.edge_ids, v, valence)
-        for k in range(g.n + 1)
-        for nest, v, valence in index.valence_faults(k)
-    )
-    return RegularityReport(not failures, failures)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ExpansionRefused
 from .expansion import full_expand
 from .gf2 import Subspace, null_space
-from .graph import ColoredGraph, require_valid
+from .graph import ColoredGraph
 from .nests import Nest, NestIndex
 
 
@@ -61,28 +61,6 @@ def render_t_vector(mask: int, width: int) -> str:
 
 
 @dataclass(frozen=True)
-class FixedCircleReport:
-    edge: int
-    endpoints: tuple[int, int]
-    arc_copies: int
-    fixed_points: tuple[int, int]
-    subgroup_basis: tuple[int, ...]
-    ok: bool
-
-
-def fixed_circle_check(g: ColoredGraph, e: int) -> FixedCircleReport:
-    """The invariant circle over an edge: two arc copies closed by two
-    fixed points, one per endpoint.  The structure is forced for any valid
-    good coloring; the report carries the edge's kernel subgroup."""
-    require_valid(g)
-    u, v, color = g.edges[e]
-    kernel = null_space([color.mask], g.width)
-    arc_copies = 2  # = 2^(dim of a 1-nest)
-    ok = len(kernel) == g.width - 1 and u != v
-    return FixedCircleReport(e, (u, v), arc_copies, (u, v), kernel, ok)
-
-
-@dataclass(frozen=True)
 class RealizabilitySummary:
     n: int
     euler: int
@@ -115,8 +93,7 @@ def realizability_summary(
     else:
         bounds = True
     tangent = tuple(
-        tuple(sorted(str(g.color(e)) for e in g.edges_at(v)))
-        for v in range(g.vertex_count)
+        tuple(sorted(str(g.color(e)) for e, _, _ in at)) for at in g.arcs()
     )
     return RealizabilitySummary(
         n=g.n,

@@ -18,6 +18,27 @@ CUBE_EDGES = [(u, v) for u, v, _ in gen_cube(2).edges]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+_held_arcs: dict[int, tuple[ColoredGraph, tuple]] = {}  # id -> (graph, g.arcs())
+
+
+def edges_at(g: ColoredGraph, v: int) -> tuple[int, ...]:
+    """Ids of the edges at vertex v, ascending, read from ``g.arcs()``.
+
+    The arcs of the last graph asked about are held, so a loop over one
+    graph's vertices builds them once, not once per vertex.
+    """
+    held = _held_arcs.get(id(g))
+    if held is None:
+        _held_arcs.clear()
+        held = _held_arcs[id(g)] = (g, g.arcs())
+    return tuple(e for e, _, _ in held[1][v])
+
+
+def other_end(g: ColoredGraph, e: int, v: int) -> int:
+    u, w = g.ends(e)
+    return w if v == u else u
+
+
 def colored_from_indices(edges, vertex_count, n, coloring) -> ColoredGraph:
     width = n + 1
     return ColoredGraph(

@@ -1,16 +1,22 @@
-"""The reference nest growth: one breadth-first walk from a seed.
+"""The reference nest growth and the reference regularity check.
 
 ``grow_nest`` grows the unique nest through a set of edges sharing a
 vertex, or the 0-nest at a vertex, with one ``span`` of the seed colors.
 Tests regrow every nest from each of its seeds with it and compare the
 result with ``NestIndex``, which labels components per color subspace.
+``regularity_check`` reports every nest of every dimension that is not
+regular of its dimension; tests compare it with the goodness references.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from skelex.gf2 import span
 from skelex.graph import ColoredGraph
-from skelex.nests import Nest
+from skelex.nests import Nest, NestIndex
+
+from conftest import edges_at, other_end
 
 
 def grow_nest(
@@ -48,12 +54,34 @@ def grow_nest(
                 frontier.append(v)
     while frontier:
         v = frontier.pop()
-        for e in g.edges_at(v):
+        for e in edges_at(g, v):
             if e in edge_set or not target.contains_mask(g.color(e).mask):
                 continue
             edge_set.add(e)
-            w = g.other_end(e, v)
+            w = other_end(g, e, v)
             if w not in vertex_set:
                 vertex_set.add(w)
                 frontier.append(w)
     return Nest(tuple(sorted(edge_set)), tuple(sorted(vertex_set)), target)
+
+
+@dataclass(frozen=True)
+class RegularityReport:
+    ok: bool
+    failures: tuple[tuple[int, tuple[int, ...], int, int], ...]
+    # entries: (nest dim, nest edge ids, vertex, valence found)
+
+
+def regularity_check(g: ColoredGraph) -> RegularityReport:
+    """Verify every k-nest is a connected regular k-valent subgraph.
+
+    Passes for every nest exactly when the coloring is good; on failure
+    each offending (nest, vertex) pair is reported with the valence seen.
+    """
+    index = NestIndex(g)
+    failures = tuple(
+        (k, nest.edge_ids, v, valence)
+        for k in range(g.n + 1)
+        for nest, v, valence in index.valence_faults(k)
+    )
+    return RegularityReport(not failures, failures)

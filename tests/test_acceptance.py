@@ -26,11 +26,10 @@ from skelex.generators import (
 from skelex.graph import (
     color_isomorphic,
     connected_sum,
-    is_good,
     is_pure,
     validate,
 )
-from skelex.nests import NestIndex, regularity_check
+from skelex.nests import NestIndex
 from skelex.realize import isotropy_report, realizability_summary
 
 from conftest import (
@@ -43,6 +42,8 @@ from conftest import (
     random_valid_coloring,
     torus7_simplices,
 )
+from goodness_oracle import is_good
+from nest_oracle import regularity_check
 
 
 def criterion(num: int, desc: str):

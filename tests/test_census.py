@@ -16,11 +16,12 @@ from skelex import nests as nests_mod
 from skelex.census import census, class_criterion, enumerate_proper_colorings
 from skelex.generators import gen_cube
 from skelex.gf2 import ColorVector, span
-from skelex.graph import is_good, validate
+from skelex.graph import validate
 from skelex.nests import ColorComponents, NestIndex
 
 from census_oracle import all_proper_colorings, canonical_coloring, reference_census
 from conftest import CUBE_EDGES, K4_EDGES, colored_from_indices
+from goodness_oracle import is_good
 
 
 def _prism(rungs: int) -> list[tuple[int, int]]:

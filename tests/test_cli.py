@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 from skelex import census as census_mod
+from skelex import generators as generators_mod
 from skelex import graph as graph_mod
 
 from skelex.cli import (
@@ -312,6 +313,55 @@ class TestCensusCommand:
         assert "16" in err
 
 
+# a circle in the cells format with integer ids, top_dim 1
+CIRCLE_CELLS = [[0, 0, []], [1, 0, []], [2, 1, [0, 1]], [3, 1, [0, 1]]]
+
+
+class TestBooleansAreNotIntegers:
+    """JSON's true and false are refused wherever an integer is read."""
+
+    @pytest.mark.parametrize("argv, document, message", [
+        (["validate"],
+         {"n": True, "vertices": 2, "edges": [[0, 1, "10"], [False, True, "01"]]},
+         "'n' must be an integer"),
+        (["validate"],
+         {"n": 1, "vertices": True, "edges": [[0, 0, "10"], [0, 0, "01"]]},
+         "'vertices' must be an integer"),
+        (["validate"],
+         {"n": 1, "vertices": 2, "edges": [[0, 1, "10"], [False, True, "01"]]},
+         "edges[1]: expected [u, v, colorstring] with integers u, v"),
+        (["census"],
+         {"n": True, "vertices": 2, "edges": [[0, 1], [0, 1]]},
+         "'n' must be an integer"),
+        (["census"],
+         {"n": 1, "vertices": 2, "edges": [[0, 1], [True, 0]]},
+         "edges[1]: expected [u, v] or [u, v, color] with integers u, v"),
+        (["dualize"],
+         {"simplices": [[0, True], [True, 2], [2, 0]]},
+         "'simplices' must be an array of integer arrays"),
+        (["dualize"],
+         {"top_dim": True, "cells": CIRCLE_CELLS},
+         "'top_dim' must be an integer"),
+        (["dualize"],
+         {"top_dim": 1, "cells": [[0, 0, []], [1, 0, []], [2, True, [0, 1]], [3, 1, [0, 1]]]},
+         "cells[2]: expected [id, int, list]"),
+        (["dualize"],
+         {"top_dim": 1, "cells": [[0, 0, []], [True, 0, []], [2, 1, [0, 1]], [3, 1, [0, 1]]]},
+         "cells[1]: cell ids must be strings or integers"),
+        (["dualize"],
+         {"top_dim": 1, "cells": [[0, 0, []], [1, 0, []], [2, 1, [0, True]], [3, 1, [0, 1]]]},
+         "cells[2]: cell ids must be strings or integers"),
+    ])
+    def test_refused_naming_the_field(self, capsys, monkeypatch, argv, document, message):
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin_text=json.dumps(document))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    def test_integer_circle_dualizes(self, capsys, monkeypatch):
+        text = json.dumps({"top_dim": 1, "cells": CIRCLE_CELLS})
+        code, _, _ = run_cli(capsys, monkeypatch, ["dualize"], stdin_text=text)
+        assert code == EXIT_OK
+
+
 class TestRealizeCommand:
     def test_doubling_message(self, capsys, monkeypatch):
         code, out, _ = run_cli(
@@ -392,6 +442,27 @@ class TestUnwritableOut:
         assert stdout == ""
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
+
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def unreachable(n):
+            raise AssertionError("the cube was generated")
+
+        monkeypatch.setattr(generators_mod, "gen_cube", unreachable)
+        out = tmp_path / "absent" / "x.json"
+        code, stdout, err = run_cli(
+            capsys, monkeypatch, ["generate", "cube", "--n", "13", "--out", str(out)]
+        )
+        assert (code, stdout) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_refused_command_leaves_the_target_empty(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("old contents\n")
+        code, _, _ = run_cli(
+            capsys, monkeypatch, ["classify", "--out", str(target)], stdin_text="{nope"
+        )
+        assert code == EXIT_INPUT
+        assert target.read_text() == ""
 
 
 class TestCensusMachinery:

@@ -22,7 +22,7 @@ from skelex.duality import (
 from skelex.errors import FormatError, NotCombinatorialManifold
 from skelex.expansion import full_expand
 from skelex.generators import gen_cube
-from skelex.graph import color_isomorphic, connected_sum, is_good, is_pure, validate
+from skelex.graph import color_isomorphic, connected_sum, is_pure, validate
 from skelex.nests import NestIndex
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     torus7_simplices,
 )
 from flag_oracle import _chains_of_length, flags, listed_complex, one_short_dual
+from goodness_oracle import is_good
 
 
 def delta3() -> FacePoset:

@@ -24,19 +24,21 @@ from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
 from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import rank_gf2, rank_masks, span
+from skelex.gf2 import rank_masks, span
 from skelex.graph import ColoredGraph, connected_sum, serialize
 from skelex.nests import NestIndex, nest_label
 
 from conftest import (
     CUBE_EDGES,
     colored_from_indices,
+    edges_at,
     criterion_counterexample,
     gale_facets,
     random_valid_coloring,
     six_colored_k4,
 )
 from nest_oracle import grow_nest
+from rank_oracle import boundary_matrix, rank_gf2
 from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check
 
 HYPERCUBE_EDGES = [(u, v) for u, v, _ in gen_cube(3).edges]
@@ -88,7 +90,7 @@ def grown_from_every_seed(g: ColoredGraph, k: int) -> list:
     """Every k-nest, regrown from each k-subset of edges at each vertex."""
     found = {}
     for v in range(g.vertex_count):
-        for seeds in combinations(g.edges_at(v), k):
+        for seeds in combinations(edges_at(g, v), k):
             nest = grow_nest(g, seeds, vertex=v)
             found[nest.key()] = nest
     return [found[key] for key in sorted(found)]
@@ -99,7 +101,7 @@ def scan_within(nest, lower) -> tuple[int, ...]:
 
 
 def dense_ranks(c: CellComplex) -> list[int]:
-    return [rank_gf2(c.boundary_matrix(k)) for k in range(1, c.top_dim + 1)]
+    return [rank_gf2(boundary_matrix(c, k)) for k in range(1, c.top_dim + 1)]
 
 
 def reference_expand(g: ColoredGraph):
@@ -113,7 +115,7 @@ def reference_expand(g: ColoredGraph):
     by_dim = [index.nests(k) for k in range(3)]
     for nest in by_dim[2]:
         for v in nest.vertex_ids:
-            if sum(1 for e in g.edges_at(v) if e in nest.edge_ids) != 2:
+            if sum(1 for e in edges_at(g, v) if e in nest.edge_ids) != 2:
                 return "not good", None
     cells = [
         [
@@ -158,7 +160,7 @@ def check_index(g: ColoredGraph) -> None:
             (nest, v, valence)
             for nest in nests
             for v in nest.vertex_ids
-            for valence in [sum(1 for e in g.edges_at(v) if e in nest.edge_ids)]
+            for valence in [sum(1 for e in edges_at(g, v) if e in nest.edge_ids)]
             if valence != k
         ]
         for nest in nests:
@@ -257,7 +259,7 @@ def test_corpus_pins_nests_keyed_by_subspace():
         for k in range(2, g.n + 1):
             keys: dict = {}
             for v in range(g.vertex_count):
-                for seeds in combinations(g.edges_at(v), k):
+                for seeds in combinations(edges_at(g, v), k):
                     key = tuple(sorted(g.color(e).mask for e in seeds))
                     keys.setdefault(span([g.color(e) for e in seeds]), set()).add(key)
             if any(len(found) > 1 for found in keys.values()):

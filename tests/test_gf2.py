@@ -5,16 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from skelex.errors import DimensionMismatch, InvalidModulus
-from skelex.gf2 import (
-    ColorVector,
-    congruent_mod,
-    contains,
-    intersect,
-    null_space,
-    rank_gf2,
-    span,
-)
+from skelex.errors import DimensionMismatch
+from skelex.gf2 import ColorVector, intersect, null_space, span
+
+from goodness_oracle import InvalidModulus, congruent_mod
+from rank_oracle import contains, rank_gf2
 
 
 def v(text: str) -> ColorVector:

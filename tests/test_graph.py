@@ -9,16 +9,13 @@ from collections import Counter
 import pytest
 
 from skelex.errors import DimensionMismatch, FormatError, InvalidGraph
-from skelex.gf2 import ColorVector, congruent_mod, span
+from skelex.gf2 import ColorVector, span
 from skelex.graph import (
     MAX_LISTED_PROBLEMS,
     ColoredGraph,
     canonicalize,
-    check_good,
     color_isomorphic,
     connected_sum,
-    connection,
-    is_good,
     is_pure,
     parse,
     read_graph,
@@ -28,7 +25,8 @@ from skelex.graph import (
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.nests import NestIndex, nest_label
 
-from conftest import CUBE_EDGES, random_valid_coloring
+from conftest import CUBE_EDGES, edges_at, other_end, random_valid_coloring
+from goodness_oracle import check_good, congruent_mod, connection, is_good
 
 
 def cv(text):
@@ -124,11 +122,11 @@ def _definitional_goodness(g: ColoredGraph):
     """Independent oracle: the unique-partner condition checked span-by-span."""
     for e1, (u1, v1, c1) in enumerate(g.edges):
         for tail, head in ((u1, v1), (v1, u1)):
-            for e0 in g.edges_at(tail):
+            for e0 in edges_at(g, tail):
                 target = span([g.color(e0), c1])
                 count = sum(
                     1
-                    for e2 in g.edges_at(head)
+                    for e2 in edges_at(g, head)
                     if span([c1, g.color(e2)]) == target
                 )
                 if count != 1:
@@ -163,9 +161,9 @@ class TestGoodness:
                 for tail in (u1, v1):
                     table = theta.across(e1, tail)
                     assert table[e1] == e1
-                    assert sorted(table.keys()) == sorted(g.edges_at(tail))
-                    head = g.other_end(e1, tail)
-                    assert sorted(table.values()) == sorted(g.edges_at(head))
+                    assert sorted(table.keys()) == sorted(edges_at(g, tail))
+                    head = other_end(g, e1, tail)
+                    assert sorted(table.values()) == sorted(edges_at(g, head))
                     for e0, e2 in table.items():
                         assert congruent_mod(g.color(e0), g.color(e2), c1)
 

@@ -13,8 +13,10 @@ import pytest
 from skelex.classify import classify_surface, homology_mod2, manifold_local_check
 from skelex.expansion import criterion_3d, full_expand
 from skelex.gf2 import ColorVector
-from skelex.graph import ColoredGraph, is_good, is_pure, validate
+from skelex.graph import ColoredGraph, is_pure, validate
 from skelex.nests import NestIndex
+
+from goodness_oracle import is_good
 
 
 def banana(n: int) -> ColoredGraph:

@@ -10,16 +10,16 @@ import pytest
 
 from skelex.errors import UnsupportedDimension
 from skelex.gf2 import span
-from skelex.graph import is_good
 from skelex.generators import (
     gen_cube,
     gen_nonorientable_surface,
     gen_orientable_surface,
 )
-from skelex.nests import NestIndex, nest_label, regularity_check
+from skelex.nests import NestIndex, nest_label
 
-from conftest import CUBE_EDGES, random_valid_coloring
-from nest_oracle import grow_nest
+from conftest import CUBE_EDGES, edges_at, random_valid_coloring
+from goodness_oracle import is_good
+from nest_oracle import grow_nest, regularity_check
 
 
 class TestGrowNest:
@@ -30,7 +30,7 @@ class TestGrowNest:
         assert nest.edge_ids == ()
 
     def test_full_span_grows_whole_graph(self, cube2):
-        seeds = cube2.edges_at(0)
+        seeds = edges_at(cube2, 0)
         nest = grow_nest(cube2, seeds)
         assert nest.dim == 3
         assert len(nest.vertex_ids) == cube2.vertex_count
@@ -39,7 +39,7 @@ class TestGrowNest:
     def test_cube_corner_grows_square(self, cube2):
         # seeds: the x0 and x1 edges at vertex 0; the nest is the 4-cycle
         # around the corresponding square face
-        at0 = cube2.edges_at(0)
+        at0 = edges_at(cube2, 0)
         seeds = [e for e in at0 if str(cube2.color(e)) in ("100", "010")]
         nest = grow_nest(cube2, seeds)
         assert nest.dim == 2
@@ -111,7 +111,7 @@ class TestEnumerate:
         for k in range(1, g.n + 1):
             nests = NestIndex(g).nests(k)
             for v in range(g.vertex_count):
-                star = g.edges_at(v)
+                star = edges_at(g, v)
                 through = [n for n in nests if v in n.vertex_ids]
                 assert len(through) == comb(g.width, k)
                 for seeds in combinations(star, k):
@@ -170,7 +170,7 @@ class TestRegularity:
         for nest in NestIndex(nongood).nests(2):
             edge_set = set(nest.edge_ids)
             for v in nest.vertex_ids:
-                local = [e for e in nongood.edges_at(v) if e in edge_set]
+                local = [e for e in edges_at(nongood, v) if e in edge_set]
                 for seeds in combinations(local, 2):
                     colors = [nongood.color(e) for e in seeds]
                     if span(colors).dim != 2:

@@ -17,14 +17,13 @@ from skelex.graph import serialize
 from skelex.nests import NestIndex
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.realize import (
-    fixed_circle_check,
     isotropy_report,
     realizability_summary,
     render_t_vector,
 )
 
-from conftest import gale_facets, six_colored_k4, sphere_times_circle
-from isotropy_oracle import _kernel_of_nest
+from conftest import edges_at, gale_facets, six_colored_k4, sphere_times_circle
+from isotropy_oracle import _kernel_of_nest, fixed_circle_check
 
 
 class TestIsotropy:
@@ -99,7 +98,7 @@ class TestSummary:
         summary = realizability_summary(cube2)
         assert summary.fixed_point_count == cube2.vertex_count
         for v in range(cube2.vertex_count):
-            expected = tuple(sorted(str(cube2.color(e)) for e in cube2.edges_at(v)))
+            expected = tuple(sorted(str(cube2.color(e)) for e in edges_at(cube2, v)))
             assert summary.tangent_colors[v] == expected
 
     def test_refusal_propagates(self, counterexample):
