@@ -16,13 +16,15 @@ edge array order defines edge ids.
 This module is the only reader of graph files: ``read_graph`` checks the
 format alone, ``parse`` adds the validity gate, and ``read_underlying``
 reads the colorless graph a census takes.  ``read_object`` decodes the
-top-level JSON object of graph and face-poset files alike.
+top-level JSON object of graph and face-poset files alike, and
+``json_pieces`` writes every JSON document skelex emits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, InvalidGraph
@@ -250,6 +252,116 @@ def read_object(text: str) -> dict:
     return data
 
 
+STREAMED_LEVELS = 2  # json_pieces writes each value this many levels down whole
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# the scalars most output is made of, written without an encoder call
+_SCALAR_TEXT: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_FLAT: list = []  # _flat's C encoder per level, made when first needed
+
+
+def json_pieces(value) -> Iterator[str]:
+    """The text ``json.dumps`` writes for ``value`` with an indent of 1, byte
+    for byte, in pieces.
+
+    The containers of the top two levels are written item by item, so each
+    value two levels down (a nest, an isotropy row, a dumped cell, an edge
+    row, a field of a census entry) is one piece, and a large listing is
+    written as it is produced.  ``json.dumps`` with an indent cannot do
+    that: it runs the pure-Python encoder, which collects every small chunk
+    (about 330,000 for the isotropy table of gT2(512)) in one list before
+    joining them, at several times the memory of the text.  A list, tuple
+    or dict that holds only scalars, such as an edge row, an id list or a
+    coloring, is written by one call of the C encoder.  ``value`` must hold
+    no cycle.
+    """
+    return _pieces(value, 0)
+
+
+def _pieces(value, level: int) -> Iterator[str]:
+    if level >= STREAMED_LEVELS or not _is_nested(value):
+        yield _text(value, level)
+        return
+    inner = "\n" + " " * (level + 1)
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = ((_key(k) + ": ", v) for k, v in value.items())
+    else:
+        opening, closing = "[", "]"
+        items = (("", v) for v in value)
+    head = opening + inner
+    for prefix, item in items:
+        pieces = _pieces(item, level + 1)
+        yield head + prefix + next(pieces)
+        yield from pieces
+        head = "," + inner
+    yield "\n" + " " * level + closing
+
+
+def _is_nested(value) -> bool:
+    """Is ``value`` a container with at least one container or non-JSON item?"""
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return False
+    return not _SCALARS.issuperset(map(type, items))
+
+
+def _text(value, level: int) -> str:
+    """The whole text of ``value`` nested in ``level`` containers."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _flat(value, 0)  # a subclass of a scalar type, or a TypeError
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return opening + closing
+    inner = "\n" + " " * (level + 1)
+    if not _is_nested(value):
+        body = _flat(value, level + 1)[1:-1]
+    elif isinstance(value, dict):
+        body = ("," + inner).join(
+            [_key(k) + ": " + _text(v, level + 1) for k, v in value.items()]
+        )
+    else:
+        body = ("," + inner).join([_text(v, level + 1) for v in value])
+    return f"{opening}{inner}{body}\n{' ' * level}{closing}"
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: non-strings json allows become strings."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = _flat(key, 0)
+    return encode_basestring_ascii(key)
+
+
+def _flat(value, level: int) -> str:
+    """``value`` in one encoder call.  The items of its one container are
+    parted by a comma, a newline and ``level`` spaces, with no newline after
+    the opening bracket or before the closing one."""
+    while len(_FLAT) <= level:
+        _FLAT.append(c_make_encoder(
+            None, _unserializable, encode_basestring_ascii, None,
+            ": ", ",\n" + " " * len(_FLAT), False, False, True,
+        ))
+    return "".join(_FLAT[level](value, 0))
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def is_integer(value) -> bool:
     """Is a decoded JSON value an integer?  JSON's true and false are not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -334,7 +446,7 @@ def serialize(g: ColoredGraph) -> str:
         "vertices": c.vertex_count,
         "edges": [[u, v, str(col)] for u, v, col in c.edges],
     }
-    return json.dumps(payload, indent=1)
+    return "".join(json_pieces(payload))
 
 
 def color_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:

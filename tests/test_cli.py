@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -463,6 +464,50 @@ class TestUnwritableOut:
         )
         assert code == EXIT_INPUT
         assert target.read_text() == ""
+
+
+class TestOutIsInput:
+    """An ``--out`` naming the input file is refused before it is emptied."""
+
+    @pytest.mark.parametrize("name", [n for n, (_, s) in OUT_COMMANDS.items() if s])
+    def test_refused_and_input_kept(self, capsys, monkeypatch, tmp_path, name):
+        argv, source = OUT_COMMANDS[name]
+        text = {
+            "cube": serialize(gen_cube(2)),
+            "poset": simplex_boundary_text(3),
+            "k4": json.dumps({"n": 2, "vertices": 4, "edges": K4_EDGES}),
+        }[source]
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        # another spelling of the same file, so no string comparison could see it
+        out = tmp_path / "." / "input.json"
+        code, stdout, err = run_cli(
+            capsys, monkeypatch, argv + [str(path), "--out", str(out)]
+        )
+        assert (code, stdout) == (EXIT_INPUT, "")
+        assert err == f"error: --out {out} is the input file; it would be emptied\n"
+        assert path.read_text() == text
+
+    def test_hard_link_is_the_same_file(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(serialize(gen_cube(2)))
+        link = tmp_path / "link.json"
+        os.link(path, link)
+        code, _, err = run_cli(
+            capsys, monkeypatch, ["classify", str(path), "--out", str(link)]
+        )
+        assert code == EXIT_INPUT and str(link) in err
+        assert json.loads(path.read_text())["vertices"] == 8
+
+    def test_other_existing_file_is_written(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(serialize(gen_cube(2)))
+        out = tmp_path / "report.txt"
+        out.write_text("old\n")
+        code, _, _ = run_cli(
+            capsys, monkeypatch, ["classify", str(path), "--out", str(out)]
+        )
+        assert code == EXIT_OK and out.read_text().startswith("S2\n")
 
 
 class TestCensusMachinery:

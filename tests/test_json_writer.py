@@ -1,0 +1,131 @@
+"""The one JSON writer: ``graph.json_pieces`` against ``json.dumps``, every
+JSON subcommand's output, and the memory a streamed table takes."""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import sys
+import tracemalloc
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from skelex import cli
+from skelex import graph as graph_mod
+from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
+from skelex.graph import json_pieces, serialize
+
+from conftest import K4_EDGES, criterion_counterexample, simplex_boundary_text
+
+TEXT = st.text(
+    alphabet=st.characters(codec="utf-8") | st.sampled_from('·"\\\n\t\x00\x1f\x7f'),
+    max_size=8,
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(2**64, 2**200)
+    | st.floats()
+    | TEXT
+)
+KEYS = TEXT | st.integers() | st.booleans() | st.none() | st.floats()
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(VALUES)
+@example([True, 1, [1, True], {"x": [False, 0]}])  # bool is an int, written as one
+@example({"a": [[], {}, ()], "b": {"c": [{}, [[]]], "d": {}}, "e": [[[[], {}]]]})
+@example(["·", '"', "\\", "\n\x01", -(2**65), 2**64 + 1, None])
+@example({1: "int", True: "bool", None: "null", 1.5: "float", "s": "str"})
+def test_pieces_join_to_json_dumps(value):
+    assert "".join(json_pieces(value)) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize("value", [[object()], {"a": {"b": [{1}]}}, {(1,): 2}])
+def test_unserializable_values_raise_type_error_as_json_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=1)
+    with pytest.raises(TypeError):
+        "".join(json_pieces(value))
+
+
+def test_items_two_levels_down_are_one_piece_each():
+    payload = {"rows": [{"edges": [1, 2], "kernel": ["t0"]}, {"edges": []}], "n": 2}
+    pieces = list(json_pieces(payload))
+    assert "".join(pieces) == json.dumps(payload, indent=1)
+    row0, row1 = (json.dumps(r, indent=1).replace("\n", "\n  ") for r in payload["rows"])
+    assert pieces[0] == '{\n "rows": [\n  ' + row0
+    assert pieces[1:] == [",\n  " + row1, "\n ]", ',\n "n": 2', "\n}"]
+
+
+CUBE = serialize(gen_cube(2))
+CUBE3 = serialize(gen_cube(3))
+SURFACE = serialize(gen_nonorientable_surface(3))
+K4 = json.dumps({"n": 2, "vertices": 4, "edges": K4_EDGES})
+JSON_CALLS = [
+    (["validate", "--format", "json"], CUBE),
+    (["validate", "--format", "json"], json.dumps({"n": 2, "vertices": 2, "edges": []})),
+    (["nests", "--format", "json"], CUBE3),
+    (["nests", "--dim", "1", "--format", "json"], CUBE),
+    (["expand", "--format", "json"], CUBE3),
+    (["expand", "--dump", "--format", "json"], CUBE3),
+    (["expand", "--format", "json"], serialize(criterion_counterexample())),
+    (["classify", "--format", "json"], SURFACE),
+    (["classify", "--format", "json"], CUBE3),
+    (["dualize"], simplex_boundary_text(3)),
+    (["generate", "cube", "--n", "3"], None),
+    (["generate", "surface", "--genus", "2"], None),
+    (["census", "--format", "json"], K4),
+    (["census", "--format", "json"], CUBE3),
+    (["realize", "--table", "--format", "json"], SURFACE),
+    (["realize", "--format", "json"], CUBE3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text", JSON_CALLS, ids=[" ".join(a) for a, _ in JSON_CALLS]
+)
+def test_subcommand_output_is_json_dumps_indent_one(capsys, monkeypatch, argv, stdin_text):
+    if stdin_text is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.run(argv) in (cli.EXIT_OK, cli.EXIT_REFUSED)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+def test_isotropy_table_is_streamed(monkeypatch, tmp_path):
+    """The gT2(512) ``realize --table`` payload is written to a file in
+    pieces, at a peak far below the size of its text."""
+    source = tmp_path / "gT2-512.json"
+    source.write_text(serialize(gen_orientable_surface(512)))
+    payloads = []
+    monkeypatch.setattr(
+        graph_mod, "json_pieces", lambda value: payloads.append(value) or iter([""])
+    )
+    argv = ["realize", str(source), "--table", "--format", "json", "--out", os.devnull]
+    assert cli.run(argv) == cli.EXIT_OK
+    (payload,) = payloads
+    size = sum(map(len, json_pieces(payload)))
+    assert size > 1_000_000
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli._emit(fh, json_pieces(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
+
