@@ -11,22 +11,30 @@ checked once to be loopless, connected and (n+1)-valent, so a proper
 coloring puts all n+1 unit colors at every vertex.  No class is validated
 again.  For n=3 the counting criterion is decided from component labels
 alone (``class_criterion``); only the classes where it holds, and every
-class for other n, build a nest index and expand.
+class for other n, build a nest index and expand.  Every class colors the
+same edges, so one ``census`` call labels each colored subgraph once and
+shares that labelling with every class that colors the same edges inside
+the same subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from . import classify as classify_mod
 from . import expansion
 from .errors import CensusLimit, FormatError, InvalidGraph, UnsupportedDimension
-from .gf2 import ColorVector
+from .gf2 import ColorVector, Subspace
 from .graph import ColoredGraph, reach
 from .nests import ColorComponents, NestIndex, order_nests, star_spaces
 
 DEFAULT_CENSUS_LIMIT = 16
+MAX_CENSUS_CLASSES = 10_000  # the 4-cube has 1,840 classes, K8 at n=6 has 6,240
+
+# (subspace, bit mask of the edges colored inside it) -> its labelling
+Layers = dict[tuple[Subspace, int], ColorComponents]
 
 
 @dataclass(frozen=True)
@@ -103,31 +111,45 @@ def enumerate_proper_colorings(
         todo[e] = choices(e)
 
 
-def class_criterion(g: ColoredGraph) -> expansion.Criterion3:
+def class_criterion(g: ColoredGraph, seen: Layers | None = None) -> expansion.Criterion3:
     """The n=3 counting criterion of a census class, from component labels.
 
     Each vertex carries all four unit colors, so the k-nests are exactly
     the components of the subgraphs colored inside the k-subsets of colors.
     ``Criterion3.decide`` applies ``criterion_3d``'s witness rule, so a
     failing class names the same witness.
+
+    ``seen`` holds the labellings of earlier classes of the same underlying
+    graph, keyed by subspace and the bit mask of the edges colored inside
+    it.  Edge ids and the edges at each vertex do not depend on the
+    coloring, so a labelling depends only on which edges lie inside, and a
+    class reuses any labelling an earlier class made of the same edges.
     """
-    arcs = g.arcs()
+    if seen is None:
+        seen = {}
     units = tuple(1 << i for i in range(g.width))
-    pairs, triples = (
-        [
-            ColorComponents(s, g.vertex_count).label_all(arcs)
-            for s in star_spaces(units, g.width, k)
-        ]
-        for k in (2, 3)
-    )
+    colored = [0] * g.width  # per unit color, the bit mask of its edges
+    for e, (_, _, c) in enumerate(g.edges):
+        colored[c.mask.bit_length() - 1] |= 1 << e
+    arcs = None  # built only when a labelling is missing
+    pairs, triples = [], []
+    for k, layers in ((2, pairs), (3, triples)):
+        for space, masks in zip(star_spaces(units, g.width, k), combinations(colored, k)):
+            key = (space, sum(masks))  # the masks are disjoint
+            layer = seen.get(key)
+            if layer is None:
+                if arcs is None:
+                    arcs = g.arcs()
+                layer = seen[key] = ColorComponents(space, g.vertex_count).label_all(arcs)
+            layers.append(layer)
     three, _ = order_nests(triples)
     return expansion.Criterion3.decide(g.vertex_count, pairs, three)
 
 
-def _entry(coloring: tuple[int, ...], g: ColoredGraph) -> CensusEntry:
+def _entry(coloring: tuple[int, ...], g: ColoredGraph, seen: Layers) -> CensusEntry:
     """Expand and classify one class, deciding the n=3 criterion first."""
     if g.n == 3:
-        crit = class_criterion(g)
+        crit = class_criterion(g, seen)
         if not crit.holds:
             return CensusEntry(coloring, g, None, crit.refusal)
     outcome = expansion.full_expand(g, NestIndex(g))
@@ -172,15 +194,21 @@ def census(
         raise InvalidGraph([f"n must be >= 1, got {n}"])
     if n < 2:
         raise UnsupportedDimension(f"expansion needs n >= 2, got n={n}")
+    colorings = list(
+        islice(enumerate_proper_colorings(edges, vertex_count, n + 1), MAX_CENSUS_CLASSES + 1)
+    )
+    if len(colorings) > MAX_CENSUS_CLASSES:
+        raise CensusLimit(
+            f"census is limited to {MAX_CENSUS_CLASSES} classes, got more"
+        )
     units = [ColorVector.unit(i, n + 1) for i in range(n + 1)]
+    rows = [[(u, v, unit) for unit in units] for u, v in edges]  # shared by every class
+    seen: Layers = {}
     return [
         _entry(
             coloring,
-            ColoredGraph(
-                n,
-                vertex_count,
-                tuple((u, v, units[c]) for (u, v), c in zip(edges, coloring)),
-            ),
+            ColoredGraph(n, vertex_count, tuple(row[c] for row, c in zip(rows, coloring))),
+            seen,
         )
-        for coloring in enumerate_proper_colorings(edges, vertex_count, n + 1)
+        for coloring in colorings
     ]

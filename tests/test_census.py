@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelex import census as census_mod
 from skelex import expansion
 from skelex import graph as graph_mod
 from skelex import nests as nests_mod
@@ -141,6 +143,56 @@ class TestFourCube:
         assert validated == [e.graph for e in entries if e.refusal is None]
         (closed,) = [e for e in entries if e.refusal is None]
         assert indexed == [closed.graph]  # one index, for the closing class
+
+    @pytest.mark.parametrize("shuffle", [None, 4])
+    def test_classes_share_labellings(self, shuffle, monkeypatch):
+        # a labelling depends only on the subspace and the edges colored
+        # inside it, so a census labels each such pair once, for every class
+        edges = self.EDGES[:]
+        if shuffle is not None:
+            random.Random(shuffle).shuffle(edges)
+        labelled, decided = [], []
+        real_label_all, real_criterion = ColorComponents.label_all, census_mod.class_criterion
+
+        def counted_label_all(layer, arcs):
+            labelled.append(layer.space)
+            return real_label_all(layer, arcs)
+
+        def recorded_criterion(g, seen=None):
+            crit = real_criterion(g, seen)
+            decided.append((g, crit))
+            return crit
+
+        monkeypatch.setattr(ColorComponents, "label_all", counted_label_all)
+        monkeypatch.setattr(census_mod, "class_criterion", recorded_criterion)
+        entries = census(edges, 16, 3)
+        keys = {
+            (s, frozenset(e for e, c in enumerate(entry.coloring) if c in s))
+            for entry in entries
+            for k in (2, 3)
+            for s in itertools.combinations(range(4), k)
+        }
+        assert len(labelled) == len(keys)  # 18,400 unshared, 10 per class
+        if shuffle is None:
+            assert len(labelled) <= 3242
+        assert [g for g, _ in decided] == [entry.graph for entry in entries]
+        for entry, (g, crit) in zip(entries, decided):
+            alone = class_criterion(g)  # a fresh dict: nothing shared
+            assert crit == alone  # witness and its euler characteristic included
+            assert entry.refusal == alone.refusal
+
+    def test_entries_share_edge_rows(self):
+        # each class's edges are (u, v, unit) rows built once per census;
+        # with a fresh 3-tuple per edge and class the entries held 5.7 MB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entries = census(self.EDGES, 16, 3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 1840
+        assert held < 3_000_000
 
     def test_shuffled_edge_order(self):
         edges = self.EDGES[:]

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from skelex.census import MAX_CENSUS_CLASSES
 from skelex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED, MAX_LISTED_NEST_IDS
 from skelex.duality import MAX_FULL_FLAGS, sphere_poset
 from skelex.errors import GeneratorLimit
@@ -41,11 +42,15 @@ def _cap_address_space(limit: int) -> None:
 
 
 def run_child(
-    args: list[str], keep_bytes: int | None = None, address_space: int = ADDRESS_SPACE
+    args: list[str],
+    keep_bytes: int | None = None,
+    address_space: int = ADDRESS_SPACE,
+    timeout: float = 120,
 ) -> tuple[int, str]:
     """Run the CLI capped at ``address_space`` bytes; read ``keep_bytes`` of
     stdout and close it, or read it all when None.  Returns the exit code
-    and stderr."""
+    and stderr; a child still running after ``timeout`` seconds is killed
+    and the call raises ``subprocess.TimeoutExpired``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, flushed at exit
@@ -59,16 +64,18 @@ def run_child(
     )
     try:
         if keep_bytes is None:
-            proc.stdout.read()
+            _, err_bytes = proc.communicate(timeout=timeout)
         else:
             proc.stdout.read(keep_bytes)
-        proc.stdout.close()
-        err = proc.stderr.read().decode("utf-8", "replace")
-        code = proc.wait(timeout=120)
+            proc.stdout.close()
+            err_bytes = proc.stderr.read()
+        code = proc.wait(timeout=timeout)
     finally:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
         proc.stderr.close()
+    err = err_bytes.decode("utf-8", "replace")
     assert code in (EXIT_OK, EXIT_REFUSED, EXIT_INPUT), err
     assert "Traceback" not in err, err
     assert "Exception ignored" not in err, err
@@ -86,6 +93,10 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         "CUBE12": serialize(gen_cube(12)),
         "SPHERE6": simplex_boundary_text(7),  # 40,320 full flags
         "SPHERE7": simplex_boundary_text(8),  # 362,880 full flags
+        # K10 is 9-valent on 10 vertices, inside the census's vertex guard
+        "K10": json.dumps(
+            {"vertices": 10, "edges": [[u, v] for u in range(10) for v in range(u + 1, 10)]}
+        ),
     }
     paths = {}
     for name, text in texts.items():
@@ -228,6 +239,14 @@ def test_oversized_declarations_are_refused(args, name, tmp_path):
         assert err == ""  # the report goes to stdout
     else:
         assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1, err
+
+
+def test_census_refuses_beyond_the_class_guard(inputs):
+    # K10 at n=8 has 1,225,566,720 classes; the enumeration stops one past
+    # the guard, before any class is expanded, where unguarded it runs on
+    code, err = run_child(["census", "--n", "8", inputs["K10"]], timeout=30)
+    assert code == EXIT_REFUSED
+    assert err == f"refused: census is limited to {MAX_CENSUS_CLASSES} classes, got more\n"
 
 
 def test_census_refuses_an_oversized_n(inputs):
