@@ -13,7 +13,6 @@ from .classify import (
     SurfaceReport,
     classify_surface,
     homology_mod2,
-    manifold_local_check,
 )
 from .duality import (
     FacePoset,
@@ -57,9 +56,6 @@ from .gf2 import (
 )
 from .graph import (
     ColoredGraph,
-    color_isomorphic,
-    connected_sum,
-    is_pure,
     parse,
     read_graph,
     serialize,
@@ -101,8 +97,6 @@ __all__ = [
     "SurfaceReport",
     "UnsupportedDimension",
     "classify_surface",
-    "color_isomorphic",
-    "connected_sum",
     "criterion_3d",
     "dual_colored_graph",
     "expand2",
@@ -112,9 +106,7 @@ __all__ = [
     "gen_orientable_surface",
     "homology_mod2",
     "intersect",
-    "is_pure",
     "isotropy_report",
-    "manifold_local_check",
     "nest_label",
     "parse",
     "parse_poset",

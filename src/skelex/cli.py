@@ -5,10 +5,10 @@ Subcommands compose through the shared JSON formats on stdin/stdout:
     skelex generate cube --n 2 | skelex classify
     skelex generate surface --genus 3 --non-orientable | skelex expand
 
-Exit codes: 0 success, 1 domain refusal (the mathematics rejects the
-input, or a scale guard), 2 input error (unreadable or malformed data, an
-output closed before it was written, or an ``--out`` file that cannot be
-opened for writing).
+Exit codes: 0 success, 1 domain refusal (an ``errors.Refusal``: the
+mathematics rejects the input, or a scale guard), 2 input error
+(unreadable or malformed data, an output closed before it was written,
+or an ``--out`` file that cannot be opened for writing).
 
 The ``--out`` file is opened, and truncated, before the subcommand does
 any work, as a shell redirection would: a target that cannot be opened is
@@ -35,19 +35,7 @@ from .census import (  # noqa: F401  (the census API, re-exported)
     census,
     enumerate_proper_colorings,
 )
-from .errors import (
-    CensusLimit,
-    ExpansionRefused,
-    FlagLimit,
-    FormatError,
-    GeneratorLimit,
-    InvalidGraph,
-    NestLimit,
-    NotCombinatorialManifold,
-    NotGoodColoring,
-    SkelexError,
-    UnsupportedDimension,
-)
+from .errors import ExpansionRefused, FormatError, NestLimit, Refusal, SkelexError
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -443,21 +431,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         _refuse_overwriting_input(getattr(args, "file", None), args.out)
         out = args.out = _open_out(args.out)  # subcommands emit to the handle
         return args.func(args)
-    except (FormatError, InvalidGraph, UnsupportedDimension, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (
-        ExpansionRefused,
-        NotGoodColoring,
-        NotCombinatorialManifold,
-        CensusLimit,
-        FlagLimit,
-        GeneratorLimit,
-        NestLimit,
-    ) as exc:
+    except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except SkelexError as exc:
+    except (SkelexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

@@ -8,9 +8,13 @@ of f swaps f[k] for the other k-cell between f[k-1] and f[k+1].  That cell
 is unique because in a closed combinatorial manifold every interval from a
 (k-1)-cell to a (k+1)-cell holds exactly two k-cells (the diamond
 property); an interval holding any other number witnesses that the input is
-not one.  ``predicted_complex`` counts the chains of each length in one
-pass up the cells, and the full-flag count of the same pass bounds the
-listing.
+not one.  The checks run in one order: every ridge in two top cells, then
+the diamond pass, then, for n=2 and n=3, the links of (n-2)-cells and of
+vertices.  The arcs of a link are pairs the diamond pass found, so only
+connectivity and the Euler characteristic of n=3 vertex links are left to
+check.  ``predicted_complex``
+counts the chains of each length in one pass up the cells, and the
+full-flag count of the same pass bounds the listing.
 
 Face-poset file format (JSON)::
 
@@ -31,7 +35,7 @@ from itertools import combinations
 
 from .errors import FlagLimit, FormatError, NotCombinatorialManifold
 from .gf2 import ColorVector
-from .graph import ColoredGraph, canonicalize, cycle_fault, is_integer, reach, read_object
+from .graph import ColoredGraph, canonicalize, is_integer, reach, read_object
 
 CellId = int | str
 
@@ -95,9 +99,6 @@ class FacePoset:
 
     def cells_of_dim(self, d: int) -> list[int]:
         return [c for c in range(len(self.order)) if self.dim[c] == d]
-
-    def cell_count(self) -> int:
-        return len(self.order)
 
     def euler(self) -> int:
         return sum((-1) ** d for d in self.dim)
@@ -187,61 +188,42 @@ def _chain_counts(p: FacePoset) -> list[int]:
     return [sum(column) for column in zip(*ending)]
 
 
-_NAMES = ("vertex", "edge", "2-cell")
+_NAMES = ("vertex", "edge")
 
 
-def _link_graph(p: FacePoset, x: int) -> tuple[list[int], dict[int, list[int]]]:
-    """The graph of the link of cell x, one dimension down.
-
-    Its nodes are the cells one dimension above x that contain it; each
-    cell two dimensions above x joins the two nodes inside it.
-    """
-    d = p.dim[x]
-    nodes = sorted(c for c in p.cofaces[x] if p.dim[c] == d + 1)
-    arcs: dict[int, list[int]] = {c: [] for c in nodes}
-    for t in sorted(c for c in p.cofaces[x] if p.dim[c] == d + 2):
-        through = [c for c in nodes if c in p.faces[t]]
-        if len(through) != 2:
-            raise NotCombinatorialManifold(
-                f"{d + 2}-cell {p.order[t]!r} meets {_NAMES[d]} {p.order[x]!r}"
-                f" through {len(through)} {_NAMES[d + 1]}s"
-            )
-        a, b = through
-        arcs[a].append(b)
-        arcs[b].append(a)
-    return nodes, arcs
-
-
-def _check_links(p: FacePoset) -> None:
+def _check_links(p: FacePoset, between: dict[tuple[int, int], list[int]]) -> None:
     """Vertex links must be circles (n=2) or 2-spheres (n=3).
 
-    In both cases the link of every (n-2)-cell must be one circle.  For
-    n=3 that makes each vertex link a closed surface, whose vertices are
-    the edges at the vertex; it is a 2-sphere when it is also connected
-    with Euler characteristic 2, by the classification of surfaces.
+    Runs after the ridge count and the diamond pass.  The nodes of the link
+    of a cell x are the cells one dimension above it, and each cell t two
+    dimensions above x joins the pair ``between[x, t]``.  The nodes of an
+    (n-2)-cell's link are ridges, each on two arcs, so that link is a union
+    of circles, and for n=3 each vertex link is a closed surface.  What is
+    left is connectivity (an empty link has none) and, for n=3, Euler
+    characteristic 2 at each vertex: a 2-sphere, by the classification of
+    surfaces.
     """
     n = p.top_dim
-    for x in p.cells_of_dim(n - 2):
-        fault = cycle_fault(*_link_graph(p, x))
-        if fault is not None:
-            cell = f"{_NAMES[n - 2]} {p.order[x]!r}"
-            raise NotCombinatorialManifold({
-                "empty": f"{cell} has no incident {_NAMES[n - 1]}s",
-                "degree": f"link of {cell} is not 2-regular",
-                "disconnected": f"link of {cell} is disconnected",
-            }[fault[0]])
-    if n != 3:
-        return
-    for v in p.cells_of_dim(0):
-        nodes, arcs = _link_graph(p, v)
-        if not nodes or sum(1 for _ in reach(nodes[0], arcs.__getitem__)) != len(nodes):
-            raise NotCombinatorialManifold(f"link of vertex {p.order[v]!r} is disconnected")
-        chi = sum((-1) ** (p.dim[c] - 1) for c in p.cofaces[v])
-        if chi != 2:
-            raise NotCombinatorialManifold(
-                f"link of vertex {p.order[v]!r} is a closed surface with"
-                f" euler characteristic {chi}, not a 2-sphere"
-            )
+    for d in (1, 0) if n == 3 else (0,):
+        for x in p.cells_of_dim(d):
+            arcs: dict[int, list[int]] = {c: [] for c in p.cofaces[x] if p.dim[c] == d + 1}
+            for t in p.cofaces[x]:
+                if p.dim[t] == d + 2:
+                    a, b = between[x, t]
+                    arcs[a].append(b)
+                    arcs[b].append(a)
+            start = next(iter(arcs), None)
+            if start is None or sum(1 for _ in reach(start, arcs.__getitem__)) != len(arcs):
+                raise NotCombinatorialManifold(
+                    f"link of {_NAMES[d]} {p.order[x]!r} is disconnected"
+                )
+            if n == 3 and d == 0:
+                chi = sum((-1) ** (p.dim[c] - 1) for c in p.cofaces[x])
+                if chi != 2:
+                    raise NotCombinatorialManifold(
+                        f"link of vertex {p.order[x]!r} is a closed surface with"
+                        f" euler characteristic {chi}, not a 2-sphere"
+                    )
 
 
 BOTTOM, TOP = -1, -2  # below the 0-cells and above the n-cells; no cell has these indices
@@ -290,8 +272,6 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
     n = p.top_dim
     if n < 1:
         raise NotCombinatorialManifold("top dimension must be >= 1")
-    if n in (2, 3):
-        _check_links(p)
     # refuse a ridge outside two top cells before anything is counted
     for r in p.cells_of_dim(n - 1):
         if len(p.cofaces[r]) != 2:
@@ -301,6 +281,8 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
             )
     facets = [sorted(f for f in fs if p.dim[f] == p.dim[c] - 1) for c, fs in enumerate(p.faces)]
     between = _diamonds(p, facets)
+    if n in (2, 3):
+        _check_links(p, between)
     if (count := _chain_counts(p)[n]) > MAX_FULL_FLAGS:
         raise FlagLimit(f"dualizing is limited to {MAX_FULL_FLAGS} full flags, got {count}")
     up: list[list[int]] = [[] for _ in p.dim]

@@ -2,7 +2,9 @@
 
 Input problems (bad files, malformed values, invariant violations in user
 data) and domain refusals (structurally sound input that the mathematics
-rejects) are kept distinct so the CLI can map them to different exit codes.
+or a scale guard rejects) are kept distinct: every refusal is a
+``Refusal``, on which the CLI exits with 1, and any other error exits
+with 2.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 
 class SkelexError(Exception):
     """Base class for all library errors."""
+
+
+class Refusal(SkelexError):
+    """Sound input that the mathematics or a scale guard turns down."""
 
 
 class DimensionMismatch(SkelexError):
@@ -24,7 +30,7 @@ class InvalidGraph(SkelexError):
         super().__init__("; ".join(problems))
 
 
-class NotGoodColoring(SkelexError):
+class NotGoodColoring(Refusal):
     """An operation requiring a good coloring was given one that is not."""
 
 
@@ -32,11 +38,11 @@ class UnsupportedDimension(SkelexError):
     """The requested dimension is outside what the construction supports."""
 
 
-class ExpansionRefused(SkelexError):
+class ExpansionRefused(Refusal):
     """The expansion cannot be completed; details carried by the outcome."""
 
 
-class NotCombinatorialManifold(SkelexError):
+class NotCombinatorialManifold(Refusal):
     """A face poset fails the combinatorial-manifold conditions."""
 
 
@@ -44,17 +50,17 @@ class FormatError(SkelexError):
     """A file or stream does not follow the documented format."""
 
 
-class CensusLimit(SkelexError):
+class CensusLimit(Refusal):
     """The census scale guard was exceeded."""
 
 
-class FlagLimit(SkelexError):
+class FlagLimit(Refusal):
     """The dualization scale guard (the number of full flags) was exceeded."""
 
 
-class GeneratorLimit(SkelexError):
+class GeneratorLimit(Refusal):
     """The generator scale guard (the number of vertices) was exceeded."""
 
 
-class NestLimit(SkelexError):
+class NestLimit(Refusal):
     """The nest listing scale guard (the ids all nests list) was exceeded."""

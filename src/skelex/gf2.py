@@ -44,10 +44,6 @@ class ColorVector:
             raise ValueError(f"unit index {i} out of range for width {width}")
         return cls(1 << i, width)
 
-    @classmethod
-    def zero(cls, width: int) -> "ColorVector":
-        return cls(0, width)
-
     @property
     def is_zero(self) -> bool:
         return self.mask == 0

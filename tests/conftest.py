@@ -254,6 +254,10 @@ def edited(p: FacePoset, drop=None, add=None) -> FacePoset:
 GAP_CELL = ("c1_3", 1, ["c0_1", "c0_2"], ["c3_1", "c3_2"])
 # a third 2-cell between the 1-cells and both 3-cells of sphere_poset(4)
 THIRD_CELL = ("c2_3", 2, ["c1_1", "c1_2"], ["c3_1", "c3_2"])
+# a vertex listed only as a face of one top cell: in sphere_poset(3) its
+# link is empty, in sphere_poset(2) the interval up to c2_1 holds no edge
+LONE_VERTEX_3 = ("z", 0, [], ["c3_1"])
+LONE_VERTEX_2 = ("z", 0, [], ["c2_1"])
 
 
 def poset_document(p: FacePoset) -> dict:

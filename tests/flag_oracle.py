@@ -6,16 +6,21 @@ and scans all k-cells for the two full flags that extend each one-short
 flag.  ``listed_complex`` counts the dual's cells by listing every chain.
 Tests compare ``skelex.duality``'s flag exchange and chain counter against
 both.  Neither applies the ``FlagLimit`` guard: they serve small inputs.
+``check_links`` is the reference vertex-link check: it rebuilds every link
+from the cofaces, with no diamond pass, and tests each (n-2)-cell link to
+be one circle before the ridge count runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from skelex.duality import FacePoset, _check_links
+from skelex.duality import FacePoset
 from skelex.errors import NotCombinatorialManifold
 from skelex.gf2 import ColorVector
-from skelex.graph import ColoredGraph, canonicalize
+from skelex.graph import ColoredGraph, canonicalize, reach
+
+from graph_helpers import cell_count, cycle_fault
 
 Flag = tuple[int, ...]
 
@@ -30,7 +35,7 @@ def _chains_of_length(p: FacePoset, length: int) -> list[Flag]:
     """All strictly increasing-by-face chains of exactly ``length`` cells."""
     if length < 1:
         raise ValueError("chain length must be >= 1")
-    chains: list[Flag] = [(c,) for c in range(p.cell_count())]
+    chains: list[Flag] = [(c,) for c in range(cell_count(p))]
     for _ in range(length - 1):
         chains = [
             chain + (c,)
@@ -76,6 +81,63 @@ def _extensions(p: FacePoset, chain: Flag, k: int) -> list[Flag]:
     return [chain[:position] + (c,) + chain[position:] for c in candidates]
 
 
+_NAMES = ("vertex", "edge", "2-cell")
+
+
+def _link_graph(p: FacePoset, x: int) -> tuple[list[int], dict[int, list[int]]]:
+    """The graph of the link of cell x, one dimension down.
+
+    Its nodes are the cells one dimension above x that contain it; each
+    cell two dimensions above x joins the two nodes inside it.
+    """
+    d = p.dim[x]
+    nodes = sorted(c for c in p.cofaces[x] if p.dim[c] == d + 1)
+    arcs: dict[int, list[int]] = {c: [] for c in nodes}
+    for t in sorted(c for c in p.cofaces[x] if p.dim[c] == d + 2):
+        through = [c for c in nodes if c in p.faces[t]]
+        if len(through) != 2:
+            raise NotCombinatorialManifold(
+                f"{d + 2}-cell {p.order[t]!r} meets {_NAMES[d]} {p.order[x]!r}"
+                f" through {len(through)} {_NAMES[d + 1]}s"
+            )
+        a, b = through
+        arcs[a].append(b)
+        arcs[b].append(a)
+    return nodes, arcs
+
+
+def check_links(p: FacePoset) -> None:
+    """Vertex links must be circles (n=2) or 2-spheres (n=3).
+
+    In both cases the link of every (n-2)-cell must be one circle.  For
+    n=3 that makes each vertex link a closed surface, whose vertices are
+    the edges at the vertex; it is a 2-sphere when it is also connected
+    with Euler characteristic 2, by the classification of surfaces.
+    """
+    n = p.top_dim
+    for x in p.cells_of_dim(n - 2):
+        fault = cycle_fault(*_link_graph(p, x))
+        if fault is not None:
+            cell = f"{_NAMES[n - 2]} {p.order[x]!r}"
+            raise NotCombinatorialManifold({
+                "empty": f"{cell} has no incident {_NAMES[n - 1]}s",
+                "degree": f"link of {cell} is not 2-regular",
+                "disconnected": f"link of {cell} is disconnected",
+            }[fault[0]])
+    if n != 3:
+        return
+    for v in p.cells_of_dim(0):
+        nodes, arcs = _link_graph(p, v)
+        if not nodes or sum(1 for _ in reach(nodes[0], arcs.__getitem__)) != len(nodes):
+            raise NotCombinatorialManifold(f"link of vertex {p.order[v]!r} is disconnected")
+        chi = sum((-1) ** (p.dim[c] - 1) for c in p.cofaces[v])
+        if chi != 2:
+            raise NotCombinatorialManifold(
+                f"link of vertex {p.order[v]!r} is a closed surface with"
+                f" euler characteristic {chi}, not a 2-sphere"
+            )
+
+
 def _describe_flag(p: FacePoset, chain: Flag) -> str:
     return "[" + " < ".join(repr(p.order[c]) for c in chain) + "]"
 
@@ -90,7 +152,7 @@ def one_short_dual(p: FacePoset) -> ColoredGraph:
     if n < 1:
         raise NotCombinatorialManifold("top dimension must be >= 1")
     if n in (2, 3):
-        _check_links(p)
+        check_links(p)
     for r in p.cells_of_dim(n - 1):
         if len(p.cofaces[r]) != 2:
             raise NotCombinatorialManifold(

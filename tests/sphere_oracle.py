@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from skelex.classify import classify_surface
 from skelex.errors import UnsupportedDimension
 from skelex.expansion import Cell, CellComplex
-from skelex.graph import cycle_fault, reach
+from skelex.graph import reach
 from skelex.nests import Nest
+
+from graph_helpers import cycle_fault
 
 
 def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:

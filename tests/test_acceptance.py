@@ -23,12 +23,7 @@ from skelex.generators import (
     gen_nonorientable_surface,
     gen_orientable_surface,
 )
-from skelex.graph import (
-    color_isomorphic,
-    connected_sum,
-    is_pure,
-    validate,
-)
+from skelex.graph import validate
 from skelex.nests import NestIndex
 from skelex.realize import isotropy_report, realizability_summary
 
@@ -43,6 +38,7 @@ from conftest import (
     torus7_simplices,
 )
 from goodness_oracle import is_good
+from graph_helpers import color_isomorphic, connected_sum, is_pure
 from nest_oracle import regularity_check
 
 

@@ -2,12 +2,16 @@
 
 A change that adds or removes a public name updates ``PUBLIC`` here and
 records the change in CHANGES.md.  Reference code that only tests call
-lives in the ``tests/*_oracle.py`` modules, not in the package.
+lives in the ``tests/*_oracle.py`` modules and ``tests/graph_helpers.py``,
+not in the package: every public name is used by the package itself, or
+is one of the few ``ENTRY_POINTS`` that only README and tests call.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +42,6 @@ PUBLIC = [
     "SurfaceReport",
     "UnsupportedDimension",
     "classify_surface",
-    "color_isomorphic",
-    "connected_sum",
     "criterion_3d",
     "dual_colored_graph",
     "expand2",
@@ -49,9 +51,7 @@ PUBLIC = [
     "gen_orientable_surface",
     "homology_mod2",
     "intersect",
-    "is_pure",
     "isotropy_report",
-    "manifold_local_check",
     "nest_label",
     "parse",
     "parse_poset",
@@ -86,7 +86,26 @@ GONE = [
     ("graph", "ColoredGraph", "neighbors"),
     ("graph", "ColoredGraph", "other_end"),
     ("graph", "ColoredGraph", "is_connected"),
+    ("graph", None, "is_pure"),
+    ("graph", None, "connected_sum"),
+    ("graph", None, "color_isomorphic"),
+    ("graph", None, "_color_stars"),
+    ("graph", None, "_propagate"),
+    ("graph", None, "cycle_fault"),
+    ("graph", "ColoredGraph", "color_image"),
+    ("classify", None, "manifold_local_check"),
+    ("classify", None, "LocalCheckReport"),
+    ("duality", None, "_link_graph"),
+    ("duality", "FacePoset", "cell_count"),
+    ("gf2", "ColorVector", "zero"),
 ]
+
+# public names that no module of the package uses, each with its reason
+ENTRY_POINTS = {
+    "parse": "README's reader of a graph file with the validity gate",
+    "predicted_complex": "the flag census the north star checks against NestIndex.counts",
+    "sphere_poset": "README's Python example dualizes it",
+}
 
 
 def test_all_is_the_written_list():
@@ -105,6 +124,26 @@ def test_moved_and_deleted_names_are_gone(module, owner, name):
         home = getattr(home, owner)
     assert not hasattr(home, name)
     assert not hasattr(skelex, name)
+
+
+def _names_used_in_package() -> set[str]:
+    """Every name and attribute read anywhere in ``skelex`` outside ``__init__``."""
+    used: set[str] = set()
+    for path in Path(skelex.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a name only tests call belongs in a tests/ module
+    unused = set(skelex.__all__) - _names_used_in_package()
+    assert unused == set(ENTRY_POINTS)
 
 
 def test_nest_contains_stays_for_the_benchmark_tracer():

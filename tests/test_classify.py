@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from skelex.classify import (
-    classify_surface,
-    homology_mod2,
-    manifold_local_check,
-)
+from skelex.classify import classify_surface, homology_mod2
 from skelex.errors import SkelexError
 from skelex.expansion import CellComplex, full_expand
 from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
 
 from conftest import edges_at
+from graph_helpers import connected_sum
+from local_check_oracle import manifold_local_check
 from rank_oracle import boundary_matrix, rank_gf2
 
 
@@ -99,8 +97,6 @@ class TestHomology:
             assert betti == tuple(reversed(betti))
 
     def test_mod2_homology_cannot_separate_klein_from_torus(self):
-        from skelex.graph import connected_sum
-
         a, b = gen_nonorientable_surface(1), gen_nonorientable_surface(1)
         pick = lambda g: next(
             i for i in range(g.edge_count) if str(g.color(i)) == "100"

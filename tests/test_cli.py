@@ -14,6 +14,8 @@ from itertools import combinations
 import pytest
 
 from skelex import census as census_mod
+from skelex import cli
+from skelex import errors as errors_mod
 from skelex import generators as generators_mod
 from skelex import graph as graph_mod
 
@@ -33,6 +35,8 @@ from conftest import (
     CUBE_EDGES,
     GAP_CELL,
     K4_EDGES,
+    LONE_VERTEX_2,
+    LONE_VERTEX_3,
     THIRD_CELL,
     criterion_counterexample,
     edited,
@@ -228,6 +232,15 @@ class TestDualize:
         assert (code, out) == (EXIT_REFUSED, "")
         assert err == f"refused: {interval}, expected 2\n"
 
+    @pytest.mark.parametrize("n, cell, reason", [
+        (3, LONE_VERTEX_3, "link of vertex 'z' is disconnected"),
+        (2, LONE_VERTEX_2, "between 0-cell 'z' and 2-cell 'c2_1' lie 0 1-cells, expected 2"),
+    ])
+    def test_lone_vertex_refused(self, capsys, monkeypatch, n, cell, reason):
+        text = json.dumps(poset_document(edited(sphere_poset(n), add=cell)))
+        code, out, err = run_cli(capsys, monkeypatch, ["dualize"], stdin_text=text)
+        assert (code, out, err) == (EXIT_REFUSED, "", f"refused: {reason}\n")
+
     @pytest.mark.parametrize("k", [8, 9])
     def test_closed_simplex_boundary_past_the_flag_bound(self, capsys, monkeypatch, k):
         # (k+1)! full flags, refused before any is listed
@@ -387,6 +400,39 @@ class TestRealizeCommand:
         )
         assert code == EXIT_REFUSED
         assert "unknown" in out
+
+
+ERROR_CLASSES = {
+    name: value for name, value in vars(errors_mod).items()
+    if isinstance(value, type) and issubclass(value, errors_mod.SkelexError)
+}
+REFUSED = {
+    "Refusal", "ExpansionRefused", "NotGoodColoring", "NotCombinatorialManifold",
+    "CensusLimit", "FlagLimit", "GeneratorLimit", "NestLimit",
+}
+
+
+class TestExitCodes:
+    """A refusal exits with 1 and every other library error with 2."""
+
+    def test_refusals_are_the_written_list(self):
+        assert {
+            name for name, cls in ERROR_CLASSES.items() if issubclass(cls, errors_mod.Refusal)
+        } == REFUSED
+
+    @pytest.mark.parametrize("name", sorted(ERROR_CLASSES))
+    def test_exit_code_follows_the_class(self, capsys, monkeypatch, name):
+        cls = ERROR_CLASSES[name]
+
+        def command(args):
+            raise cls(["why"]) if cls is errors_mod.InvalidGraph else cls("why")
+
+        monkeypatch.setattr(cli, "_cmd_validate", command)
+        code, out, err = run_cli(capsys, monkeypatch, ["validate"], stdin_text="{}")
+        if name in REFUSED:
+            assert (code, out, err) == (EXIT_REFUSED, "", "refused: why\n")
+        else:
+            assert (code, out, err) == (EXIT_INPUT, "", "error: why\n")
 
 
 class TestOutFlag:

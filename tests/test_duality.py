@@ -22,11 +22,13 @@ from skelex.duality import (
 from skelex.errors import FormatError, NotCombinatorialManifold
 from skelex.expansion import full_expand
 from skelex.generators import gen_cube
-from skelex.graph import color_isomorphic, connected_sum, is_pure, validate
+from skelex.graph import validate
 from skelex.nests import NestIndex
 
 from conftest import (
     GAP_CELL,
+    LONE_VERTEX_2,
+    LONE_VERTEX_3,
     THIRD_CELL,
     edited,
     gale_facets,
@@ -35,6 +37,8 @@ from conftest import (
 )
 from flag_oracle import _chains_of_length, flags, listed_complex, one_short_dual
 from goodness_oracle import is_good
+from graph_helpers import cell_count, color_isomorphic, connected_sum, is_pure
+from local_check_oracle import manifold_local_check
 
 
 def delta3() -> FacePoset:
@@ -161,7 +165,6 @@ class TestDualGraph:
         # duality in dimension three: the 5-vertex 3-sphere triangulation
         from itertools import combinations
 
-        from skelex.classify import homology_mod2, manifold_local_check
         from skelex.expansion import criterion_3d
 
         poset = FacePoset.from_simplices(
@@ -263,7 +266,7 @@ class TestParsePoset:
         text = '{"simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}'
         p = parse_poset(text)
         assert p.top_dim == 2
-        assert p.cell_count() == 14
+        assert cell_count(p) == 14
 
     def test_explicit_cells(self):
         text = (
@@ -294,26 +297,53 @@ class TestParsePoset:
             parse_poset("nope")
 
 
-def _refusal(simplices) -> str:
+TETRA = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+# posets with a vertex or edge link that is neither a circle nor a 2-sphere
+LINK_FAILURES = {
+    "surface wedge": lambda: FacePoset.from_simplices(
+        TETRA + [[0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]
+    ),
+    "surface fin": lambda: FacePoset.from_simplices([[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+    # two boundaries of the 4-simplex joined at vertex 0: the link there is
+    # two 2-spheres
+    "3-sphere wedge": lambda: FacePoset.from_simplices(
+        [list(s) for s in combinations(range(5), 4)]
+        + [list(s) for s in combinations((0, 5, 6, 7, 8), 4)]
+    ),
+    # three tetrahedra on the triangle (0, 1, 2)
+    "three-fin": lambda: FacePoset.from_simplices(
+        [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
+    ),
+    # a pseudomanifold: the two cone points have torus links
+    "suspended torus": lambda: FacePoset.from_simplices(
+        [t + [apex] for t in torus7_simplices() for apex in (7, 8)]
+    ),
+    # z lies in a 3-cell and in no edge: every ridge and interval is sound,
+    # and its link has no nodes at all
+    "lone vertex, n=3": lambda: edited(sphere_poset(3), add=LONE_VERTEX_3),
+    "lone vertex, n=2": lambda: edited(sphere_poset(2), add=LONE_VERTEX_2),
+}
+
+
+def _refusal(name: str) -> str:
     with pytest.raises(NotCombinatorialManifold) as info:
-        dual_colored_graph(FacePoset.from_simplices(simplices))
+        dual_colored_graph(LINK_FAILURES[name]())
     return str(info.value)
 
 
-TETRA = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-
-
 class TestVertexLinks:
-    """Each link diagnosis of dual_colored_graph, for n=2 and n=3."""
+    """Each link diagnosis of dual_colored_graph, for n=2 and n=3.
+
+    The ridge count and the diamond pass run first, so a link that is not
+    2-regular is refused by one of them, naming a ridge or an interval.
+    """
 
     def test_surface_wedge_link_disconnected(self):
-        wedge = TETRA + [[0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]
-        assert _refusal(wedge) == "link of vertex 's0' is disconnected"
+        assert _refusal("surface wedge") == "link of vertex 's0' is disconnected"
 
     def test_surface_fin_link_not_two_regular(self):
-        assert _refusal([[0, 1, 2], [0, 1, 3], [0, 1, 4]]) == (
-            "link of vertex 's0' is not 2-regular"
-        )
+        assert _refusal("surface fin") == "1-cell 's0_1' lies in 3 of the 2-cells, expected 2"
 
     def test_two_cell_through_one_edge(self):
         # two 2-cells bounded by the same single edge
@@ -323,27 +353,34 @@ class TestVertexLinks:
         ])
         with pytest.raises(NotCombinatorialManifold) as info:
             dual_colored_graph(p)
-        assert str(info.value) == "2-cell 'f' meets vertex 'a' through 1 edges"
+        assert str(info.value) == "between 0-cell 'a' and 2-cell 'f' lie 1 1-cells, expected 2"
 
     def test_wedge_of_3_spheres_refused(self):
-        # two boundaries of the 4-simplex joined at vertex 0: the link there
-        # is two 2-spheres
-        simplex = [list(s) for s in combinations(range(5), 4)]
-        other = [list(s) for s in combinations((0, 5, 6, 7, 8), 4)]
-        assert _refusal(simplex + other) == "link of vertex 's0' is disconnected"
+        assert _refusal("3-sphere wedge") == "link of vertex 's0' is disconnected"
 
     def test_suspended_torus_refused(self):
-        # a pseudomanifold: the two cone points have torus links
-        suspension = [t + [apex] for t in torus7_simplices() for apex in (7, 8)]
-        assert _refusal(suspension) == (
+        assert _refusal("suspended torus") == (
             "link of vertex 's7' is a closed surface with euler characteristic 0,"
             " not a 2-sphere"
         )
 
     def test_three_fin_edge_link_not_two_regular(self):
-        # three tetrahedra on the triangle (0, 1, 2)
-        fin = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
-        assert _refusal(fin) == "link of edge 's0_1' is not 2-regular"
+        assert _refusal("three-fin") == "2-cell 's0_1_2' lies in 3 of the 3-cells, expected 2"
+
+    def test_empty_vertex_link_is_disconnected(self):
+        assert _refusal("lone vertex, n=3") == "link of vertex 'z' is disconnected"
+
+    def test_lone_vertex_of_a_surface_is_an_interval_refusal(self):
+        assert _refusal("lone vertex, n=2") == (
+            "between 0-cell 'z' and 2-cell 'c2_1' lie 0 1-cells, expected 2"
+        )
+
+    @pytest.mark.parametrize("name", list(LINK_FAILURES))
+    def test_both_dualizations_refuse(self, name):
+        poset = LINK_FAILURES[name]()
+        for dualize in (dual_colored_graph, one_short_dual):
+            with pytest.raises(NotCombinatorialManifold):
+                dualize(poset)
 
 
 class TestPosetRobustness:

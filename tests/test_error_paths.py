@@ -10,9 +10,10 @@ from skelex.errors import DimensionMismatch, FormatError, SkelexError
 from skelex.expansion import CellComplex, expand2, full_expand
 from skelex.generators import gen_cube
 from skelex.gf2 import ColorVector, intersect, span
-from skelex.graph import ColoredGraph, color_isomorphic, connected_sum, parse, validate
+from skelex.graph import ColoredGraph, parse, validate
 from skelex.nests import Nest, NestIndex, nest_label
 
+from graph_helpers import color_isomorphic, connected_sum
 from rank_oracle import boundary_matrix, rank_gf2
 
 

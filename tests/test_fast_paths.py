@@ -18,14 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skelex.census import enumerate_proper_colorings
-from skelex.classify import homology_mod2, manifold_local_check
+from skelex.classify import homology_mod2
 from skelex.cli import run
 from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
 from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import rank_masks, span
-from skelex.graph import ColoredGraph, connected_sum, serialize
+from skelex.graph import ColoredGraph, serialize
 from skelex.nests import NestIndex, nest_label
 
 from conftest import (
@@ -37,6 +37,8 @@ from conftest import (
     random_valid_coloring,
     six_colored_k4,
 )
+from graph_helpers import connected_sum
+from local_check_oracle import manifold_local_check
 from nest_oracle import grow_nest
 from rank_oracle import boundary_matrix, rank_gf2
 from sphere_oracle import _subcomplex, boundary_sphere_complex, sphere_check

@@ -6,7 +6,7 @@ import pytest
 
 from skelex import generators as generators_mod
 from skelex.gf2 import ColorVector, span
-from skelex.graph import is_pure, validate
+from skelex.graph import validate
 from skelex.generators import (
     CycleTable,
     cycle_table_nonorientable,
@@ -19,6 +19,7 @@ from skelex.generators import (
 from skelex.nests import NestIndex
 
 from goodness_oracle import is_good
+from graph_helpers import is_pure
 
 
 class TestCube:

@@ -14,9 +14,6 @@ from skelex.graph import (
     MAX_LISTED_PROBLEMS,
     ColoredGraph,
     canonicalize,
-    color_isomorphic,
-    connected_sum,
-    is_pure,
     parse,
     read_graph,
     serialize,
@@ -27,6 +24,7 @@ from skelex.nests import NestIndex, nest_label
 
 from conftest import CUBE_EDGES, edges_at, other_end, random_valid_coloring
 from goodness_oracle import check_good, congruent_mod, connection, is_good
+from graph_helpers import color_isomorphic, connected_sum, is_pure
 
 
 def cv(text):

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from skelex.classify import classify_surface, homology_mod2, manifold_local_check
+from skelex.classify import classify_surface, homology_mod2
 from skelex.expansion import criterion_3d, full_expand
 from skelex.gf2 import ColorVector
-from skelex.graph import ColoredGraph, is_pure, validate
+from skelex.graph import ColoredGraph, validate
 from skelex.nests import NestIndex
 
 from goodness_oracle import is_good
+from graph_helpers import is_pure
+from local_check_oracle import manifold_local_check
 
 
 def banana(n: int) -> ColoredGraph:
