@@ -14,7 +14,8 @@ alone (``class_criterion``); only the classes where it holds, and every
 class for other n, build a nest index and expand.  Every class colors the
 same edges, so one ``census`` call labels each colored subgraph once and
 shares that labelling with every class that colors the same edges inside
-the same subspace.
+the same subspace, as it shares which 2-nest layers lie in each 3-nest
+subspace.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import expansion
 from .errors import CensusLimit, FormatError, InvalidGraph, UnsupportedDimension
 from .gf2 import ColorVector, Subspace
 from .graph import ColoredGraph, reach
-from .nests import ColorComponents, NestIndex, order_nests, star_spaces
+from .nests import ColorComponents, NestIndex, Within, order_nests, star_spaces
 
 DEFAULT_CENSUS_LIMIT = 16
 MAX_CENSUS_CLASSES = 10_000  # the 4-cube has 1,840 classes, K8 at n=6 has 6,240
@@ -111,7 +112,9 @@ def enumerate_proper_colorings(
         todo[e] = choices(e)
 
 
-def class_criterion(g: ColoredGraph, seen: Layers | None = None) -> expansion.Criterion3:
+def class_criterion(
+    g: ColoredGraph, seen: Layers | None = None, held: Within | None = None
+) -> expansion.Criterion3:
     """The n=3 counting criterion of a census class, from component labels.
 
     Each vertex carries all four unit colors, so the k-nests are exactly
@@ -124,6 +127,9 @@ def class_criterion(g: ColoredGraph, seen: Layers | None = None) -> expansion.Cr
     it.  Edge ids and the edges at each vertex do not depend on the
     coloring, so a labelling depends only on which edges lie inside, and a
     class reuses any labelling an earlier class made of the same edges.
+    The 2-nest layers of every class span the same subspaces in the same
+    order, so ``held``, which says which of them lie in each 3-nest
+    subspace, is shared by every class of one census too.
     """
     if seen is None:
         seen = {}
@@ -143,13 +149,15 @@ def class_criterion(g: ColoredGraph, seen: Layers | None = None) -> expansion.Cr
                 layer = seen[key] = ColorComponents(space, g.vertex_count).label_all(arcs)
             layers.append(layer)
     three, _ = order_nests(triples)
-    return expansion.Criterion3.decide(g.vertex_count, pairs, three)
+    return expansion.Criterion3.decide(g.vertex_count, pairs, three, held)
 
 
-def _entry(coloring: tuple[int, ...], g: ColoredGraph, seen: Layers) -> CensusEntry:
+def _entry(
+    coloring: tuple[int, ...], g: ColoredGraph, seen: Layers, held: Within
+) -> CensusEntry:
     """Expand and classify one class, deciding the n=3 criterion first."""
     if g.n == 3:
-        crit = class_criterion(g, seen)
+        crit = class_criterion(g, seen, held)
         if not crit.holds:
             return CensusEntry(coloring, g, None, crit.refusal)
     outcome = expansion.full_expand(g, NestIndex(g))
@@ -204,11 +212,13 @@ def census(
     units = [ColorVector.unit(i, n + 1) for i in range(n + 1)]
     rows = [[(u, v, unit) for unit in units] for u, v in edges]  # shared by every class
     seen: Layers = {}
+    held: Within = {}
     return [
         _entry(
             coloring,
             ColoredGraph(n, vertex_count, tuple(row[c] for row, c in zip(rows, coloring))),
             seen,
+            held,
         )
         for coloring in colorings
     ]

@@ -16,7 +16,10 @@ refused at once, and a command that fails leaves the file empty.  An
 ``--out`` that names the command's own input file is refused before it is
 opened, so the input keeps its bytes.  JSON output is the text
 ``json.dumps`` writes with an indent of 1, written as it is produced
-(``graph.json_pieces``).
+(``graph.json_pieces``).  The long listings are built as they are
+written too: ``realize --table`` makes each isotropy row as it writes it,
+once the whole table is checked, and ``nests`` holds one dimension's
+nests at a time, dropping each before it enumerates the next.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ EXIT_REFUSED = 1
 EXIT_INPUT = 2
 
 # the most vertex and edge ids ``nests`` lists over all its nests: cube n=10
-# lists 15,728,640 in 13 to 15 s at a peak RSS of 290 MB (JSON, 173 MB of
-# text) or 240 MB (text format) on a 2-core x86 host, and time and memory
-# grow with the count
+# lists 15,728,640 in 12.8 s (JSON, 173 MB of text) or 8.6 s (text format,
+# 83 MB), each at a peak RSS of 81 MB, on a 2-core x86 host; time grows
+# with the count, and memory with the largest single dimension
 MAX_LISTED_NEST_IDS = 1 << 24
 
 
@@ -159,34 +162,42 @@ def _cmd_nests(args) -> int:
             f"listing nests is limited to {MAX_LISTED_NEST_IDS} vertex and edge ids,"
             f" got {ids}"
         )
-    dims = [args.dim] if args.dim is not None else list(range(g.n + 1))
-    all_nests = {k: index.nests(k) for k in dims}
-    counts = index.counts()
-    # both formats are written nest by nest, never as one text
+    if args.dim is not None:
+        nests_mod.check_dimension(args.dim, g.n)  # before any output
+    listed = range(g.width) if args.dim is None else (args.dim,)
+    nu = [0] * g.width  # counted as the dimensions pass
+
+    def each_nest() -> Iterator[nests_mod.Nest]:
+        # one dimension at a time: enumerated, counted, listed, then dropped
+        # before the next one is enumerated
+        for k in range(g.width):
+            nu[k] = len(index.nests(k))
+            if k in listed:
+                yield from index.nests(k)
+            index.drop(k)
+
+    # both formats are built and written nest by nest, never as one text
     if args.format == "json":
-        payload = {
-            "nests": [
+        _emit(args.out, graph_mod.json_pieces({
+            "nests": (
                 {
-                    "dim": k,
+                    "dim": nest.dim,
                     "label": nests_mod.nest_label(nest),
                     "vertices": nest.vertex_ids,
                     "edges": nest.edge_ids,
                 }
-                for k in dims
-                for nest in all_nests[k]
-            ],
-            "nu": counts,
-        }
-        _emit(args.out, graph_mod.json_pieces(payload))
+                for nest in each_nest()
+            ),
+            "nu": nu,  # written once every nest is
+        }))
         return EXIT_OK
 
     def listing() -> Iterator[str]:
-        for k in dims:
-            for nest in all_nests[k]:
-                vs = ",".join(str(v) for v in nest.vertex_ids)
-                es = ",".join(str(e) for e in nest.edge_ids)
-                yield f"k={k} label={nests_mod.nest_label(nest)} vertices={vs} edges={es}\n"
-        yield "nu = (" + ", ".join(str(c) for c in counts) + ")"
+        for nest in each_nest():
+            vs = ",".join(str(v) for v in nest.vertex_ids)
+            es = ",".join(str(e) for e in nest.edge_ids)
+            yield f"k={nest.dim} label={nests_mod.nest_label(nest)} vertices={vs} edges={es}\n"
+        yield "nu = (" + ", ".join(str(c) for c in nu) + ")"
 
     _emit(args.out, listing())
     return EXIT_OK
@@ -319,12 +330,14 @@ def _cmd_realize(args) -> int:
     except ExpansionRefused as exc:
         _emit(args.out, f"realizability: unknown (expansion refused: {exc})")
         return EXIT_REFUSED
+    # the whole table is checked before the first byte is written
     records = realize_mod.isotropy_report(g, index) if args.table else []
     # nests of one color subspace share one kernel: each is rendered once
     terms = {
         basis: [realize_mod.render_t_vector(m, g.width) for m in basis]
         for basis in {r.subgroup_basis for r in records}
     }
+    # both formats build each isotropy row as it is written
     if args.format == "json":
         payload: dict = {
             "euler": summary.euler,
@@ -333,7 +346,7 @@ def _cmd_realize(args) -> int:
             "fixed_points": summary.fixed_point_count,
         }
         if args.table:
-            payload["isotropy"] = [
+            payload["isotropy"] = (
                 {
                     "dim": r.nest.dim,
                     "edges": list(r.nest.edge_ids),
@@ -342,23 +355,26 @@ def _cmd_realize(args) -> int:
                     "kernel": terms[r.subgroup_basis],
                 }
                 for r in records
-            ]
+            )
         _emit(args.out, graph_mod.json_pieces(payload))
         return EXIT_OK
-    lines = [
-        f"euler: {summary.euler}",
-        f"bounds directly: {'yes' if summary.bounds_directly else 'no'}",
-        f"doubling required: {'yes' if summary.doubling_required else 'no'}",
-        f"fixed points: {summary.fixed_point_count}",
-    ]
-    for record in records:
-        basis = ", ".join(terms[record.subgroup_basis]) or "0"
-        lines.append(
-            f"nest dim={record.nest.dim} edges={list(record.nest.edge_ids)}"
-            f" corank={record.corank} copies={record.copies}"
-            f" kernel=[{basis}]"
+
+    def report() -> Iterator[str]:
+        yield (
+            f"euler: {summary.euler}\n"
+            f"bounds directly: {'yes' if summary.bounds_directly else 'no'}\n"
+            f"doubling required: {'yes' if summary.doubling_required else 'no'}\n"
+            f"fixed points: {summary.fixed_point_count}"
         )
-    _emit(args.out, "\n".join(lines))
+        for record in records:
+            basis = ", ".join(terms[record.subgroup_basis]) or "0"
+            yield (
+                f"\nnest dim={record.nest.dim} edges={list(record.nest.edge_ids)}"
+                f" corank={record.corank} copies={record.copies}"
+                f" kernel=[{basis}]"
+            )
+
+    _emit(args.out, report())
     return EXIT_OK
 
 

@@ -20,10 +20,10 @@ from typing import Sequence
 
 from .errors import NotGoodColoring, UnsupportedDimension
 from .graph import ColoredGraph
-from .nests import ColorComponents, Nest, NestIndex, components_within, nest_label
+from .nests import ColorComponents, Nest, NestIndex, Within, components_within, nest_label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     dim: int
     index: int
@@ -147,6 +147,7 @@ class Criterion3:
         vertex_count: int,
         pairs: Sequence[ColorComponents],
         three: Sequence[Nest],
+        held: Within | None = None,
     ) -> "Criterion3":
         """The criterion from the counts, with a witness when it fails.
 
@@ -154,13 +155,19 @@ class Criterion3:
         ``three`` lists the 3-nests in canonical order; the witness is the
         first 3-nest whose boundary euler characteristic |V| - |E| + #faces
         is not 2, its faces being the 2-nests ``components_within`` finds.
+        ``held`` is the ``components_within`` dict every 3-nest reads, so
+        the layers inside each distinct 3-nest subspace are found once.
+        Calls whose ``pairs`` list the same subspaces in the same order
+        may share one; by default it lives for this call.
         """
         two_nests = sum(len(layer.parts) for layer in pairs)
         counts = (vertex_count, two_nests, len(three))
         if len(three) == two_nests - vertex_count:
             return cls(True, *counts)
+        if held is None:
+            held = {}
         for nest in three:
-            faces = sum(1 for _ in components_within(pairs, nest))
+            faces = sum(1 for _ in components_within(pairs, nest, held))
             chi = len(nest.vertex_ids) - len(nest.edge_ids) + faces
             if chi != 2:
                 return cls(False, *counts, nest, chi)

@@ -23,9 +23,10 @@ top-level JSON object of graph and face-poset files alike, and
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable
 
 from .errors import FormatError, InvalidGraph
 from .gf2 import ColorVector, rank_masks
@@ -203,12 +204,19 @@ def json_pieces(value) -> Iterator[str]:
     or dict that holds only scalars, such as an edge row, an id list or a
     coloring, is written by one call of the C encoder.  ``value`` must hold
     no cycle.
+
+    At the top two levels an iterator, such as a generator, is written as
+    the array of the items it yields, each drawn as the writer reaches it,
+    so a listing can be built row by row inside the writer's loop; an
+    exhausted one is ``[]``.  A value later in the document is read only
+    once the iterator is exhausted.  Below those levels an iterator is a
+    ``TypeError``, as it is for ``json.dumps``.
     """
     return _pieces(value, 0)
 
 
 def _pieces(value, level: int) -> Iterator[str]:
-    if level >= STREAMED_LEVELS or not _is_nested(value):
+    if level >= STREAMED_LEVELS or not (_is_nested(value) or _is_lazy(value)):
         yield _text(value, level)
         return
     inner = "\n" + " " * (level + 1)
@@ -224,7 +232,19 @@ def _pieces(value, level: int) -> Iterator[str]:
         yield head + prefix + next(pieces)
         yield from pieces
         head = "," + inner
-    yield "\n" + " " * level + closing
+    if head == opening + inner:  # an iterator that yielded nothing
+        yield opening + closing
+    else:
+        yield "\n" + " " * level + closing
+
+
+def _is_lazy(value) -> bool:
+    """Is ``value`` an iterator, written as an array when streamed?
+
+    Asked only of values at the streamed levels that are not nested
+    containers, so the rows of a listing never pay for it.
+    """
+    return type(value) not in _SCALARS and isinstance(value, Iterator)
 
 
 def _is_nested(value) -> bool:

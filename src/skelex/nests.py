@@ -36,7 +36,7 @@ from .gf2 import ColorVector, Subspace, span
 from .graph import Arcs, ColoredGraph, require_valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nest:
     edge_ids: tuple[int, ...]
     vertex_ids: tuple[int, ...]
@@ -117,8 +117,12 @@ class ColorComponents:
         return self
 
 
+# a nest subspace -> the positions of the layers inside it (components_within)
+Within = dict[Subspace, tuple[int, ...]]
+
+
 def components_within(
-    layers: Sequence[ColorComponents], nest: Nest
+    layers: Sequence[ColorComponents], nest: Nest, held: Within | None = None
 ) -> Iterator[tuple[int, int]]:
     """(layer position, label) of each walked component inside ``nest``.
 
@@ -126,14 +130,21 @@ def components_within(
     ``nest`` exactly when it meets it, so the components inside are read
     off the labels on the nest's vertices.  Label -1 is skipped: no walk
     reached that vertex in that layer, and on a coloring that is not good
-    such an unwalked component need not be a nest.
+    such an unwalked component need not be a nest.  ``held`` maps a
+    subspace to the positions of the layers inside it; a caller that reads
+    many nests against the same layers passes one dict to every call, so
+    containment is decided once per distinct nest subspace.
     """
-    for i, layer in enumerate(layers):
-        if layer.space <= nest.color:
-            labels = layer.labels
-            for found in {labels[v] for v in nest.vertex_ids}:
-                if found >= 0:
-                    yield i, found
+    inside = None if held is None else held.get(nest.color)
+    if inside is None:
+        inside = tuple(i for i, layer in enumerate(layers) if layer.space <= nest.color)
+        if held is not None:
+            held[nest.color] = inside
+    for i in inside:
+        labels = layers[i].labels
+        for found in {labels[v] for v in nest.vertex_ids}:
+            if found >= 0:
+                yield i, found
 
 
 def order_nests(
@@ -157,6 +168,12 @@ def order_nests(
     return nests, tuple(map(tuple, positions))
 
 
+def check_dimension(k: int, n: int) -> None:
+    """Refuse a nest dimension outside 0..n."""
+    if not 0 <= k <= n:
+        raise UnsupportedDimension(f"nest dimension {k} outside 0..{n}")
+
+
 class NestIndex:
     """The nests of one graph, validated once and enumerated once per dimension.
 
@@ -164,7 +181,8 @@ class NestIndex:
     ``nests(k)[i]``; since keys sort by their ids, the 0-nest at vertex v
     has index v and the 1-nest of edge e has index e.  The component layers
     that enumerate each dimension are kept, with each component's index,
-    and the face relation is read from their labels.
+    and the face relation is read from their labels.  ``drop(k)`` lets a
+    caller that reads one dimension at a time free each when done.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -177,10 +195,15 @@ class NestIndex:
     def nests(self, k: int) -> tuple[Nest, ...]:
         """All k-nests in canonical order; raises outside 0..n."""
         if k not in self._nests:
-            if not 0 <= k <= self.graph.n:
-                raise UnsupportedDimension(f"nest dimension {k} outside 0..{self.graph.n}")
+            check_dimension(k, self.graph.n)
             self._nests[k] = self._enumerate(k)
         return self._nests[k]
+
+    def drop(self, k: int) -> None:
+        """Forget the k-nests and their layers; a later use enumerates them again."""
+        self._nests.pop(k, None)
+        self._layers.pop(k, None)
+        self._positions.pop(k, None)
 
     def _enumerate(self, k: int) -> tuple[Nest, ...]:
         # layers are keyed by subspace, never by star subset: the subsets

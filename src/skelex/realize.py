@@ -22,7 +22,7 @@ from .graph import ColoredGraph
 from .nests import Nest, NestIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsotropyRecord:
     nest: Nest
     subgroup_basis: tuple[int, ...]  # kernel vectors over the t-basis
@@ -88,18 +88,33 @@ def realizability_summary(
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)
     chi = outcome.complex.euler()
+    del outcome  # the cells go before the tangent colors are built
     if g.n == 2:
         bounds = chi % 2 == 0
     else:
         bounds = True
-    tangent = tuple(
-        tuple(sorted(str(g.color(e)) for e, _, _ in at)) for at in g.arcs()
-    )
     return RealizabilitySummary(
         n=g.n,
         euler=chi,
         bounds_directly=bounds,
         doubling_required=not bounds,
         fixed_point_count=g.vertex_count,
-        tangent_colors=tangent,
+        tangent_colors=tangent_colors(g),
     )
+
+
+def tangent_colors(g: ColoredGraph) -> tuple[tuple[str, ...], ...]:
+    """Per vertex, the strings of its incident colors, sorted.
+
+    Each distinct color is rendered once, and its one string is shared by
+    every edge that carries it.
+    """
+    names: dict[int, str] = {}  # color mask -> its string
+    at: list[list[str]] = [[] for _ in range(g.vertex_count)]
+    for u, v, c in g.edges:
+        name = names.get(c.mask)
+        if name is None:
+            name = names[c.mask] = str(c)
+        at[u].append(name)
+        at[v].append(name)
+    return tuple(tuple(sorted(colors)) for colors in at)

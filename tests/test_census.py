@@ -17,7 +17,7 @@ from skelex import graph as graph_mod
 from skelex import nests as nests_mod
 from skelex.census import census, class_criterion, enumerate_proper_colorings
 from skelex.generators import gen_cube
-from skelex.gf2 import ColorVector, span
+from skelex.gf2 import ColorVector, Subspace, span
 from skelex.graph import validate
 from skelex.nests import ColorComponents, NestIndex
 
@@ -158,8 +158,8 @@ class TestFourCube:
             labelled.append(layer.space)
             return real_label_all(layer, arcs)
 
-        def recorded_criterion(g, seen=None):
-            crit = real_criterion(g, seen)
+        def recorded_criterion(g, seen=None, held=None):
+            crit = real_criterion(g, seen, held)
             decided.append((g, crit))
             return crit
 
@@ -180,6 +180,30 @@ class TestFourCube:
             alone = class_criterion(g)  # a fresh dict: nothing shared
             assert crit == alone  # witness and its euler characteristic included
             assert entry.refusal == alone.refusal
+
+    def test_containment_is_decided_once_per_census(self, monkeypatch):
+        # every class's 2-nest layers list the same six subspaces in the
+        # same order, so whether each lies in a 3-nest subspace is asked
+        # once per census: at most 4 subspaces x 6 layers, where asking per
+        # (layer, 3-nest) pair in every refused class made 11,000 and more
+        asked = []
+        real = Subspace.__le__
+        monkeypatch.setattr(Subspace, "__le__", lambda a, b: asked.append(b) or real(a, b))
+        decided = []
+        real_decide = expansion.Criterion3.decide.__func__
+
+        def recorded_decide(cls, vertex_count, pairs, three, held=None):
+            before = len(asked)
+            crit = real_decide(cls, vertex_count, pairs, three, held)
+            decided.append(len(asked) - before)
+            return crit
+
+        monkeypatch.setattr(expansion.Criterion3, "decide", classmethod(recorded_decide))
+        entries = census(self.EDGES, 16, 3)
+        assert len(entries) == 1840
+        assert len(decided) == 1841  # the closing class decides again as it expands
+        assert 0 < sum(decided) <= 4 * 6
+        assert len(set(asked)) <= 4
 
     def test_entries_share_edge_rows(self):
         # each class's edges are (u, v, unit) rows built once per census;

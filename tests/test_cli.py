@@ -165,6 +165,38 @@ class TestNests:
         assert payload["nu"] == [8, 12, 6]
         assert all(n["dim"] == 2 for n in payload["nests"])
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("dim", [-1, 4])
+    def test_dimension_outside_refused_before_any_output(self, capsys, monkeypatch, fmt, dim):
+        # the listing is written as the dimensions are enumerated, so the
+        # dimension is checked before the first of them
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["nests", "--dim", str(dim), "--format", fmt],
+            stdin_text=serialize(gen_cube(3)),
+        )
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: nest dimension {dim} outside 0..3\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_dimension_is_the_full_listing_cut(self, capsys, monkeypatch, fmt):
+        # --dim lists the nests of one dimension and still counts them all
+        text = serialize(gen_cube(3))
+        _, full, _ = run_cli(capsys, monkeypatch, ["nests", "--format", fmt], stdin_text=text)
+        for dim in range(4):
+            code, out, _ = run_cli(
+                capsys, monkeypatch, ["nests", "--dim", str(dim), "--format", fmt],
+                stdin_text=text,
+            )
+            assert code == EXIT_OK
+            if fmt == "json":
+                whole, cut = json.loads(full), json.loads(out)
+                assert cut["nu"] == whole["nu"] == [16, 32, 24, 8]
+                assert cut["nests"] == [n for n in whole["nests"] if n["dim"] == dim]
+            else:
+                lines = full.splitlines()
+                assert out.splitlines() == [
+                    line for line in lines if line.startswith(f"k={dim} ")
+                ] + [lines[-1]]
+
 
 class TestExpand:
     def test_completed(self, capsys, monkeypatch):

@@ -54,6 +54,85 @@ def test_pieces_join_to_json_dumps(value):
     assert "".join(json_pieces(value)) == json.dumps(value, indent=1)
 
 
+def lazy(value, level: int = 0):
+    """``value`` with every list at the streamed levels made an iterator."""
+    if level >= graph_mod.STREAMED_LEVELS:
+        return value
+    if isinstance(value, dict):
+        return {k: lazy(v, level + 1) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter([lazy(v, level + 1) for v in value])
+    return value
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(VALUES)
+@example([])
+@example({"a": [], "b": [[]], "c": [{}]})
+def test_lazy_arrays_join_to_json_dumps_of_the_lists(value):
+    assert "".join(json_pieces(lazy(value))) == json.dumps(value, indent=1)
+
+
+class TestLazyArrays:
+    """An iterator at the top two levels is written as the array it yields."""
+
+    ROWS = [{"dim": 1, "edges": [3, 4], "kernel": ["t0", "t1+t2"]}, {"dim": 2, "edges": []}]
+
+    @pytest.mark.parametrize("value, materialized", [
+        (iter(()), []),
+        ((x for x in ()), []),
+        ((x for x in [1, "a", None, [2, 3], {}]), [1, "a", None, [2, 3], {}]),
+        ({"rows": (x for x in [1, [2], {"k": 3}]), "n": 2}, {"rows": [1, [2], {"k": 3}], "n": 2}),
+        ({"rows": (x for x in ()), "n": 2}, {"rows": [], "n": 2}),
+        ((row for row in ROWS), ROWS),
+        ({"isotropy": (row for row in ROWS)}, {"isotropy": ROWS}),
+        (((x for x in [i, i + 1]) for i in range(3)), [[i, i + 1] for i in range(3)]),
+    ], ids=["empty", "empty generator", "level 0", "level 1", "empty at level 1",
+            "dict rows", "dict rows at level 1", "generator of generators"])
+    def test_joins_to_json_dumps_of_the_list(self, value, materialized):
+        assert "".join(json_pieces(value)) == json.dumps(materialized, indent=1)
+
+    def test_below_the_streamed_levels_is_a_type_error(self):
+        # as json.dumps refuses any generator, the writer refuses one that
+        # lies where values are written whole
+        for value in ({"a": [(x for x in [1])]}, [[(x for x in [1])]], [{"a": iter([])}]):
+            with pytest.raises(TypeError, match="generator|iterator"):
+                json.dumps(value, indent=1)
+            with pytest.raises(TypeError, match="generator|iterator"):
+                "".join(json_pieces(value))
+
+    def test_iterables_that_are_not_iterators_stay_type_errors(self):
+        for value in ([range(2)], {"a": {1, 2}}, range(3)):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=1)
+            with pytest.raises(TypeError):
+                "".join(json_pieces(value))
+
+    def test_later_values_are_read_once_the_iterator_is_exhausted(self):
+        # how ``nests`` writes ``nu``: counted while the nests are drawn
+        counted: list[int] = []
+        rows = (counted.append(i) or {"i": [i]} for i in range(3))
+        text = "".join(json_pieces({"rows": rows, "count": counted}))
+        assert json.loads(text) == {"rows": [{"i": [0]}, {"i": [1]}, {"i": [2]}],
+                                    "count": [0, 1, 2]}
+
+    def test_items_are_drawn_as_they_are_written(self):
+        drawn = []
+        pieces = json_pieces({"rows": (drawn.append(i) or [i, i] for i in range(3))})
+        assert next(pieces) == '{\n "rows": [\n  [\n   0,\n   0\n  ]'
+        assert drawn == [0]
+
+    def test_the_lazy_check_skips_the_rows(self, monkeypatch):
+        # only values at the streamed levels that are not nested containers
+        # are asked whether they are iterators: here the one "n"
+        asked = []
+        real = graph_mod._is_lazy
+        monkeypatch.setattr(graph_mod, "_is_lazy", lambda v: asked.append(v) or real(v))
+        payload = {"rows": [[u, u + 1, "011"] for u in range(100)], "n": 2}
+        assert "".join(json_pieces(payload)) == json.dumps(payload, indent=1)
+        assert asked == [2]
+
+
 @pytest.mark.parametrize("value", [[object()], {"a": {"b": [{1}]}}, {(1,): 2}])
 def test_unserializable_values_raise_type_error_as_json_does(value):
     with pytest.raises(TypeError):
@@ -108,7 +187,8 @@ def test_subcommand_output_is_json_dumps_indent_one(capsys, monkeypatch, argv, s
 
 def test_isotropy_table_is_streamed(monkeypatch, tmp_path):
     """The gT2(512) ``realize --table`` payload is written to a file in
-    pieces, at a peak far below the size of its text."""
+    pieces, its rows built as they are written, at a peak far below the
+    size of its text."""
     source = tmp_path / "gT2-512.json"
     source.write_text(serialize(gen_orientable_surface(512)))
     payloads = []
@@ -116,14 +196,15 @@ def test_isotropy_table_is_streamed(monkeypatch, tmp_path):
         graph_mod, "json_pieces", lambda value: payloads.append(value) or iter([""])
     )
     argv = ["realize", str(source), "--table", "--format", "json", "--out", os.devnull]
-    assert cli.run(argv) == cli.EXIT_OK
-    (payload,) = payloads
-    size = sum(map(len, json_pieces(payload)))
+    for _ in range(2):  # each payload's rows can be drawn once
+        assert cli.run(argv) == cli.EXIT_OK
+    measured, streamed = payloads
+    size = sum(map(len, json_pieces(measured)))
     assert size > 1_000_000
     with open(os.devnull, "w", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            cli._emit(fh, json_pieces(payload))
+            cli._emit(fh, json_pieces(streamed))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,6 +20,7 @@ from skelex.realize import (
     isotropy_report,
     realizability_summary,
     render_t_vector,
+    tangent_colors,
 )
 
 from conftest import edges_at, gale_facets, six_colored_k4, sphere_times_circle
@@ -100,6 +101,30 @@ class TestSummary:
         for v in range(cube2.vertex_count):
             expected = tuple(sorted(str(cube2.color(e)) for e in edges_at(cube2, v)))
             assert summary.tangent_colors[v] == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_orientable_surface(g) for g in range(1, 9)]
+        + [gen_nonorientable_surface(g) for g in range(1, 9)]
+        + [gen_cube(n) for n in range(2, 5)],
+        ids=[f"gT2({g})" for g in range(1, 9)] + [f"kP2({g})" for g in range(1, 9)]
+        + [f"cube{n}" for n in range(2, 5)],
+    )
+    def test_tangent_colors_are_the_colors_at_each_vertex(self, g):
+        colors = tangent_colors(g)
+        assert len(colors) == g.vertex_count
+        for v in range(g.vertex_count):
+            assert colors[v] == tuple(sorted(str(g.color(e)) for e in edges_at(g, v)))
+        # each distinct color is rendered once, its string shared by its edges
+        distinct = {str(c) for _, _, c in g.edges}
+        assert len({id(name) for at in colors for name in at}) == len(distinct)
+        if g.n <= 3:  # the expansion closes, so the summary carries them
+            summary = realizability_summary(g)
+            assert summary.fixed_point_count == g.vertex_count
+            assert summary.tangent_colors == colors
+        else:
+            with pytest.raises(ExpansionRefused):
+                realizability_summary(g)
 
     def test_refusal_propagates(self, counterexample):
         with pytest.raises(ExpansionRefused):
