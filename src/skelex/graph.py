@@ -187,6 +187,7 @@ _SCALAR_TEXT: dict[type, Callable[[object], str]] = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+_BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
 _FLAT: list = []  # _flat's C encoder per level, made when first needed
 
 
@@ -216,7 +217,7 @@ def json_pieces(value) -> Iterator[str]:
 
 
 def _pieces(value, level: int) -> Iterator[str]:
-    if level >= STREAMED_LEVELS or not (_is_nested(value) or _is_lazy(value)):
+    if not (_is_nested(value) or _is_lazy(value)):
         yield _text(value, level)
         return
     inner = "\n" + " " * (level + 1)
@@ -227,11 +228,16 @@ def _pieces(value, level: int) -> Iterator[str]:
         opening, closing = "[", "]"
         items = (("", v) for v in value)
     head = opening + inner
-    for prefix, item in items:
-        pieces = _pieces(item, level + 1)
-        yield head + prefix + next(pieces)
-        yield from pieces
-        head = "," + inner
+    if level + 1 < STREAMED_LEVELS:
+        for prefix, item in items:
+            pieces = _pieces(item, level + 1)
+            yield head + prefix + next(pieces)
+            yield from pieces
+            head = "," + inner
+    else:  # the rows: each is one piece
+        for prefix, item in items:
+            yield head + prefix + _text(item, level + 1)
+            head = "," + inner
     if head == opening + inner:  # an iterator that yielded nothing
         yield opening + closing
     else:
@@ -259,25 +265,35 @@ def _is_nested(value) -> bool:
 
 
 def _text(value, level: int) -> str:
-    """The whole text of ``value`` nested in ``level`` containers."""
-    scalar = _SCALAR_TEXT.get(type(value))
+    """The whole text of ``value`` nested in ``level`` containers.
+
+    A container's exact type is looked up once (a subclass is found by
+    ``isinstance``), whether it is flat is asked once, and a scalar item of
+    a nested one is written without a further call.
+    """
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
     if scalar is not None:
         return scalar(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return _flat(value, 0)  # a subclass of a scalar type, or a TypeError
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    brackets = _BRACKETS.get(kind)
+    if brackets is None:  # a subclass
+        if not isinstance(value, (list, tuple, dict)):
+            return _flat(value, 0)  # a subclass of a scalar type, or a TypeError
+        brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
-        return opening + closing
+        return brackets
+    keyed = brackets == "{}"
     inner = "\n" + " " * (level + 1)
-    if not _is_nested(value):
+    if _SCALARS.issuperset(map(type, value.values() if keyed else value)):
         body = _flat(value, level + 1)[1:-1]
-    elif isinstance(value, dict):
-        body = ("," + inner).join(
-            [_key(k) + ": " + _text(v, level + 1) for k, v in value.items()]
-        )
     else:
-        body = ("," + inner).join([_text(v, level + 1) for v in value])
-    return f"{opening}{inner}{body}\n{' ' * level}{closing}"
+        texts = []
+        for k, v in value.items() if keyed else enumerate(value):  # k unused in a list
+            scalar = _SCALAR_TEXT.get(type(v))
+            text = scalar(v) if scalar is not None else _text(v, level + 1)
+            texts.append(_key(k) + ": " + text if keyed else text)
+        body = ("," + inner).join(texts)
+    return f"{brackets[0]}{inner}{body}\n{' ' * level}{brackets[1]}"
 
 
 def _key(key) -> str:

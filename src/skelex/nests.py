@@ -7,18 +7,20 @@ through it of the subgraphs colored inside the spans of the k-subsets of
 its star (``star_spaces``).  A k-nest is therefore a (subspace,
 component) pair.  The subgraph colored inside each distinct subspace is
 labelled by component once, each component's vertices and edges being
-gathered by the walk that labels it (``ColorComponents``).  Every
-dimension takes this one path: the zero subspace's components are single
-vertices and a color's line has single edges as components, so the
-0-nests are the vertices and the 1-nests the edges.  ``order_nests``
-puts the components of one dimension in canonical nest order.
+gathered by the walk that labels it (``ColorComponents``).  The walk
+starts at k = 2: the zero subspace holds no edge, and a line's one
+nonzero vector is its color, which occurs once at each vertex, so the
+0-nests are read off the graph as its vertices and the 1-nests as its
+edges.  ``order_nests`` puts the components of one dimension in
+canonical nest order.
 
 The face relation is read from the same labels.  A component colored
 inside a subspace of a nest's colors lies in the nest exactly when it
 meets it, so the k-nests inside a nest are the components labelled on
 its vertices in the k-layers (one labelling per k-dimensional subspace)
 whose subspace lies in the nest's (``components_within``).
-``NestIndex`` and the census both read faces this way.
+``NestIndex`` and the census both read faces this way for k >= 2; the
+0- and 1-nests inside a nest are its vertices and edges.
 
 Nests are identified by their canonical edge and vertex sets, never by
 color, since distinct nests may share a color subspace.
@@ -179,10 +181,12 @@ class NestIndex:
 
     Each dimension is enumerated on first use.  Nest ``i`` of dimension k is
     ``nests(k)[i]``; since keys sort by their ids, the 0-nest at vertex v
-    has index v and the 1-nest of edge e has index e.  The component layers
-    that enumerate each dimension are kept, with each component's index,
-    and the face relation is read from their labels.  ``drop(k)`` lets a
-    caller that reads one dimension at a time free each when done.
+    has index v and the 1-nest of edge e has index e.  These two dimensions
+    are read off the graph's vertices and edges.  For k >= 2 the component
+    layers that enumerate the k-nests are kept, with each component's index
+    and the layers inside each nest subspace, and the face relation is read
+    from their labels.  ``drop(k)`` lets a caller that reads one dimension
+    at a time free each when done.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -191,6 +195,7 @@ class NestIndex:
         self._nests: dict[int, tuple[Nest, ...]] = {}
         self._layers: dict[int, tuple[ColorComponents, ...]] = {}
         self._positions: dict[int, tuple[tuple[int, ...], ...]] = {}  # per layer, per label
+        self._held: dict[int, Within] = {}  # components_within's dict per k
 
     def nests(self, k: int) -> tuple[Nest, ...]:
         """All k-nests in canonical order; raises outside 0..n."""
@@ -204,12 +209,27 @@ class NestIndex:
         self._nests.pop(k, None)
         self._layers.pop(k, None)
         self._positions.pop(k, None)
+        self._held.pop(k, None)
 
     def _enumerate(self, k: int) -> tuple[Nest, ...]:
+        # a star is a basis, so the components inside the zero subspace are
+        # the vertices and those inside a color's line are its edges
+        g = self.graph
+        if k == 0:
+            zero = Subspace((), g.width)
+            return tuple(Nest((), (v,), zero) for v in range(g.vertex_count))
+        if k == 1:
+            lines: dict[int, Subspace] = {}  # color mask -> its line
+            nests = []
+            for e, (u, v, c) in enumerate(g.edges):
+                line = lines.get(c.mask)
+                if line is None:
+                    line = lines[c.mask] = Subspace((c.mask,), g.width)
+                nests.append(Nest((e,), (u, v) if u < v else (v, u), line))
+            return tuple(nests)
         # layers are keyed by subspace, never by star subset: the subsets
         # {a, b} and {a, a+b} of two stars share one; only components that a
         # star reaches are walked, and each of them is a nest
-        g = self.graph
         arcs = g.arcs()
         by_space: dict[Subspace, ColorComponents] = {}
         by_star: dict[tuple[int, ...], list[ColorComponents]] = {}
@@ -227,12 +247,14 @@ class NestIndex:
                     layer.label(v, arcs)
         layers = self._layers[k] = tuple(by_space.values())
         nests, self._positions[k] = order_nests(layers)
+        self._held[k] = {}
         return nests
 
     def layers(self, k: int) -> tuple[ColorComponents, ...]:
-        """The labellings whose components are the k-nests."""
+        """The labellings whose components are the k-nests; () for k < 2,
+        whose nests are read off the graph without one."""
         self.nests(k)
-        return self._layers[k]
+        return self._layers.get(k, ())
 
     def counts(self) -> tuple[int, ...]:
         """(nu_0, ..., nu_n): the number of k-nests for each dimension."""
@@ -262,13 +284,14 @@ class NestIndex:
         With k = nest.dim - 1 these are the nest's faces.  The 0- and
         1-nests inside are its vertices and edges, by their indices; the
         k-nests inside for k >= 2 are the components ``components_within``
-        finds among the k-layers.
+        finds among the k-layers, deciding which layers lie in a subspace
+        once per distinct nest subspace.
         """
         if k == 0:
             return nest.vertex_ids
         if k == 1:
             return nest.edge_ids
-        inside = components_within(self.layers(k), nest)
+        inside = components_within(self.layers(k), nest, self._held[k])
         positions = self._positions[k]
         return tuple(sorted(positions[i][found] for i, found in inside))
 

@@ -170,6 +170,13 @@ def torus7_simplices() -> list[list[int]]:
     ]
 
 
+def banana(n: int) -> ColoredGraph:
+    """Two vertices, n+1 parallel edges, one per basis color."""
+    return ColoredGraph(
+        n, 2, tuple((0, 1, ColorVector.unit(i, n + 1)) for i in range(n + 1))
+    )
+
+
 def six_colored_k4() -> ColoredGraph:
     """The tetrahedron colored by all six vectors of weight 1 and 2.
 

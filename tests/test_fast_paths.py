@@ -26,10 +26,11 @@ from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expa
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import rank_masks, span
 from skelex.graph import ColoredGraph, serialize
-from skelex.nests import NestIndex, nest_label
+from skelex.nests import Nest, NestIndex, nest_label
 
 from conftest import (
     CUBE_EDGES,
+    banana,
     colored_from_indices,
     edges_at,
     criterion_counterexample,
@@ -82,6 +83,8 @@ CORPUS = {
     "six-colored K4": six_colored_k4,
     "C(6,4) dual": lambda: cyclic_dual(6),
     "C(7,4) dual": lambda: cyclic_dual(7),
+    # parallel edges: every nest is a bundle of them, every disc a bigon
+    **{f"bigon{n}": (lambda n=n: banana(n)) for n in (2, 3)},
 }
 
 
@@ -156,8 +159,19 @@ def check_index(g: ColoredGraph) -> None:
     for k in range(g.n + 1):
         nests = index.nests(k)
         assert list(nests) == grown_from_every_seed(g, k)
-        parts = sorted(part for layer in index.layers(k) for part in layer.parts)
-        assert parts == [nest.key() for nest in nests]
+        if k >= 2:
+            parts = sorted(part for layer in index.layers(k) for part in layer.parts)
+            assert parts == [nest.key() for nest in nests]
+        else:
+            # the 0- and 1-nests are read off the graph, with no labelling
+            assert index.layers(k) == ()
+        if k == 0:
+            assert all(nest.vertex_ids == (v,) for v, nest in enumerate(nests))
+        if k == 1:
+            assert list(nests) == [
+                Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
+                for e in range(g.edge_count)
+            ]
         assert list(index.valence_faults(k)) == [
             (nest, v, valence)
             for nest in nests

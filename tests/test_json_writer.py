@@ -44,12 +44,30 @@ VALUES = st.recursive(
 )
 
 
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Int(int):
+    pass
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(VALUES)
 @example([True, 1, [1, True], {"x": [False, 0]}])  # bool is an int, written as one
 @example({"a": [[], {}, ()], "b": {"c": [{}, [[]]], "d": {}}, "e": [[[[], {}]]]})
 @example(["·", '"', "\\", "\n\x01", -(2**65), 2**64 + 1, None])
 @example({1: "int", True: "bool", None: "null", 1.5: "float", "s": "str"})
+# rows at the streamed depth, each written whole by one call
+@example({"rows": [Dict(a=[1, Dict(b=2)]), List([1, [2], List()]), Dict(), List()]})
+@example([[(1, "a"), (2, [3, (4,)]), ()], ((5, (6, 7)),)])
+@example({"rows": [{1: [1]}, {True: [2]}, {None: {"x": 3}}, {1.5: [[4]]}, {2: 5, "s": 6}]})
+@example([[Int(3), {"a": Int(4)}, [Int(5), [1]], Int(-6)], {"k": Int(7)}])
+@example({"rows": [{"a": [], "b": {}, "c": (), "d": [[], {}, ()]}, [[], {}, ()], [[[]]]]})
 def test_pieces_join_to_json_dumps(value):
     assert "".join(json_pieces(value)) == json.dumps(value, indent=1)
 

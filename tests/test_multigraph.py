@@ -12,20 +12,13 @@ import pytest
 
 from skelex.classify import classify_surface, homology_mod2
 from skelex.expansion import criterion_3d, full_expand
-from skelex.gf2 import ColorVector
-from skelex.graph import ColoredGraph, validate
+from skelex.graph import validate
 from skelex.nests import NestIndex
 
+from conftest import banana
 from goodness_oracle import is_good
 from graph_helpers import is_pure
 from local_check_oracle import manifold_local_check
-
-
-def banana(n: int) -> ColoredGraph:
-    """Two vertices, n+1 parallel edges, one per basis color."""
-    return ColoredGraph(
-        n, 2, tuple((0, 1, ColorVector.unit(i, n + 1)) for i in range(n + 1))
-    )
 
 
 class TestSurfaceBanana:

@@ -8,16 +8,19 @@ from math import comb
 
 import pytest
 
+from skelex.duality import FacePoset, dual_colored_graph
 from skelex.errors import UnsupportedDimension
-from skelex.gf2 import span
+from skelex.expansion import full_expand
+from skelex.gf2 import Subspace, span
 from skelex.generators import (
     gen_cube,
     gen_nonorientable_surface,
     gen_orientable_surface,
 )
-from skelex.nests import NestIndex, nest_label
+from skelex.graph import ColoredGraph
+from skelex.nests import ColorComponents, NestIndex, nest_label
 
-from conftest import CUBE_EDGES, edges_at, random_valid_coloring
+from conftest import CUBE_EDGES, edges_at, gale_facets, random_valid_coloring, six_colored_k4
 from goodness_oracle import is_good
 from nest_oracle import grow_nest, regularity_check
 
@@ -197,3 +200,47 @@ class TestFaceRelation:
         for nest in index.nests(2):
             assert len(index.within(nest, 1)) == 4
             assert len(index.within(nest, 0)) == 4
+
+    def test_containment_is_decided_once_per_nest_subspace(self, monkeypatch):
+        # every 3-cell reads its faces through within(nest, 2); which
+        # 2-layers lie in a 3-nest depends only on the nest's subspace, so
+        # it is asked once per distinct subspace (24 times here, where
+        # asking per (layer, 3-nest) pair made 1,440)
+        g = dual_colored_graph(FacePoset.from_simplices(gale_facets(12)))
+        index = NestIndex(g)
+        bound = len({nest.color for nest in index.nests(3)}) * len(index.layers(2))
+        asked = []
+        real = Subspace.__le__
+        monkeypatch.setattr(Subspace, "__le__", lambda a, b: asked.append(b) or real(a, b))
+        assert full_expand(g, index).completed
+        assert 0 < len(asked) <= bound == 24
+
+
+class TestReadOffTheGraph:
+    """The 0- and 1-nests are the vertices and edges, with no component walk."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_orientable_surface(3), lambda: gen_cube(3), six_colored_k4,
+    ], ids=["gT2(3)", "cube3", "six-colored K4"])
+    def test_no_walk_and_no_arcs(self, make, monkeypatch):
+        g = make()
+        index = NestIndex(g)  # validation builds arcs once, before counting
+        calls = {"label": 0, "arcs": 0}
+        real_label, real_arcs = ColorComponents.label, ColoredGraph.arcs
+
+        def label(self, v, arcs):
+            calls["label"] += 1
+            return real_label(self, v, arcs)
+
+        def arcs(self):
+            calls["arcs"] += 1
+            return real_arcs(self)
+
+        monkeypatch.setattr(ColorComponents, "label", label)
+        monkeypatch.setattr(ColoredGraph, "arcs", arcs)
+        assert len(index.nests(0)) == g.vertex_count
+        assert len(index.nests(1)) == g.edge_count
+        assert calls == {"label": 0, "arcs": 0}
+        assert index.layers(0) == index.layers(1) == ()
+        index.nests(2)  # the walk starts at k = 2
+        assert calls["label"] > 0 and calls["arcs"] == 1
