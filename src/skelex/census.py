@@ -9,13 +9,24 @@ member, and only that form is ever enumerated.
 Every class is valid and good by construction: the underlying graph is
 checked once to be loopless, connected and (n+1)-valent, so a proper
 coloring puts all n+1 unit colors at every vertex.  No class is validated
-again.  For n=3 the counting criterion is decided from component labels
-alone (``class_criterion``); only the classes where it holds, and every
-class for other n, build a nest index and expand.  Every class colors the
-same edges, so one ``census`` call labels each colored subgraph once and
-shares that labelling with every class that colors the same edges inside
-the same subspace, as it shares which 2-nest layers lie in each 3-nest
-subspace.
+again, and only the classes that close in dimension 3 build a nest index
+and expand:
+
+- n=2: every class closes into a surface, with Euler characteristic
+  #vertices - #edges + #2-nests.  It is orientable exactly when the
+  underlying graph is bipartite (Ferri, Gagliardi and Grasselli, "A
+  graph-theoretical representation of PL-manifolds", 1986), which one walk
+  decides for the whole census.
+- n=3: the counting criterion is decided from component labels alone
+  (``class_criterion``); a class where it holds expands and reports its
+  mod-2 homology.
+- n>=4: every class stops at the 2-skeleton, with ``full_expand``'s
+  reason.
+
+Every class colors the same edges, so one ``census`` call labels each
+colored subgraph once and shares that labelling with every class that
+colors the same edges inside the same subspace, as it shares which 2-nest
+layers lie in each 3-nest subspace.
 """
 
 from __future__ import annotations
@@ -27,15 +38,16 @@ from typing import Iterator, Sequence
 from . import classify as classify_mod
 from . import expansion
 from .errors import CensusLimit, FormatError, InvalidGraph, UnsupportedDimension
-from .gf2 import ColorVector, Subspace
+from .gf2 import ColorVector
 from .graph import ColoredGraph, reach
 from .nests import ColorComponents, NestIndex, Within, order_nests, star_spaces
 
 DEFAULT_CENSUS_LIMIT = 16
 MAX_CENSUS_CLASSES = 10_000  # the 4-cube has 1,840 classes, K8 at n=6 has 6,240
 
-# (subspace, bit mask of the edges colored inside it) -> its labelling
-Layers = dict[tuple[Subspace, int], ColorComponents]
+# (bit mask of a subset of unit colors, bit mask of the edges colored inside
+# its span) -> its labelling
+Layers = dict[tuple[int, int], ColorComponents]
 
 
 @dataclass(frozen=True)
@@ -74,19 +86,14 @@ def enumerate_proper_colorings(
         incident[u].append(idx)
         incident[v].append(idx)
     later = [
-        [edges[f] for f in sorted({f for w in edge for f in incident[w] if f > e})]
+        tuple(edges[f] for f in sorted({f for w in edge for f in incident[w] if f > e}))
         for e, edge in enumerate(edges)
     ]
     assignment = [-1] * m
     top = [-1] * m  # largest color on the edges before e
     todo = [0] * m  # colors still to try at e, as a bitmask
-
-    def choices(e: int) -> int:
-        u, v = edges[e]
-        return ((1 << min(n_colors, top[e] + 2)) - 1) & ~(used[u] | used[v])
-
     e = 0
-    todo[0] = choices(0)
+    todo[0] = (1 << min(n_colors, 1)) - 1  # the first edge takes color 0
     while e >= 0:
         u, v = edges[e]
         if assignment[e] >= 0:
@@ -102,14 +109,51 @@ def enumerate_proper_colorings(
         used[u] |= bit
         used[v] |= bit
         assignment[e] = bit.bit_length() - 1
-        if any(not full & ~(used[a] | used[b]) for a, b in later[e]):
-            continue
-        if e + 1 == m:
-            yield tuple(assignment)
-            continue
-        top[e + 1] = max(top[e], assignment[e])
-        e += 1
-        todo[e] = choices(e)
+        for a, b in later[e]:
+            if not full & ~(used[a] | used[b]):
+                break
+        else:
+            if e + 1 == m:
+                yield tuple(assignment)
+                continue
+            top[e + 1] = t = max(top[e], assignment[e])
+            e += 1
+            u, v = edges[e]
+            todo[e] = ((1 << min(n_colors, t + 2)) - 1) & ~(used[u] | used[v])
+
+
+def _labellings(g: ColoredGraph, seen: Layers, *ks: int) -> list[list[ColorComponents]]:
+    """Per k in ``ks``, the labelling of each k-subset of colors, in
+    ``star_spaces`` order.
+
+    Edge ids and the edges at each vertex do not depend on the coloring,
+    so a labelling depends only on the subset and on which edges are
+    colored inside it: a class reuses any labelling in ``seen`` that an
+    earlier class of the same underlying graph made of the same edges.
+    Each color is a unit vector, so whether it lies in a subset's span is
+    read off the subset, and no walk asks the subspace.
+    """
+    colored = [0] * g.width  # per unit color, the bit mask of its edges
+    for e, (_, _, c) in enumerate(g.edges):
+        colored[c.mask.bit_length() - 1] |= 1 << e
+    units = tuple(1 << i for i in range(g.width))
+    arcs = None  # built only when a labelling is missing
+    out = []
+    for k in ks:
+        layers = []
+        for space, subset, masks in zip(
+            star_spaces(units, g.width, k), combinations(units, k), combinations(colored, k)
+        ):
+            key = (sum(subset), sum(masks))  # both are sums of disjoint masks
+            layer = seen.get(key)
+            if layer is None:
+                if arcs is None:
+                    arcs = g.arcs()
+                inside = {unit: unit in subset for unit in units}
+                layer = seen[key] = ColorComponents(space, g.vertex_count, inside).label_all(arcs)
+            layers.append(layer)
+        out.append(layers)
+    return out
 
 
 def class_criterion(
@@ -123,49 +167,14 @@ def class_criterion(
     failing class names the same witness.
 
     ``seen`` holds the labellings of earlier classes of the same underlying
-    graph, keyed by subspace and the bit mask of the edges colored inside
-    it.  Edge ids and the edges at each vertex do not depend on the
-    coloring, so a labelling depends only on which edges lie inside, and a
-    class reuses any labelling an earlier class made of the same edges.
-    The 2-nest layers of every class span the same subspaces in the same
-    order, so ``held``, which says which of them lie in each 3-nest
-    subspace, is shared by every class of one census too.
+    graph (``_labellings``).  The 2-nest layers of every class span the
+    same subspaces in the same order, so ``held``, which says which of
+    them lie in each 3-nest subspace, is shared by every class of one
+    census too.
     """
-    if seen is None:
-        seen = {}
-    units = tuple(1 << i for i in range(g.width))
-    colored = [0] * g.width  # per unit color, the bit mask of its edges
-    for e, (_, _, c) in enumerate(g.edges):
-        colored[c.mask.bit_length() - 1] |= 1 << e
-    arcs = None  # built only when a labelling is missing
-    pairs, triples = [], []
-    for k, layers in ((2, pairs), (3, triples)):
-        for space, masks in zip(star_spaces(units, g.width, k), combinations(colored, k)):
-            key = (space, sum(masks))  # the masks are disjoint
-            layer = seen.get(key)
-            if layer is None:
-                if arcs is None:
-                    arcs = g.arcs()
-                layer = seen[key] = ColorComponents(space, g.vertex_count).label_all(arcs)
-            layers.append(layer)
+    pairs, triples = _labellings(g, {} if seen is None else seen, 2, 3)
     three, _ = order_nests(triples)
     return expansion.Criterion3.decide(g.vertex_count, pairs, three, held)
-
-
-def _entry(
-    coloring: tuple[int, ...], g: ColoredGraph, seen: Layers, held: Within
-) -> CensusEntry:
-    """Expand and classify one class, deciding the n=3 criterion first."""
-    if g.n == 3:
-        crit = class_criterion(g, seen, held)
-        if not crit.holds:
-            return CensusEntry(coloring, g, None, crit.refusal)
-    outcome = expansion.full_expand(g, NestIndex(g))
-    if not outcome.completed:
-        return CensusEntry(coloring, g, None, outcome.obstruction.reason)
-    if g.n == 2:
-        return CensusEntry(coloring, g, classify_mod.classify_surface(outcome.complex))
-    return CensusEntry(coloring, g, classify_mod.homology_mod2(outcome.complex))
 
 
 def census(
@@ -196,8 +205,12 @@ def census(
         raise FormatError(
             f"underlying graph is not {n + 1}-valent: valences {valences}"
         )
-    if sum(1 for _ in reach(0, neighbors.__getitem__)) != vertex_count:
+    # one walk over (vertex, side) pairs: a vertex reached on both sides
+    # closes an odd cycle
+    sided = set(reach((0, 0), lambda x: [(w, x[1] ^ 1) for w in neighbors[x[0]]]))
+    if len({v for v, _ in sided}) != vertex_count:
         raise FormatError("underlying graph is not connected")
+    bipartite = len(sided) == vertex_count
     if n < 1:
         raise InvalidGraph([f"n must be >= 1, got {n}"])
     if n < 2:
@@ -213,12 +226,21 @@ def census(
     rows = [[(u, v, unit) for unit in units] for u, v in edges]  # shared by every class
     seen: Layers = {}
     held: Within = {}
-    return [
-        _entry(
-            coloring,
-            ColoredGraph(n, vertex_count, tuple(row[c] for row, c in zip(rows, coloring))),
-            seen,
-            held,
-        )
-        for coloring in colorings
-    ]
+    skeleton_only = expansion.skeleton_refusal(n)
+    entries = []
+    for coloring in colorings:
+        g = ColoredGraph(n, vertex_count, tuple(row[c] for row, c in zip(rows, coloring)))
+        if n == 2:
+            (pairs,) = _labellings(g, seen, 2)
+            euler = vertex_count - len(edges) + sum(len(layer.parts) for layer in pairs)
+            entries.append(CensusEntry(coloring, g, classify_mod.surface_report(euler, bipartite)))
+        elif n >= 4:
+            entries.append(CensusEntry(coloring, g, None, skeleton_only))
+        else:
+            crit = class_criterion(g, seen, held)
+            if crit.holds:
+                closed = expansion.full_expand(g, NestIndex(g)).complex
+                entries.append(CensusEntry(coloring, g, classify_mod.homology_mod2(closed)))
+            else:
+                entries.append(CensusEntry(coloring, g, None, crit.refusal))
+    return entries

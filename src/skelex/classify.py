@@ -107,7 +107,17 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
             sided.update(reach((d, 0), sides))
     orientable = len(sided) == len(cells[2])
 
-    chi = c.euler()
+    return surface_report(c.euler(), orientable)
+
+
+def surface_report(chi: int, orientable: bool) -> SurfaceReport:
+    """Genus and name of the closed connected surface with this Euler
+    characteristic and orientability.
+
+    An orientable surface has even Euler characteristic, and a surface
+    with Euler characteristic 2 is the orientable sphere; a caller that
+    found otherwise counted wrong, and this refuses or asserts fatally.
+    """
     if orientable:
         if (2 - chi) % 2:
             raise SkelexError(f"orientable surface with odd 2-chi: {chi}")

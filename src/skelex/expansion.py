@@ -226,6 +226,11 @@ class ExpansionOutcome:
         return self.obstruction is None
 
 
+def skeleton_refusal(n: int) -> str:
+    """Why an expansion with n >= 4 stops at its 2-skeleton."""
+    return f"sphere recognition above dimension 2 is unsupported (n={n})"
+
+
 def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOutcome:
     """Run the expansion as far as it goes and report how far that was.
 
@@ -244,14 +249,7 @@ def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOut
     if g.n == 2:
         return ExpansionOutcome(skeleton, 2, None)
     if g.n >= 4:
-        return ExpansionOutcome(
-            skeleton,
-            2,
-            Obstruction(
-                None,
-                f"sphere recognition above dimension 2 is unsupported (n={g.n})",
-            ),
-        )
+        return ExpansionOutcome(skeleton, 2, Obstruction(None, skeleton_refusal(g.n)))
 
     crit = criterion_3d(g, index)
     if not crit.holds:

@@ -79,14 +79,18 @@ class ColorComponents:
     unlabelled vertices only.  ``arcs`` is the graph's ``ColoredGraph.arcs()``,
     which the labellings of one graph share; it is passed to each walk and
     never kept.  The walk gathers the component's sorted edge and vertex
-    ids into ``parts`` as it labels.
+    ids into ``parts`` as it labels.  ``inside`` maps a color mask to
+    whether it lies in the space; the walks add the masks it lacks, so a
+    caller that already knows may pass it filled.
     """
 
-    def __init__(self, space: Subspace, vertex_count: int):
+    def __init__(
+        self, space: Subspace, vertex_count: int, inside: dict[int, bool] | None = None
+    ):
         self.space = space
         self.labels = [-1] * vertex_count
         self.parts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._inside: dict[int, bool] = {}  # color mask -> lies in the space
+        self._inside = {} if inside is None else inside
 
     def label(self, v: int, arcs: Arcs) -> int:
         """Walk the component through the unlabelled vertex ``v``; its label."""

@@ -16,6 +16,7 @@ from skelex import expansion
 from skelex import graph as graph_mod
 from skelex import nests as nests_mod
 from skelex.census import census, class_criterion, enumerate_proper_colorings
+from skelex.classify import classify_surface
 from skelex.generators import gen_cube
 from skelex.gf2 import ColorVector, Subspace, span
 from skelex.graph import validate
@@ -49,6 +50,10 @@ GRAPHS = {
     "Petersen": (_PETERSEN, 10, 2),
     "theta4": ([(0, 1)] * 4, 2, 3),
     "doubled C4": ([(i, (i + 1) % 4) for i in range(4)] * 2, 4, 3),
+    # 24 classes, 6 closing with betti_mod2 (1, 1, 1, 1)
+    "K4,4": ([(i, 4 + j) for i in range(4) for j in range(4)], 8, 3),
+    "K5": (list(itertools.combinations(range(5), 2)), 5, 3),  # no class
+    "K6": (list(itertools.combinations(range(6), 2)), 6, 4),  # 6 classes, all refused
 }
 
 
@@ -91,6 +96,54 @@ class TestAgainstOracle:
             u, v = perm[edges[i][0]], perm[edges[i][1]]
             moved.append((v, u) if flips[i] else (u, v))
         assert _observed(census(moved, vertices, n)) == reference_census(moved, vertices, n)
+
+
+def _cubic_multigraph(vertices: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A connected, loopless 3-regular multigraph by random stub pairing."""
+    while True:
+        stubs = [v for v in range(vertices) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if any(u == v for u, v in edges):
+            continue
+        neighbors: list[set[int]] = [set() for _ in range(vertices)]
+        for u, v in edges:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        if sum(1 for _ in graph_mod.reach(0, neighbors.__getitem__)) == vertices:
+            return edges
+
+
+class TestSurfacesFromCounts:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([4, 6, 8, 10, 12, 14]), st.integers(0, 2**32 - 1))
+    def test_bipartite_rule_matches_the_orientation_pass(self, vertices, seed):
+        # an n=2 class is named from V - E + #2-nests and the bipartiteness
+        # of the underlying graph, never from a complex
+        edges = _cubic_multigraph(vertices, random.Random(seed))
+        for entry in census(edges, vertices, 2):
+            assert entry.report == classify_surface(expansion.full_expand(entry.graph).complex)
+
+    @pytest.mark.parametrize("name", ["prism4", "prism8", "3-cube", "K3,3", "K6"])
+    def test_no_class_is_indexed_or_expanded(self, name, monkeypatch):
+        # n=2 classes are decided from counts, n>=4 classes get the
+        # 2-skeleton refusal directly
+        indexed, expanded = [], []
+        real_init, real_expand = nests_mod.NestIndex.__init__, expansion.full_expand
+
+        def counted_init(index, g):
+            indexed.append(g)
+            real_init(index, g)
+
+        def counted_expand(g, index=None):
+            expanded.append(g)
+            return real_expand(g, index)
+
+        monkeypatch.setattr(nests_mod.NestIndex, "__init__", counted_init)
+        monkeypatch.setattr(expansion, "full_expand", counted_expand)
+        entries = census(*GRAPHS[name])
+        assert entries
+        assert indexed == expanded == []
 
 
 def test_parallel_edges_need_one_coloring():
@@ -204,6 +257,19 @@ class TestFourCube:
         assert len(decided) == 1841  # the closing class decides again as it expands
         assert 0 < sum(decided) <= 4 * 6
         assert len(set(asked)) <= 4
+
+    def test_labellings_read_membership_off_the_colors(self, monkeypatch):
+        # each color is a unit vector, so no labelling asks a subspace
+        # whether a color lies in it; what is left is the containment of
+        # 2-nest layers in 3-nest subspaces and the closing class's index,
+        # where asking per labelling made 13,116 calls
+        asked = []
+        real = Subspace.contains_mask
+        monkeypatch.setattr(
+            Subspace, "contains_mask", lambda space, mask: asked.append(mask) or real(space, mask)
+        )
+        assert len(census(self.EDGES, 16, 3)) == 1840
+        assert len(asked) <= 300
 
     def test_entries_share_edge_rows(self):
         # each class's edges are (u, v, unit) rows built once per census;

@@ -93,10 +93,13 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         "CUBE12": serialize(gen_cube(12)),
         "SPHERE6": simplex_boundary_text(7),  # 40,320 full flags
         "SPHERE7": simplex_boundary_text(8),  # 362,880 full flags
-        # K10 is 9-valent on 10 vertices, inside the census's vertex guard
-        "K10": json.dumps(
-            {"vertices": 10, "edges": [[u, v] for u in range(10) for v in range(u + 1, 10)]}
-        ),
+        # K8 and K10 are 7- and 9-valent, inside the census's vertex guard
+        **{
+            f"K{m}": json.dumps(
+                {"vertices": m, "edges": [[u, v] for u in range(m) for v in range(u + 1, m)]}
+            )
+            for m in (8, 10)
+        },
     }
     paths = {}
     for name, text in texts.items():
@@ -247,6 +250,22 @@ def test_census_refuses_beyond_the_class_guard(inputs):
     code, err = run_child(["census", "--n", "8", inputs["K10"]], timeout=30)
     assert code == EXIT_REFUSED
     assert err == f"refused: census is limited to {MAX_CENSUS_CLASSES} classes, got more\n"
+
+
+def test_census_refuses_every_class_above_dimension_3(inputs, tmp_path):
+    # K8 at n=6 has 6,240 classes, inside the class guard; each stops at
+    # the 2-skeleton, where building an index per class took seconds
+    out = tmp_path / "census.json"
+    code, err = run_child(
+        ["census", "--n", "6", "--format", "json", "--out", str(out), inputs["K8"]],
+        timeout=60,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    entries = json.loads(out.read_text(encoding="utf-8"))
+    assert len(entries) == 6240
+    refusal = "sphere recognition above dimension 2 is unsupported (n=6)"
+    assert all(entry.keys() == {"coloring", "refused"} for entry in entries)
+    assert {entry["refused"] for entry in entries} == {refusal}
 
 
 def test_census_refuses_an_oversized_n(inputs):
