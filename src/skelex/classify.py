@@ -11,12 +11,12 @@ two sides), and the genus falls out of the Euler characteristic.  For
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SkelexError
 from .expansion import CellComplex
 from .gf2 import rank_masks
-from .graph import ColoredGraph, reach
-from .nests import Nest
+from .graph import reach
 
 
 @dataclass(frozen=True)
@@ -34,36 +34,39 @@ class HomologyReport:
     note: str = ""
 
 
-def _circle_traversal(graph: ColoredGraph, nest: Nest) -> list[tuple[int, bool]]:
-    """Walk the circle nest once; True means the edge is crossed u -> v.
+def _circle_traversal(
+    ends: Sequence[tuple[int, ...]], edges: tuple[int, ...]
+) -> dict[int, bool]:
+    """Walk the circle on ``edges`` once; True means edge e is crossed from
+    ``ends[e][0]`` to ``ends[e][1]``.
 
-    The nest must be an embedded circle (each of its vertices meets exactly
-    two of its edges); double edges between two vertices are handled by
+    The edges must form an embedded circle (each of their ends meets
+    exactly two of them); double edges between two vertices are handled by
     tracking edge ids rather than endpoints.
     """
-    by_vertex: dict[int, list[int]] = {v: [] for v in nest.vertex_ids}
-    for e in nest.edge_ids:
-        for v in graph.ends(e):
-            by_vertex[v].append(e)
-    start_vertex = nest.vertex_ids[0]
+    by_vertex: dict[int, list[int]] = {}
+    for e in edges:
+        for v in ends[e]:
+            by_vertex.setdefault(v, []).append(e)
+    start_vertex = min(by_vertex)
     first = min(by_vertex[start_vertex])
-    walk: list[tuple[int, bool]] = []
+    walk: dict[int, bool] = {}
     vertex, edge = start_vertex, first
     while True:
-        u, v = graph.ends(edge)
+        u, v = ends[edge]
         forward = vertex == u
-        walk.append((edge, forward))
+        walk[edge] = forward
         vertex = v if forward else u
         nxt = [e for e in by_vertex[vertex] if e != edge]
         if len(nxt) != 1:
             raise SkelexError(
-                f"nest {nest.edge_ids} is not an embedded circle at vertex {vertex}"
+                f"nest {edges} is not an embedded circle at vertex {vertex}"
             )
         edge = nxt[0]
         if vertex == start_vertex and edge == first:
             break
-    if len(walk) != len(nest.edge_ids):
-        raise SkelexError(f"nest {nest.edge_ids} walk missed edges")
+    if len(walk) != len(edges):
+        raise SkelexError(f"nest {edges} walk missed edges")
     return walk
 
 
@@ -73,7 +76,8 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
     Requires a 2-dimensional complex in which every edge lies in exactly
     two discs.  A connected closed surface with Euler characteristic 2 must
     be orientable; hitting the opposite would be an internal inconsistency
-    and is asserted fatally.
+    and is asserted fatally.  Only the face lists are read: each disc's
+    boundary circle is walked over the ends of its edges.
     """
     if c.top_dim != 2:
         raise SkelexError(f"surface classification needs a 2-complex, got dim {c.top_dim}")
@@ -89,23 +93,22 @@ def classify_surface(c: CellComplex) -> SurfaceReport:
     # traversal directions.  A walk over (disc, side) from one side of each
     # component reaches each of its discs once exactly when consistent
     # sides exist, and twice otherwise.
-    cells = c.cells_by_dim
-    traversals = [dict(_circle_traversal(c.graph, disc.nest)) for disc in cells[2]]
+    ends, boundaries = c.faces(1), c.faces(2)
+    traversals = [_circle_traversal(ends, edges) for edges in boundaries]
 
     def sides(x: tuple[int, int]) -> list[tuple[int, int]]:
         d, side = x
         return [
             (b, side ^ 1 ^ traversals[d][e] ^ traversals[b][e])
-            for i in cells[2][d].faces
-            for e in cells[1][i].nest.edge_ids
-            for b in discs_at[i] if b != d
+            for e in boundaries[d]
+            for b in discs_at[e] if b != d
         ]
 
     sided: set[tuple[int, int]] = set()
-    for d in range(len(cells[2])):
+    for d in range(len(boundaries)):
         if (d, 0) not in sided and (d, 1) not in sided:
             sided.update(reach((d, 0), sides))
-    orientable = len(sided) == len(cells[2])
+    orientable = len(sided) == len(boundaries)
 
     return surface_report(c.euler(), orientable)
 
@@ -155,7 +158,7 @@ def homology_mod2(c: CellComplex) -> HomologyReport:
     counts = c.counts()
     ranks = [0] * (top + 2)  # ranks[k] = rank of the k-th boundary map
     for k in range(1, top + 1):
-        ranks[k] = rank_masks(_boundary_column(cell.faces) for cell in c.cells_by_dim[k])
+        ranks[k] = rank_masks(map(_boundary_column, c.faces(k)))
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     chi = c.euler()
     alt = sum((-1) ** i * b for i, b in enumerate(betti))

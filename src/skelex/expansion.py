@@ -9,13 +9,16 @@ every boundary is a 2-sphere.  No boundary is checked one by one; a
 failing criterion names a 3-nest whose boundary is not a sphere.  Graphs
 with n >= 4 expand only to their 2-skeleton.
 
-Cells keep a reference to their defining nest; the dimension- and
-face-preserving correspondence between cells and nests is this link.
+A complex is a view over the graph's nest index: k-cell i is the k-nest
+i, the dimension- and face-preserving correspondence between cells and
+nests, and face lists are read off the index only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from .errors import NotGoodColoring, UnsupportedDimension
@@ -32,45 +35,74 @@ class Cell:
 
 
 class CellComplex:
-    """A regular cell complex with GF(2) boundary data.
+    """A regular cell complex held as face lists, with GF(2) boundary data.
 
-    Mod-2 incidence between a k-cell and a (k-1)-cell is 1 exactly when the
-    latter is a face of the former (the regular-complex rule), so boundary
-    matrices are read straight off the face lists.  ``index`` is the nest
-    index the cells were read from, cell i of dimension k standing for
-    ``index.nests(k)[i]``; hand-built complexes have none.  The cells must not
-    change once the complex is built: the coface relation is kept.
+    k-cell i stands for the nest ``nests[k][i]``, and ``faces(k)[i]`` lists
+    the (k-1)-cells in its boundary.  Mod-2 incidence is 1 exactly on a
+    face (the regular-complex rule), so boundary matrices are read straight
+    off the face lists.  A complex ``of_index`` is a view over that index:
+    its nests and counts are the index's, and each dimension's face lists
+    are read off ``NestIndex.within`` on first use.  A hand-built complex
+    passes its face lists.  ``Cell`` objects are built only when
+    ``cells_by_dim`` is read.  Nothing may change once the complex is
+    built: face lists and the coface relation are kept.
     """
 
     def __init__(
         self,
-        graph: ColoredGraph,
-        cells_by_dim: list[list[Cell]],
+        graph: ColoredGraph | None,
+        nests: Sequence[Sequence[Nest]],
+        faces: Sequence[Sequence[tuple[int, ...]]] | None = None,
         index: NestIndex | None = None,
     ):
         self.graph = graph
-        self.cells_by_dim = cells_by_dim
+        self.nests = nests
         self.index = index
+        self._faces = {} if faces is None else dict(enumerate(faces))
         self._cofaces: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    @classmethod
+    def of_index(cls, index: NestIndex, top_dim: int) -> "CellComplex":
+        """The complex of one cell per k-nest of ``index``, for k <= top_dim."""
+        nests = [index.nests(k) for k in range(top_dim + 1)]
+        return cls(index.graph, nests, index=index)
 
     @property
     def top_dim(self) -> int:
-        return len(self.cells_by_dim) - 1
+        return len(self.nests) - 1
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(cells) for cells in self.cells_by_dim)
+        return tuple(len(nests) for nests in self.nests)
 
     def euler(self) -> int:
-        return sum((-1) ** k * len(cells) for k, cells in enumerate(self.cells_by_dim))
+        return sum((-1) ** k * len(nests) for k, nests in enumerate(self.nests))
+
+    def faces(self, k: int) -> Sequence[tuple[int, ...]]:
+        """Per k-cell, its boundary's (k-1)-cells; read off the index once."""
+        if k not in self._faces:
+            if k == 0:
+                self._faces[0] = ((),) * len(self.nests[0])
+            else:
+                within = self.index.within
+                self._faces[k] = tuple([within(nest, k - 1) for nest in self.nests[k]])
+        return self._faces[k]
+
+    @cached_property
+    def cells_by_dim(self) -> list[list[Cell]]:
+        """One ``Cell`` per cell, per dimension, built on first read."""
+        return [
+            [Cell(k, i, nest, faces) for i, (nest, faces) in enumerate(zip(nests, self.faces(k)))]
+            for k, nests in enumerate(self.nests)
+        ]
 
     def boundary_condition_holds(self) -> bool:
         """Does the composite of consecutive boundary maps vanish mod 2?"""
         for k in range(2, self.top_dim + 1):
-            lower = self.cells_by_dim[k - 1]
-            for cell in self.cells_by_dim[k]:
+            lower = self.faces(k - 1)
+            for faces in self.faces(k):
                 acc: set[int] = set()
-                for f in cell.faces:
-                    acc ^= set(lower[f].faces)
+                for f in faces:
+                    acc ^= set(lower[f])
                 if acc:
                     return False
         return True
@@ -81,11 +113,11 @@ class CellComplex:
         Built on first use for each k and kept.
         """
         if k not in self._cofaces:
-            out: list[list[int]] = [[] for _ in self.cells_by_dim[k]]
+            out: list[list[int]] = [[] for _ in self.nests[k]]
             if k + 1 <= self.top_dim:
-                for cell in self.cells_by_dim[k + 1]:
-                    for f in cell.faces:
-                        out[f].append(cell.index)
+                for i, faces in enumerate(self.faces(k + 1)):
+                    for f in faces:
+                        out[f].append(i)
             self._cofaces[k] = tuple(map(tuple, out))
         return self._cofaces[k]
 
@@ -102,16 +134,7 @@ def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
     if g.n < 2:
         raise UnsupportedDimension(f"2-skeletal expansion needs n >= 2, got n={g.n}")
     check_circles(index)
-    zero_cells = [Cell(0, i, nest, ()) for i, nest in enumerate(index.nests(0))]
-    one_cells = [
-        Cell(1, i, nest, index.within(nest, 0))
-        for i, nest in enumerate(index.nests(1))
-    ]
-    two_cells = [
-        Cell(2, i, nest, index.within(nest, 1))
-        for i, nest in enumerate(index.nests(2))
-    ]
-    return CellComplex(g, [zero_cells, one_cells, two_cells], index)
+    return CellComplex.of_index(index, 2)
 
 
 def check_circles(index: NestIndex) -> None:
@@ -119,14 +142,20 @@ def check_circles(index: NestIndex) -> None:
 
     On a valid graph the 2-nest through e0 and e1 = (v, w) meets w in e1
     and in the one edge colored c0 or c0+c1 that goodness asks for, if any.
+    A vertex is 2-valent in the C(n+1, 2) 2-nests its star seeds and, its
+    star being a basis, 1-valent in any other 2-nest through it.  So the
+    2-nests' vertices add up to V·C(n+1, 2) plus the faults, and only a
+    larger sum scans for the first fault, which the refusal names.
     """
-    fault = next(index.valence_faults(2), None)
-    if fault is not None:
-        nest, v, valence = fault
-        raise NotGoodColoring(
-            f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
-            f" valence {valence}; the coloring is not good"
-        )
+    g = index.graph
+    labelled = sum(len(vertices) for layer in index.layers(2) for _, vertices in layer.parts)
+    if labelled == g.vertex_count * comb(g.width, 2):
+        return
+    nest, v, valence = next(index.valence_faults(2))
+    raise NotGoodColoring(
+        f"2-nest {nest.edge_ids} is not a circle: vertex {v} has"
+        f" valence {valence}; the coloring is not good"
+    )
 
 
 @dataclass(frozen=True)
@@ -258,8 +287,4 @@ def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOut
             2,
             Obstruction(crit.witness, crit.refusal, crit.counts()),
         )
-    three_cells = [
-        Cell(3, i, nest, index.within(nest, 2)) for i, nest in enumerate(index.nests(3))
-    ]
-    full = CellComplex(g, skeleton.cells_by_dim + [three_cells], index)
-    return ExpansionOutcome(full, 3, None)
+    return ExpansionOutcome(CellComplex.of_index(index, 3), 3, None)

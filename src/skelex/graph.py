@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Hashable, Iterable
 
@@ -54,9 +54,11 @@ class ColoredGraph:
     def arcs(self) -> Arcs:
         """Per vertex, (edge id, far end, color mask) for each edge at it.
 
-        Built afresh on each call and never kept.  Every endpoint must be
-        in range and no edge a loop: ``validate`` builds it only once its
-        range and loop checks pass.
+        Built afresh on each call; the graph never keeps it, since census
+        entries keep their graphs.  Every endpoint must be in range and no
+        edge a loop: ``validate`` builds it only once its range and loop
+        checks pass, and hands it on in its report, so a ``NestIndex``
+        keeps the one its validation built.
         """
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for idx, (u, v, c) in enumerate(self.edges):
@@ -95,6 +97,9 @@ def reach(
 class ValidationReport:
     ok: bool
     problems: tuple[str, ...]
+    # the graph's arcs, built for the per-vertex checks; None when a check
+    # before them failed
+    arcs: Arcs | None = field(default=None, repr=False, compare=False)
 
 
 def validate(g: ColoredGraph) -> ValidationReport:
@@ -127,11 +132,16 @@ def validate(g: ColoredGraph) -> ValidationReport:
         ))
 
     arcs = g.arcs()
+    is_basis: dict[tuple[int, ...], bool] = {}  # per distinct sorted star
     for v, at in enumerate(arcs):
         if len(at) != g.width:
             problems.append(f"vertex {v}: valence {len(at)}, expected {g.width}")
             continue
-        if rank_masks(mask for _, _, mask in at) != g.width:
+        star = tuple(sorted([mask for _, _, mask in at]))
+        independent = is_basis.get(star)
+        if independent is None:
+            independent = is_basis[star] = rank_masks(star) == g.width
+        if not independent:
             problems.append(
                 f"vertex {v}: incident colors {[str(g.color(e)) for e, _, _ in at]}"
                 " are linearly dependent"
@@ -139,32 +149,54 @@ def validate(g: ColoredGraph) -> ValidationReport:
     reached = sum(1 for _ in reach(0, lambda v: (x for _, x, _ in arcs[v])))
     if reached != g.vertex_count:
         problems.append("graph is not connected")
-    return _report(problems)
+    return _report(problems, arcs)
 
 
-def _report(problems: list[str]) -> ValidationReport:
+def _report(problems: list[str], arcs: Arcs | None = None) -> ValidationReport:
     """The first ``MAX_LISTED_PROBLEMS`` problems, then one line counting the rest."""
     if len(problems) > MAX_LISTED_PROBLEMS:
         rest = len(problems) - MAX_LISTED_PROBLEMS
         problems = problems[:MAX_LISTED_PROBLEMS] + [f"and {rest} more problems"]
-    return ValidationReport(not problems, tuple(problems))
+    return ValidationReport(not problems, tuple(problems), arcs)
 
 
-def require_valid(g: ColoredGraph) -> None:
+def require_valid(g: ColoredGraph) -> Arcs:
+    """Refuse an invalid graph; the arcs its validation built."""
     report = validate(g)
     if not report.ok:
         raise InvalidGraph(list(report.problems))
+    return report.arcs
 
 
 def canonicalize(g: ColoredGraph) -> ColoredGraph:
     """Normalize endpoint order and sort edges into the canonical order.
 
     Canonical order is lexicographic by (min endpoint, max endpoint, color
-    bits); parallel copies keep their relative order.
+    string); parallel copies keep their relative order.
     """
-    normalized = [(min(u, v), max(u, v), c) for u, v, c in g.edges]
-    normalized.sort(key=lambda e: (e[0], e[1], str(e[2])))
-    return ColoredGraph(g.n, g.vertex_count, tuple(normalized))
+    return ColoredGraph(g.n, g.vertex_count, _canonical(g)[0])
+
+
+def _canonical(g: ColoredGraph) -> tuple[tuple[Edge, ...], dict[ColorVector, str]]:
+    """The canonical edges, and the string of each distinct color.
+
+    Each distinct color is rendered once, and each edge sorts by one int
+    built from its ends, offset by the least end, and the rank of its
+    color's string.
+    """
+    if not g.edges:
+        return (), {}
+    us, vs, colors = zip(*g.edges)
+    names = {c: str(c) for c in set(colors)}
+    rank = {c: i for i, c in enumerate(sorted(names, key=names.__getitem__))}
+    low = min(min(us), min(vs))
+    span, ranks = max(max(us), max(vs)) - low + 1, len(rank)
+    keys = [
+        ((u - low) * span + v - low if u < v else (v - low) * span + u - low) * ranks + rank[c]
+        for u, v, c in g.edges
+    ]
+    rows = [(u, v, c) if u < v else (v, u, c) for u, v, c in g.edges]
+    return tuple([rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]), names
 
 
 def read_object(text: str) -> dict:
@@ -401,10 +433,10 @@ def read_underlying(text: str) -> tuple[list[tuple[int, int]], int, int | None]:
 
 def serialize(g: ColoredGraph) -> str:
     """Emit the canonical JSON form (canonical edge order)."""
-    c = canonicalize(g)
+    edges, names = _canonical(g)
     payload = {
-        "n": c.n,
-        "vertices": c.vertex_count,
-        "edges": [[u, v, str(col)] for u, v, col in c.edges],
+        "n": g.n,
+        "vertices": g.vertex_count,
+        "edges": [[u, v, names[c]] for u, v, c in edges],
     }
     return "".join(json_pieces(payload))

@@ -78,10 +78,10 @@ class ColorComponents:
     v, or -1 until ``label(v, arcs)`` walks it; callers walk from
     unlabelled vertices only.  ``arcs`` is the graph's ``ColoredGraph.arcs()``,
     which the labellings of one graph share; it is passed to each walk and
-    never kept.  The walk gathers the component's sorted edge and vertex
-    ids into ``parts`` as it labels.  ``inside`` maps a color mask to
-    whether it lies in the space; the walks add the masks it lacks, so a
-    caller that already knows may pass it filled.
+    never kept by a labelling.  The walk gathers the component's sorted
+    edge and vertex ids into ``parts`` as it labels.  ``inside`` maps a
+    color mask to whether it lies in the space; the walks add the masks it
+    lacks, so a caller that already knows may pass it filled.
     """
 
     def __init__(
@@ -190,11 +190,12 @@ class NestIndex:
     layers that enumerate the k-nests are kept, with each component's index
     and the layers inside each nest subspace, and the face relation is read
     from their labels.  ``drop(k)`` lets a caller that reads one dimension
-    at a time free each when done.
+    at a time free each when done.  ``arcs`` are the ones the graph's
+    validation built, kept for every walk and valence count of the index.
     """
 
     def __init__(self, g: ColoredGraph):
-        require_valid(g)
+        self.arcs = require_valid(g)
         self.graph = g
         self._nests: dict[int, tuple[Nest, ...]] = {}
         self._layers: dict[int, tuple[ColorComponents, ...]] = {}
@@ -234,7 +235,7 @@ class NestIndex:
         # layers are keyed by subspace, never by star subset: the subsets
         # {a, b} and {a, a+b} of two stars share one; only components that a
         # star reaches are walked, and each of them is a nest
-        arcs = g.arcs()
+        arcs = self.arcs
         by_space: dict[Subspace, ColorComponents] = {}
         by_star: dict[tuple[int, ...], list[ColorComponents]] = {}
         for v, at in enumerate(arcs):
@@ -269,7 +270,7 @@ class NestIndex:
 
         The valence at v counts the arcs at v colored inside the nest's subspace.
         """
-        arcs = self.graph.arcs()
+        arcs = self.arcs
         held: dict[Subspace, dict[int, bool]] = {}  # space -> mask -> lies in it
         for nest in self.nests(k):
             inside = held.setdefault(nest.color, {})

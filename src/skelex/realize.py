@@ -88,7 +88,6 @@ def realizability_summary(
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)
     chi = outcome.complex.euler()
-    del outcome  # the cells go before the tangent colors are built
     if g.n == 2:
         bounds = chi % 2 == 0
     else:
@@ -107,7 +106,8 @@ def tangent_colors(g: ColoredGraph) -> tuple[tuple[str, ...], ...]:
     """Per vertex, the strings of its incident colors, sorted.
 
     Each distinct color is rendered once, and its one string is shared by
-    every edge that carries it.
+    every edge that carries it; each distinct sorted tuple is likewise
+    shared by every vertex that has it.
     """
     names: dict[int, str] = {}  # color mask -> its string
     at: list[list[str]] = [[] for _ in range(g.vertex_count)]
@@ -117,4 +117,9 @@ def tangent_colors(g: ColoredGraph) -> tuple[tuple[str, ...], ...]:
             name = names[c.mask] = str(c)
         at[u].append(name)
         at[v].append(name)
-    return tuple(tuple(sorted(colors)) for colors in at)
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one per distinct tuple
+    out = []
+    for colors in at:
+        star = tuple(sorted(colors))
+        out.append(shared.setdefault(star, star))
+    return tuple(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from skelex.classify import classify_surface
 from skelex.errors import UnsupportedDimension
-from skelex.expansion import Cell, CellComplex
+from skelex.expansion import CellComplex
 from skelex.graph import reach
 from skelex.nests import Nest
 
@@ -24,17 +24,17 @@ def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
     """The subcomplex on the selected cell indices, reindexed per dimension."""
     top = max((k for k, s in enumerate(keep) if s), default=0)
     remap: list[dict[int, int]] = []
-    new_cells: list[list[Cell]] = []
+    nests: list[list[Nest]] = []
+    faces: list[list[tuple[int, ...]]] = []
     for k in range(top + 1):
         indices = sorted(keep[k]) if k < len(keep) else []
         remap.append({old: new for new, old in enumerate(indices)})
-        cells = []
-        for new, old in enumerate(indices):
-            cell = complex.cells_by_dim[k][old]
-            faces = tuple(remap[k - 1][f] for f in cell.faces) if k else ()
-            cells.append(Cell(k, new, cell.nest, faces))
-        new_cells.append(cells)
-    return CellComplex(complex.graph, new_cells)
+        nests.append([complex.nests[k][old] for old in indices])
+        faces.append([
+            tuple(remap[k - 1][f] for f in complex.faces(k)[old]) if k else ()
+            for old in indices
+        ])
+    return CellComplex(complex.graph, nests, faces)
 
 
 def boundary_sphere_complex(complex: CellComplex, nest: Nest) -> CellComplex:

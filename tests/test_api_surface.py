@@ -149,3 +149,19 @@ def test_every_public_name_is_used_by_the_package():
 def test_nest_contains_stays_for_the_benchmark_tracer():
     # perfbench/tracing.py patches Nest.contains without a guard
     assert callable(skelex.Nest.contains)
+
+
+def test_only_validation_and_the_census_build_arcs():
+    # a NestIndex keeps the arcs its graph's validation built, and every
+    # walk and valence count reads those; the census validates no class,
+    # so it builds them for the labellings it lacks
+    callers = set()
+    for path in Path(skelex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "arcs"
+            ):
+                callers.add(path.name)
+    assert callers == {"graph.py", "census.py"}

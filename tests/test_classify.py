@@ -39,20 +39,22 @@ class TestClassifySurface:
 
     def test_open_complex_rejected(self, cube2):
         c = full_expand(cube2).complex
-        broken = CellComplex(c.graph, [c.cells_by_dim[0], c.cells_by_dim[1], c.cells_by_dim[2][:-1]])
+        broken = CellComplex(
+            c.graph,
+            [c.nests[0], c.nests[1], c.nests[2][:-1]],
+            [c.faces(0), c.faces(1), c.faces(2)[:-1]],
+        )
         with pytest.raises(SkelexError):
             classify_surface(broken)
 
     def test_label_invariance(self):
         # permuting the disc order never changes the verdict
         c = full_expand(gen_nonorientable_surface(2)).complex
-        from skelex.expansion import Cell
-
-        reordered = list(reversed(c.cells_by_dim[2]))
-        relabeled = [
-            Cell(2, i, cell.nest, cell.faces) for i, cell in enumerate(reordered)
-        ]
-        c2 = CellComplex(c.graph, [c.cells_by_dim[0], c.cells_by_dim[1], relabeled])
+        c2 = CellComplex(
+            c.graph,
+            [c.nests[0], c.nests[1], c.nests[2][::-1]],
+            [c.faces(0), c.faces(1), c.faces(2)[::-1]],
+        )
         a = classify_surface(c)
         b = classify_surface(c2)
         assert (a.orientable, a.genus) == (b.orientable, b.genus)
@@ -139,12 +141,8 @@ class TestLocalCheck:
         c = full_expand(cube3).complex
         broken = CellComplex(
             c.graph,
-            [
-                c.cells_by_dim[0],
-                c.cells_by_dim[1],
-                c.cells_by_dim[2],
-                c.cells_by_dim[3][:-1],
-            ],
+            [*c.nests[:3], c.nests[3][:-1]],
+            [c.faces(0), c.faces(1), c.faces(2), c.faces(3)[:-1]],
         )
         report = manifold_local_check(broken)
         assert not report.ok

@@ -103,12 +103,9 @@ class TestComplexEdges:
     def test_homology_rejects_broken_boundaries(self, cube2):
         c = expand2(cube2)
         # corrupt one disc's face list so the composite map misses an edge
-        from skelex.expansion import Cell
-
-        bad_disc = c.cells_by_dim[2][0]
-        discs = list(c.cells_by_dim[2])
-        discs[0] = Cell(2, 0, bad_disc.nest, bad_disc.faces[:-1])
-        broken = CellComplex(c.graph, [c.cells_by_dim[0], c.cells_by_dim[1], discs])
+        discs = list(c.faces(2))
+        discs[0] = discs[0][:-1]
+        broken = CellComplex(c.graph, c.nests, [c.faces(0), c.faces(1), discs])
         assert not broken.boundary_condition_holds()
         with pytest.raises(SkelexError):
             homology_mod2(broken)

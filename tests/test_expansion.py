@@ -3,8 +3,12 @@ the boundary-sphere oracle."""
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
+from skelex import cli
 from skelex.errors import NotGoodColoring, UnsupportedDimension
 from skelex.expansion import (
     Cell,
@@ -16,6 +20,7 @@ from skelex.expansion import (
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import ColorVector, span
+from skelex.graph import serialize
 from skelex.nests import Nest, NestIndex, nest_label
 
 from sphere_oracle import (
@@ -214,26 +219,19 @@ def hand_complex(vertex_count, edges, discs) -> CellComplex:
     local checks.
     """
     width = 3
-    zero = [
-        Cell(0, v, Nest((), (v,), span([], width=width)), ())
-        for v in range(vertex_count)
-    ]
+    zero = [Nest((), (v,), span([], width=width)) for v in range(vertex_count)]
     one = [
-        Cell(1, i, Nest((i,), tuple(sorted(ends)), span([ColorVector.unit(0, width)])),
-             tuple(sorted(ends)))
+        Nest((i,), tuple(sorted(ends)), span([ColorVector.unit(0, width)]))
         for i, ends in enumerate(edges)
     ]
     two = [
-        Cell(
-            2, i,
-            Nest(tuple(sorted(faces)),
-                 tuple(sorted({v for e in faces for v in edges[e]})),
-                 span([ColorVector.unit(0, width), ColorVector.unit(1, width)])),
-            tuple(faces),
-        )
-        for i, faces in enumerate(discs)
+        Nest(tuple(sorted(faces)),
+             tuple(sorted({v for e in faces for v in edges[e]})),
+             span([ColorVector.unit(0, width), ColorVector.unit(1, width)]))
+        for faces in discs
     ]
-    return CellComplex(None, [zero, one, two])
+    faces = [[()] * vertex_count, [tuple(sorted(ends)) for ends in edges], list(map(tuple, discs))]
+    return CellComplex(None, [zero, one, two], faces)
 
 
 def triangle_complex(triangles) -> CellComplex:
@@ -296,3 +294,51 @@ class TestCofaces:
             for v in range(len(c.cells_by_dim[0]))
         )
         assert c.cofaces(2) == ((),) * len(c.cells_by_dim[2])
+
+
+class TestCellsOnDemand:
+    """``Cell`` objects are built only when a complex is written out cell by
+    cell (``expand --dump``); every other command reads the index."""
+
+    GRAPHS = {
+        "gT2(2)": lambda: gen_orientable_surface(2),
+        "kP2(3)": lambda: gen_nonorientable_surface(3),
+        "cube3": lambda: gen_cube(3),
+        "cube4": lambda: gen_cube(4),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        real = Cell.__init__
+
+        def counted(cell, *args):
+            made.append(args[:2])  # (dim, index)
+            real(cell, *args)
+
+        monkeypatch.setattr(Cell, "__init__", counted)
+        return made
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("argv", [
+        ["realize"], ["realize", "--table", "--format", "json"],
+        ["expand"], ["expand", "--format", "json"],
+        ["classify"], ["classify", "--format", "json"],
+    ], ids=" ".join)
+    def test_no_cell_without_dump(self, tmp_path, built, name, argv):
+        g = self.GRAPHS[name]()
+        source = tmp_path / "graph.json"
+        source.write_text(serialize(g))
+        code = cli.run([*argv, str(source), "--out", os.devnull])
+        # cube4 stops at its 2-skeleton, so it is refused; the rest close
+        assert code == (cli.EXIT_REFUSED if name == "cube4" else cli.EXIT_OK)
+        assert built == []
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_dump_builds_one_cell_per_cell(self, tmp_path, built, name):
+        g = self.GRAPHS[name]()
+        source, dump = tmp_path / "graph.json", tmp_path / "dump.json"
+        source.write_text(serialize(g))
+        cli.run(["expand", "--format", "json", "--dump", str(source), "--out", str(dump)])
+        counts = json.loads(dump.read_text())["cells"]
+        assert sorted(built) == [(k, i) for k, count in enumerate(counts) for i in range(count)]

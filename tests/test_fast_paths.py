@@ -22,7 +22,7 @@ from skelex.classify import homology_mod2
 from skelex.cli import run
 from skelex.duality import FacePoset, dual_colored_graph, predicted_complex
 from skelex.errors import NotGoodColoring
-from skelex.expansion import Cell, CellComplex, criterion_3d, expand2, full_expand
+from skelex.expansion import CellComplex, criterion_3d, expand2, full_expand
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.gf2 import rank_masks, span
 from skelex.graph import ColoredGraph, serialize
@@ -122,14 +122,11 @@ def reference_expand(g: ColoredGraph):
         for v in nest.vertex_ids:
             if sum(1 for e in edges_at(g, v) if e in nest.edge_ids) != 2:
                 return "not good", None
-    cells = [
-        [
-            Cell(k, i, nest, scan_within(nest, by_dim[k - 1]) if k else ())
-            for i, nest in enumerate(by_dim[k])
-        ]
+    faces = [
+        [scan_within(nest, by_dim[k - 1]) if k else () for nest in by_dim[k]]
         for k in range(3)
     ]
-    skeleton = CellComplex(g, cells)
+    skeleton = CellComplex(g, by_dim, faces)
     if g.n == 2:
         return None, skeleton
     if g.n >= 4:
@@ -137,9 +134,9 @@ def reference_expand(g: ColoredGraph):
     three = index.nests(3)
     if len(three) != len(by_dim[2]) - g.vertex_count:
         return "criterion", skeleton
-    three_cells = []
-    for i, nest in enumerate(three):
-        keep = [{c.index for c in level if nest.contains(c.nest)} for level in cells]
+    three_faces = []
+    for nest in three:
+        keep = [{i for i, cand in enumerate(level) if nest.contains(cand)} for level in by_dim]
         verdict = sphere_check(_subcomplex(skeleton, keep), 2)
         if not verdict.ok:
             return (
@@ -147,8 +144,8 @@ def reference_expand(g: ColoredGraph):
                 f" {verdict.reason}",
                 skeleton,
             )
-        three_cells.append(Cell(3, i, nest, scan_within(nest, by_dim[2])))
-    return None, CellComplex(g, cells + [three_cells])
+        three_faces.append(scan_within(nest, by_dim[2]))
+    return None, CellComplex(g, by_dim + [three], faces + [three_faces])
 
 
 # ----------------------------------------------------------------- checks
@@ -235,7 +232,8 @@ def check_expansion(g: ColoredGraph) -> None:
         else:
             assert reason == refusal
     if g.n == 3:
-        skeleton = CellComplex(g, outcome.complex.cells_by_dim[:3], outcome.complex.index)
+        grown = outcome.complex
+        skeleton = CellComplex(g, grown.nests[:3], [grown.faces(k) for k in range(3)], grown.index)
         for nest in NestIndex(g).nests(3):
             keep = [
                 {c.index for c in level if nest.contains(c.nest)}
@@ -368,3 +366,40 @@ def test_expand_dump_is_byte_identical(n, tmp_path):
     dump = tmp_path / "dump.json"
     assert run(["expand", "--format", "json", "--dump", str(source), "--out", str(dump)]) == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == SEED_DUMP_SHA256[n]
+
+
+# (exit code, sha256) of `skelex expand --format json --dump` on the corpus
+# as the complex printed it when it held one Cell object per cell; a complex
+# read off its nest index on demand prints the same bytes.
+CELL_LIST_DUMP_SHA256 = {
+    "cube2": (0, "850a3a17b255a9c9b6cf23227192c6c3892372a27fa46093badb104a2229dd2c"),
+    "cube3": (0, "cbac500faf6689b3836a8b2be4fab3dca600469d58102fe64d494bd77b21ad61"),
+    "cube4": (1, "f230fce9e9fa0f7c4b8b7dc000fe3e09ff418f0918124add186107ce26b7941c"),
+    "gT2(1)": (0, "59c2702565f0c79307fd72d14cd0be2dde05a943e66f35d05b352a828af820e4"),
+    "gT2(2)": (0, "d1b0a11ca9e99621442ff7304754b4079f905bf403d3423341968a782406ad6c"),
+    "gT2(3)": (0, "3ee4ebe6647e61f76eb6a9012307f52bfcbfff0525e00edee4984ce422d9270a"),
+    "kP2(1)": (0, "3660de93433f13c013c7ea131f76640dd7db683969eda3384934dd6a41f40eb1"),
+    "kP2(2)": (0, "706b220fd49e811bc5fdf93bc691c39e903a7076e0fe43537cf0725f29eee034"),
+    "kP2(3)": (0, "c67e6e6bbc48d8c4e8f20095e18d6980c43d11e9c857dbd63e1ef9200899967e"),
+    "sum0": (0, "ab658faf3de85089bb389352b46dae565fecf817666282d8528008f8923002d3"),
+    "sum1": (0, "d997fbef1543f885ba7f17d19ade88bd6958f7575e6bafdad4969eaa5efe325f"),
+    "sum2": (0, "a1e92f6228e51dc90de8940e94de9edfdf87d0b8c921b8e6f2befd5590e4bc7c"),
+    "sum3": (0, "8bde534d841e33a388f2a97bef580a8f995a074ccd46bd9c274e64b9324db53d"),
+    "sum4": (0, "37e37bdc8886e09e72f1b4a259af3b20a216b80f209e9d634d32f6b2cfc58b8e"),
+    "criterion_counterexample": (1, "1106c848bdc0658d8102af354fc28e93c8f4e9d0d9c783bc155db469944a60e6"),
+    "six-colored K4": (0, "ece60feafc8d81f9b29741f9a86b31987642adc64d456066f184a1b8ad743bf6"),
+    "C(6,4) dual": (0, "efec3996e82414814f3b5662c3b2a7da5a6dbb3fef8a0fc1be73efcb415cf59b"),
+    "C(7,4) dual": (0, "f21654e729e6553c974a9e858fbd4278271409dcf627831db9d93dcdf7179edc"),
+    "bigon2": (0, "f222577bb90f1e120ce30f2795078eef6d16a356116cb7f9332984097f3e740b"),
+    "bigon3": (0, "0266f412144abae23c7991b283d28e829933a6078e48bd7bed58a4ac2366ace6"),
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_expand_dump_matches_the_cell_list_complex(name, tmp_path):
+    source = tmp_path / "graph.json"
+    source.write_text(serialize(CORPUS[name]()), encoding="utf-8")
+    dump = tmp_path / "dump.json"
+    code = run(["expand", "--format", "json", "--dump", str(source), "--out", str(dump)])
+    digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+    assert (code, digest) == CELL_LIST_DUMP_SHA256[name]

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from skelex.errors import DimensionMismatch, FormatError, InvalidGraph
 from skelex.gf2 import ColorVector, span
@@ -215,6 +216,31 @@ class TestFileFormat:
         again = parse(text)
         assert again == canonicalize(cube2)
         assert serialize(again) == text
+
+    def test_parallel_edges_sort_by_color_string(self):
+        # x0 is "100" and x2 is "001", so the string order is the reverse of
+        # the mask order
+        g = ColoredGraph(2, 2, ((1, 0, cv("100")), (0, 1, cv("001")), (0, 1, cv("010"))))
+        edges = [[0, 1, "001"], [0, 1, "010"], [0, 1, "100"]]
+        assert json.loads(serialize(g)) == {"n": 2, "vertices": 2, "edges": edges}
+
+    @given(
+        ends=st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), max_size=30),
+        data=st.data(),
+    )
+    def test_canonical_order_is_ends_then_color_string(self, ends, data):
+        # the reference sorts (min end, max end, color string) tuples; the
+        # sort is stable, so copies of one edge keep their relative order
+        colors = data.draw(st.lists(
+            st.builds(ColorVector, st.integers(1, 7), st.just(3)),
+            min_size=len(ends), max_size=len(ends),
+        ))
+        g = ColoredGraph(2, 10, tuple((u, v, c) for (u, v), c in zip(ends, colors)))
+        expected = sorted(
+            ((min(u, v), max(u, v), c) for u, v, c in g.edges),
+            key=lambda e: (e[0], e[1], str(e[2])),
+        )
+        assert canonicalize(g).edges == tuple(expected)
 
     def test_k4_golden_file(self):
         golden = serialize(gen_nonorientable_surface(1))

@@ -46,8 +46,9 @@ def command(*argv):
     ids=["gT2(128)", "kP2(128)"],
 )
 def test_realize_table_peaks_no_higher_than_classify(tmp_path, make):
-    # the isotropy rows are built as they are written, and the cell
-    # complex is gone before the tangent colors are built
+    # the isotropy rows are built as they are written, the complex is read
+    # off the index without a face list, and vertices with one star share
+    # one tuple of tangent colors
     source = tmp_path / "surface.json"
     source.write_text(serialize(make()))
     realize = traced_peak(command("realize", str(source), "--table", "--format", "json"))

@@ -202,17 +202,20 @@ class TestFaceRelation:
             assert len(index.within(nest, 0)) == 4
 
     def test_containment_is_decided_once_per_nest_subspace(self, monkeypatch):
-        # every 3-cell reads its faces through within(nest, 2); which
-        # 2-layers lie in a 3-nest depends only on the nest's subspace, so
-        # it is asked once per distinct subspace (24 times here, where
-        # asking per (layer, 3-nest) pair made 1,440)
+        # every 3-cell reads its faces through within(nest, 2), when the
+        # complex's 3-face lists are first asked for; which 2-layers lie in
+        # a 3-nest depends only on the nest's subspace, so it is asked once
+        # per distinct subspace (24 times here, where asking per (layer,
+        # 3-nest) pair made 1,440)
         g = dual_colored_graph(FacePoset.from_simplices(gale_facets(12)))
         index = NestIndex(g)
         bound = len({nest.color for nest in index.nests(3)}) * len(index.layers(2))
         asked = []
         real = Subspace.__le__
         monkeypatch.setattr(Subspace, "__le__", lambda a, b: asked.append(b) or real(a, b))
-        assert full_expand(g, index).completed
+        outcome = full_expand(g, index)
+        assert outcome.completed
+        assert len(outcome.complex.faces(3)) == len(index.nests(3))
         assert 0 < len(asked) <= bound == 24
 
 
@@ -224,12 +227,13 @@ class TestReadOffTheGraph:
     ], ids=["gT2(3)", "cube3", "six-colored K4"])
     def test_no_walk_and_no_arcs(self, make, monkeypatch):
         g = make()
-        index = NestIndex(g)  # validation builds arcs once, before counting
         calls = {"label": 0, "arcs": 0}
+        walked_on = set()  # ids of the arcs the walks were given
         real_label, real_arcs = ColorComponents.label, ColoredGraph.arcs
 
         def label(self, v, arcs):
             calls["label"] += 1
+            walked_on.add(id(arcs))
             return real_label(self, v, arcs)
 
         def arcs(self):
@@ -238,9 +242,13 @@ class TestReadOffTheGraph:
 
         monkeypatch.setattr(ColorComponents, "label", label)
         monkeypatch.setattr(ColoredGraph, "arcs", arcs)
+        index = NestIndex(g)  # validation builds arcs once, and the index keeps them
+        assert calls == {"label": 0, "arcs": 1}
         assert len(index.nests(0)) == g.vertex_count
         assert len(index.nests(1)) == g.edge_count
-        assert calls == {"label": 0, "arcs": 0}
+        assert calls == {"label": 0, "arcs": 1}
         assert index.layers(0) == index.layers(1) == ()
-        index.nests(2)  # the walk starts at k = 2
+        index.nests(2)  # the walk starts at k = 2, on the kept arcs
+        list(index.valence_faults(2))  # and the valence count reads them too
         assert calls["label"] > 0 and calls["arcs"] == 1
+        assert walked_on == {id(index.arcs)}
