@@ -237,13 +237,13 @@ def _dump_complex(c: expansion.CellComplex) -> list[dict]:
     return [
         {
             "dim": k,
-            "index": cell.index,
-            "faces": cell.faces,
-            "nest_edges": cell.nest.edge_ids,
-            "nest_vertices": cell.nest.vertex_ids,
+            "index": i,
+            "faces": faces,
+            "nest_edges": nest.edge_ids,
+            "nest_vertices": nest.vertex_ids,
         }
-        for k, cells in enumerate(c.cells_by_dim)
-        for cell in cells
+        for k, nests in enumerate(c.nests)
+        for i, (nest, faces) in enumerate(zip(nests, c.faces(k)))
     ]
 
 

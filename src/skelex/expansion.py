@@ -17,21 +17,12 @@ nests, and face lists are read off the index only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Sequence
 
 from .errors import NotGoodColoring, UnsupportedDimension
 from .graph import ColoredGraph
 from .nests import ColorComponents, Nest, NestIndex, Within, components_within, nest_label
-
-
-@dataclass(frozen=True, slots=True)
-class Cell:
-    dim: int
-    index: int
-    nest: Nest
-    faces: tuple[int, ...]  # indices of (dim-1)-cells in this cell's boundary
 
 
 class CellComplex:
@@ -43,9 +34,8 @@ class CellComplex:
     off the face lists.  A complex ``of_index`` is a view over that index:
     its nests and counts are the index's, and each dimension's face lists
     are read off ``NestIndex.within`` on first use.  A hand-built complex
-    passes its face lists.  ``Cell`` objects are built only when
-    ``cells_by_dim`` is read.  Nothing may change once the complex is
-    built: face lists and the coface relation are kept.
+    passes its face lists.  Nothing may change once the complex is built:
+    face lists and the coface relation are kept.
     """
 
     def __init__(
@@ -86,14 +76,6 @@ class CellComplex:
                 within = self.index.within
                 self._faces[k] = tuple([within(nest, k - 1) for nest in self.nests[k]])
         return self._faces[k]
-
-    @cached_property
-    def cells_by_dim(self) -> list[list[Cell]]:
-        """One ``Cell`` per cell, per dimension, built on first read."""
-        return [
-            [Cell(k, i, nest, faces) for i, (nest, faces) in enumerate(zip(nests, self.faces(k)))]
-            for k, nests in enumerate(self.nests)
-        ]
 
     def boundary_condition_holds(self) -> bool:
         """Does the composite of consecutive boundary maps vanish mod 2?"""

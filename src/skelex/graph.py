@@ -132,16 +132,11 @@ def validate(g: ColoredGraph) -> ValidationReport:
         ))
 
     arcs = g.arcs()
-    is_basis: dict[tuple[int, ...], bool] = {}  # per distinct sorted star
     for v, at in enumerate(arcs):
         if len(at) != g.width:
             problems.append(f"vertex {v}: valence {len(at)}, expected {g.width}")
             continue
-        star = tuple(sorted([mask for _, _, mask in at]))
-        independent = is_basis.get(star)
-        if independent is None:
-            independent = is_basis[star] = rank_masks(star) == g.width
-        if not independent:
+        if rank_masks(mask for _, _, mask in at) != g.width:
             problems.append(
                 f"vertex {v}: incident colors {[str(g.color(e)) for e, _, _ in at]}"
                 " are linearly dependent"
@@ -180,23 +175,14 @@ def canonicalize(g: ColoredGraph) -> ColoredGraph:
 def _canonical(g: ColoredGraph) -> tuple[tuple[Edge, ...], dict[ColorVector, str]]:
     """The canonical edges, and the string of each distinct color.
 
-    Each distinct color is rendered once, and each edge sorts by one int
-    built from its ends, offset by the least end, and the rank of its
-    color's string.
+    Each distinct color is rendered once, and edges sort by (low end,
+    high end, rank of the color's string).
     """
-    if not g.edges:
-        return (), {}
-    us, vs, colors = zip(*g.edges)
-    names = {c: str(c) for c in set(colors)}
+    names = {c: str(c) for c in {c for _, _, c in g.edges}}
     rank = {c: i for i, c in enumerate(sorted(names, key=names.__getitem__))}
-    low = min(min(us), min(vs))
-    span, ranks = max(max(us), max(vs)) - low + 1, len(rank)
-    keys = [
-        ((u - low) * span + v - low if u < v else (v - low) * span + u - low) * ranks + rank[c]
-        for u, v, c in g.edges
-    ]
     rows = [(u, v, c) if u < v else (v, u, c) for u, v, c in g.edges]
-    return tuple([rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]), names
+    rows.sort(key=lambda r: (r[0], r[1], rank[r[2]]))
+    return tuple(rows), names
 
 
 def read_object(text: str) -> dict:

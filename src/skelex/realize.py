@@ -88,6 +88,7 @@ def realizability_summary(
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)
     chi = outcome.complex.euler()
+    del outcome  # frees the nest index this call built before the tangent colors
     if g.n == 2:
         bounds = chi % 2 == 0
     else:

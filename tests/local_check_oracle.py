@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from skelex.expansion import Cell, CellComplex
+from skelex.expansion import CellComplex
+
+from cell_oracle import Cell, cells_by_dim
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,11 @@ def manifold_local_check(c: CellComplex) -> LocalCheckReport:
 
     g = c.graph
     # the k-cells at each vertex, gathered in one pass per dimension
+    cells = cells_by_dim(c)
     at_vertex: list[list[list[Cell]]] = [[]]
     for k in range(1, top + 1):
         at_vertex.append([[] for _ in range(g.vertex_count)])
-        for cell in c.cells_by_dim[k]:
+        for cell in cells[k]:
             for v in cell.nest.vertex_ids:
                 at_vertex[k][v].append(cell)
     for v, at in enumerate(g.arcs()):

@@ -45,9 +45,8 @@ def boundary_matrix(c: CellComplex, k: int) -> list[list[int]]:
     """
     if not 1 <= k <= c.top_dim:
         raise ValueError(f"boundary matrix index {k} outside 1..{c.top_dim}")
-    rows = len(c.cells_by_dim[k - 1])
-    matrix = [[0] * len(c.cells_by_dim[k]) for _ in range(rows)]
-    for cell in c.cells_by_dim[k]:
-        for f in cell.faces:
-            matrix[f][cell.index] = 1
+    matrix = [[0] * len(c.nests[k]) for _ in c.nests[k - 1]]
+    for i, faces in enumerate(c.faces(k)):
+        for f in faces:
+            matrix[f][i] = 1
     return matrix

@@ -17,6 +17,7 @@ from skelex.expansion import CellComplex
 from skelex.graph import reach
 from skelex.nests import Nest
 
+from cell_oracle import cells_by_dim
 from graph_helpers import cycle_fault
 
 
@@ -75,9 +76,10 @@ def sphere_check(F: CellComplex, k: int) -> SphereCheck:
         )
     if F.top_dim < k:
         return SphereCheck(False, f"complex has no {k}-cells")
-    vertices = range(len(F.cells_by_dim[0]))
+    cells = cells_by_dim(F)
+    vertices = range(len(cells[0]))
     edges_at = F.cofaces(0)
-    edges = F.cells_by_dim[1]
+    edges = cells[1]
     arcs = [[w for e in edges_at[v] for w in edges[e].faces if w != v] for v in vertices]
     if not vertices or sum(1 for _ in reach(0, arcs.__getitem__)) != len(vertices):
         return SphereCheck(False, "not connected")
@@ -112,8 +114,8 @@ def _vertex_link_failures(F: CellComplex) -> str | None:
     are the cofaces of its edges.
     """
     edges_at, discs_at = F.cofaces(0), F.cofaces(1)
-    edges, discs = F.cells_by_dim[1], F.cells_by_dim[2]
-    for vcell in F.cells_by_dim[0]:
+    vcells, edges, discs = cells_by_dim(F)[:3]
+    for vcell in vcells:
         v = vcell.nest.vertex_ids[0]
         local_edges = edges_at[vcell.index]
         arcs: dict[int, list[int]] = {e: [] for e in local_edges}

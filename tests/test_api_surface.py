@@ -98,6 +98,8 @@ GONE = [
     ("duality", None, "_link_graph"),
     ("duality", "FacePoset", "cell_count"),
     ("gf2", "ColorVector", "zero"),
+    ("expansion", None, "Cell"),
+    ("expansion", "CellComplex", "cells_by_dim"),
 ]
 
 # public names that no module of the package uses, each with its reason

@@ -9,6 +9,7 @@ from skelex.errors import SkelexError
 from skelex.expansion import CellComplex, full_expand
 from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
 
+from cell_oracle import cells_by_dim
 from conftest import edges_at
 from graph_helpers import connected_sum
 from local_check_oracle import manifold_local_check
@@ -126,10 +127,11 @@ class TestLocalCheck:
         report = manifold_local_check(c)
         assert report.ok
         # around every vertex: 4 edges, 6 discs, 4 chambers
+        cells = cells_by_dim(c)
         for v in range(c.graph.vertex_count):
             assert len(edges_at(c.graph, v)) == 4
-            assert sum(1 for cell in c.cells_by_dim[2] if v in cell.nest.vertex_ids) == 6
-            assert sum(1 for cell in c.cells_by_dim[3] if v in cell.nest.vertex_ids) == 4
+            assert sum(1 for cell in cells[2] if v in cell.nest.vertex_ids) == 6
+            assert sum(1 for cell in cells[3] if v in cell.nest.vertex_ids) == 4
 
     def test_surface_edges_in_two_discs(self, cube2):
         c = full_expand(cube2).complex

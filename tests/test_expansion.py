@@ -11,7 +11,6 @@ import pytest
 from skelex import cli
 from skelex.errors import NotGoodColoring, UnsupportedDimension
 from skelex.expansion import (
-    Cell,
     CellComplex,
     check_circles,
     criterion_3d,
@@ -23,6 +22,7 @@ from skelex.gf2 import ColorVector, span
 from skelex.graph import serialize
 from skelex.nests import Nest, NestIndex, nest_label
 
+from cell_oracle import cells_by_dim
 from sphere_oracle import (
     SphereCheck,
     _subcomplex,
@@ -68,11 +68,11 @@ class TestExpand2:
         assert full_expand(cube3).complex.boundary_condition_holds()
 
     def test_face_incidence_mirrors_nests(self, cube2):
-        c = expand2(cube2)
-        for disc in c.cells_by_dim[2]:
+        _, edges, discs = cells_by_dim(expand2(cube2))
+        for disc in discs:
             assert set(disc.faces) == set(disc.nest.edge_ids)
             for e in disc.faces:
-                edge_cell = c.cells_by_dim[1][e]
+                edge_cell = edges[e]
                 assert disc.nest.contains(edge_cell.nest)
 
 
@@ -111,7 +111,7 @@ class TestSphereCheck:
         nest = NestIndex(cube2).nests(2)[0]
         keep = [
             {c.index for c in cells if nest.contains(c.nest)}
-            for cells in skeleton.cells_by_dim[:2]
+            for cells in cells_by_dim(skeleton)[:2]
         ]
         F = _subcomplex(skeleton, keep)
         assert sphere_check(F, 1).ok
@@ -128,7 +128,7 @@ class TestSphereCheck:
                 for c in cells
                 if a.contains(c.nest) or b.contains(c.nest)
             }
-            for cells in skeleton.cells_by_dim[:2]
+            for cells in cells_by_dim(skeleton)[:2]
         ]
         F = _subcomplex(skeleton, keep)
         verdict = sphere_check(F, 1)
@@ -289,16 +289,18 @@ class TestCofaces:
     def test_built_once_and_kept(self, cube2):
         c = expand2(cube2)
         assert c.cofaces(1) is c.cofaces(1)
+        vertices, edges, discs = cells_by_dim(c)
         assert c.cofaces(0) == tuple(
-            tuple(e.index for e in c.cells_by_dim[1] if v in e.faces)
-            for v in range(len(c.cells_by_dim[0]))
+            tuple(e.index for e in edges if v in e.faces) for v in range(len(vertices))
         )
-        assert c.cofaces(2) == ((),) * len(c.cells_by_dim[2])
+        assert c.cofaces(2) == ((),) * len(discs)
 
 
-class TestCellsOnDemand:
-    """``Cell`` objects are built only when a complex is written out cell by
-    cell (``expand --dump``); every other command reads the index."""
+class TestFacesOnDemand:
+    """A complex builds no per-cell object, and reads a face list only where
+    a command needs one: ``realize`` and ``expand`` read none,
+    classification reads the dimensions it walks or ranks, and
+    ``expand --dump`` writes each cell from its nest and face list."""
 
     GRAPHS = {
         "gT2(2)": lambda: gen_orientable_surface(2),
@@ -306,39 +308,59 @@ class TestCellsOnDemand:
         "cube3": lambda: gen_cube(3),
         "cube4": lambda: gen_cube(4),
     }
+    # cube4 stops at its 2-skeleton, so it is refused; the rest close
+    CLASSIFY_READS = {"gT2(2)": {1, 2}, "kP2(3)": {1, 2}, "cube3": {1, 2, 3}, "cube4": set()}
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        made = []
-        real = Cell.__init__
+    def read(self, monkeypatch):
+        dims = []
+        real = CellComplex.faces
 
-        def counted(cell, *args):
-            made.append(args[:2])  # (dim, index)
-            real(cell, *args)
+        def counted(c, k):
+            dims.append(k)
+            return real(c, k)
 
-        monkeypatch.setattr(Cell, "__init__", counted)
-        return made
+        monkeypatch.setattr(CellComplex, "faces", counted)
+        return dims
+
+    def run(self, tmp_path, name, argv):
+        source = tmp_path / "graph.json"
+        source.write_text(serialize(self.GRAPHS[name]()))
+        code = cli.run([*argv, str(source), "--out", os.devnull])
+        assert code == (cli.EXIT_REFUSED if name == "cube4" else cli.EXIT_OK)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("argv", [
         ["realize"], ["realize", "--table", "--format", "json"],
         ["expand"], ["expand", "--format", "json"],
-        ["classify"], ["classify", "--format", "json"],
     ], ids=" ".join)
-    def test_no_cell_without_dump(self, tmp_path, built, name, argv):
-        g = self.GRAPHS[name]()
-        source = tmp_path / "graph.json"
-        source.write_text(serialize(g))
-        code = cli.run([*argv, str(source), "--out", os.devnull])
-        # cube4 stops at its 2-skeleton, so it is refused; the rest close
-        assert code == (cli.EXIT_REFUSED if name == "cube4" else cli.EXIT_OK)
-        assert built == []
+    def test_no_face_list_without_dump(self, tmp_path, read, name, argv):
+        self.run(tmp_path, name, argv)
+        assert read == []
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_dump_builds_one_cell_per_cell(self, tmp_path, built, name):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_classify_reads_only_the_faces_it_uses(self, tmp_path, read, name, fmt):
+        self.run(tmp_path, name, ["classify", "--format", fmt])
+        assert set(read) == self.CLASSIFY_READS[name]
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_dump_writes_every_cell(self, tmp_path, name):
         g = self.GRAPHS[name]()
         source, dump = tmp_path / "graph.json", tmp_path / "dump.json"
         source.write_text(serialize(g))
         cli.run(["expand", "--format", "json", "--dump", str(source), "--out", str(dump)])
-        counts = json.loads(dump.read_text())["cells"]
-        assert sorted(built) == [(k, i) for k, count in enumerate(counts) for i in range(count)]
+        payload = json.loads(dump.read_text())
+        cells = cells_by_dim(full_expand(g).complex)
+        assert payload["cells"] == [len(level) for level in cells]
+        assert payload["complex"] == [
+            {
+                "dim": cell.dim,
+                "index": cell.index,
+                "faces": list(cell.faces),
+                "nest_edges": list(cell.nest.edge_ids),
+                "nest_vertices": list(cell.nest.vertex_ids),
+            }
+            for level in cells
+            for cell in level
+        ]

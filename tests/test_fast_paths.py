@@ -38,6 +38,7 @@ from conftest import (
     random_valid_coloring,
     six_colored_k4,
 )
+from cell_oracle import cells_by_dim
 from graph_helpers import connected_sum
 from local_check_oracle import manifold_local_check
 from nest_oracle import grow_nest
@@ -218,7 +219,7 @@ def check_expansion(g: ColoredGraph) -> None:
             full_expand(g)
         return
     outcome = full_expand(g)
-    assert outcome.complex.cells_by_dim == reference.cells_by_dim
+    assert cells_by_dim(outcome.complex) == cells_by_dim(reference)
     if refusal is None:
         assert outcome.completed
         assert outcome.reached_dim == reference.top_dim
@@ -234,13 +235,14 @@ def check_expansion(g: ColoredGraph) -> None:
     if g.n == 3:
         grown = outcome.complex
         skeleton = CellComplex(g, grown.nests[:3], [grown.faces(k) for k in range(3)], grown.index)
+        levels = cells_by_dim(skeleton)
         for nest in NestIndex(g).nests(3):
             keep = [
                 {c.index for c in level if nest.contains(c.nest)}
-                for level in skeleton.cells_by_dim
+                for level in levels
             ]
             fast = boundary_sphere_complex(skeleton, nest)
-            assert fast.cells_by_dim == _subcomplex(skeleton, keep).cells_by_dim
+            assert cells_by_dim(fast) == cells_by_dim(_subcomplex(skeleton, keep))
         check_criterion(g)
         if not outcome.completed:
             assert outcome.obstruction.nest == criterion_3d(g).witness
@@ -248,7 +250,7 @@ def check_expansion(g: ColoredGraph) -> None:
         c = outcome.complex
         ranks = dense_ranks(c)
         for k in range(1, c.top_dim + 1):
-            column_masks = (sum(1 << f for f in cell.faces) for cell in c.cells_by_dim[k])
+            column_masks = (sum(1 << f for f in faces) for faces in c.faces(k))
             assert rank_masks(column_masks) == ranks[k - 1]
         padded = [0] + ranks + [0]
         betti = tuple(

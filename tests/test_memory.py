@@ -13,7 +13,6 @@ import tracemalloc
 import pytest
 
 from skelex import cli
-from skelex.expansion import expand2
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.graph import read_graph, serialize
 from skelex.nests import NestIndex
@@ -76,9 +75,8 @@ def test_per_nest_records_have_no_instance_dict():
     g = gen_cube(2)
     index = NestIndex(g)
     nest = index.nests(2)[0]
-    cell = expand2(g, index).cells_by_dim[2][0]
     record = isotropy_report(g, index)[-1]
-    for item in (nest, cell, record):
+    for item in (nest, record):
         assert not hasattr(item, "__dict__")
         twin = copy.deepcopy(item)
         assert twin is not item

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -129,6 +130,27 @@ class TestSummary:
     def test_refusal_propagates(self, counterexample):
         with pytest.raises(ExpansionRefused):
             realizability_summary(counterexample)
+
+    @pytest.mark.parametrize("make", [lambda: gen_orientable_surface(3), lambda: gen_cube(3)],
+                             ids=["gT2(3)", "cube3"])
+    def test_own_index_is_freed_before_the_tangent_colors(self, monkeypatch, make):
+        # called without an index, the summary drops the one it built (its
+        # nests, layers and arcs) before the per-vertex colors are built
+        built, alive = [], []
+        original_init, original_colors = NestIndex.__init__, realize_mod.tangent_colors
+
+        def recorded_init(index, g):
+            original_init(index, g)
+            built.append(weakref.ref(index))
+
+        def recorded_colors(g):
+            alive.append([ref() is not None for ref in built])
+            return original_colors(g)
+
+        monkeypatch.setattr(NestIndex, "__init__", recorded_init)
+        monkeypatch.setattr(realize_mod, "tangent_colors", recorded_colors)
+        realizability_summary(make())
+        assert alive == [[False]]
 
 
 class TestSharedIndex:
