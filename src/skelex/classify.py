@@ -42,27 +42,33 @@ def _circle_traversal(
 
     The edges must form an embedded circle (each of their ends meets
     exactly two of them); double edges between two vertices are handled by
-    tracking edge ids rather than endpoints.
+    tracking edge ids rather than endpoints.  At a vertex of two edges the
+    position in ``edges`` of the one not walked in on is the xor of both
+    positions with the other's, so the walk keeps two ints per vertex and
+    allocates nothing per step; the walk's keys are the ids in ``edges``.
     """
-    by_vertex: dict[int, list[int]] = {}
-    for e in edges:
-        for v in ends[e]:
-            by_vertex.setdefault(v, []).append(e)
-    start_vertex = min(by_vertex)
-    first = min(by_vertex[start_vertex])
+    xor: dict[int, int] = {}  # vertex -> the xor of the positions of its edges
+    count: dict[int, int] = {}  # vertex -> the number of its edge ends
+    for i, e in enumerate(edges):
+        u, v = ends[e]
+        xor[u] = xor.get(u, 0) ^ i
+        xor[v] = xor.get(v, 0) ^ i
+        count[u] = count.get(u, 0) + 1
+        count[v] = count.get(v, 0) + 1
+    start_vertex = vertex = min(xor)
+    first = edge = min(e for e in edges if start_vertex in ends[e])
+    at = edges.index(first)
     walk: dict[int, bool] = {}
-    vertex, edge = start_vertex, first
     while True:
         u, v = ends[edge]
-        forward = vertex == u
-        walk[edge] = forward
+        forward = walk[edge] = vertex == u
         vertex = v if forward else u
-        nxt = [e for e in by_vertex[vertex] if e != edge]
-        if len(nxt) != 1:
+        at ^= xor[vertex]
+        if count[vertex] != 2 or edges[at] == edge:  # a branch, a loop or a repeated id
             raise SkelexError(
                 f"nest {edges} is not an embedded circle at vertex {vertex}"
             )
-        edge = nxt[0]
+        edge = edges[at]
         if vertex == start_vertex and edge == first:
             break
     if len(walk) != len(edges):

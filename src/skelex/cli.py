@@ -19,7 +19,11 @@ opened, so the input keeps its bytes.  JSON output is the text
 (``graph.json_pieces``).  The long listings are built as they are
 written too: ``realize --table`` makes each isotropy row as it writes it,
 once the whole table is checked, and ``nests`` holds one dimension's
-nests at a time, dropping each before it enumerates the next.
+nests at a time, dropping each before it enumerates the next.  A JSON
+listing row is assembled by ``graph.row_shape``: the fields that a nest's
+color subspace decides (an isotropy row's dimension, co-rank, copies and
+kernel; a nest's dimension and label) are rendered once per subspace,
+and each row renders only the nest's own ids.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import classify as classify_mod
 from . import duality, expansion, generators, graph as graph_mod, nests as nests_mod
@@ -39,6 +43,7 @@ from .census import (  # noqa: F401  (the census API, re-exported)
     enumerate_proper_colorings,
 )
 from .errors import ExpansionRefused, FormatError, NestLimit, Refusal, SkelexError
+from .gf2 import Subspace
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -178,16 +183,22 @@ def _cmd_nests(args) -> int:
 
     # both formats are built and written nest by nest, never as one text
     if args.format == "json":
-        _emit(args.out, graph_mod.json_pieces({
-            "nests": (
-                {
+        # the fields a subspace decides are rendered once per subspace
+        shapes: dict[Subspace, Callable[..., str]] = {}
+
+        def row(nest: nests_mod.Nest) -> str:
+            shape = shapes.get(nest.color)
+            if shape is None:
+                shape = shapes[nest.color] = graph_mod.row_shape({
                     "dim": nest.dim,
                     "label": nests_mod.nest_label(nest),
-                    "vertices": nest.vertex_ids,
-                    "edges": nest.edge_ids,
-                }
-                for nest in each_nest()
-            ),
+                    "vertices": graph_mod.PER_ROW,
+                    "edges": graph_mod.PER_ROW,
+                })
+            return shape(nest.vertex_ids, nest.edge_ids)
+
+        _emit(args.out, graph_mod.json_pieces({
+            "nests": map(row, each_nest()),
             "nu": nu,  # written once every nest is
         }))
         return EXIT_OK
@@ -332,10 +343,11 @@ def _cmd_realize(args) -> int:
         return EXIT_REFUSED
     # the whole table is checked before the first byte is written
     records = realize_mod.isotropy_report(g, index) if args.table else []
-    # nests of one color subspace share one kernel: each is rendered once
+    # nests of one color subspace share one kernel, and the co-rank and
+    # copies it decides: one record stands for each kernel, rendered once
+    kinds = {r.subgroup_basis: r for r in records}
     terms = {
-        basis: [realize_mod.render_t_vector(m, g.width) for m in basis]
-        for basis in {r.subgroup_basis for r in records}
+        basis: [realize_mod.render_t_vector(m, g.width) for m in basis] for basis in kinds
     }
     # both formats build each isotropy row as it is written
     if args.format == "json":
@@ -346,15 +358,18 @@ def _cmd_realize(args) -> int:
             "fixed_points": summary.fixed_point_count,
         }
         if args.table:
-            payload["isotropy"] = (
-                {
+            shapes = {
+                basis: graph_mod.row_shape({
                     "dim": r.nest.dim,
-                    "edges": list(r.nest.edge_ids),
+                    "edges": graph_mod.PER_ROW,
                     "corank": r.corank,
                     "copies": r.copies,
-                    "kernel": terms[r.subgroup_basis],
-                }
-                for r in records
+                    "kernel": terms[basis],
+                })
+                for basis, r in kinds.items()
+            }
+            payload["isotropy"] = (
+                shapes[r.subgroup_basis](r.nest.edge_ids) for r in records
             )
         _emit(args.out, graph_mod.json_pieces(payload))
         return EXIT_OK

@@ -230,8 +230,69 @@ def json_pieces(value) -> Iterator[str]:
     exhausted one is ``[]``.  A value later in the document is read only
     once the iterator is exhausted.  Below those levels an iterator is a
     ``TypeError``, as it is for ``json.dumps``.
+
+    A row that ``row_shape`` made is written as it is.  Its fields were
+    rendered by this writer at the row's depth, those its shape shares
+    once for every row of that shape, so a listing whose rows repeat most
+    of their fields renders each repeated field once.  Such a row may
+    stand only two levels down, where rows are written.
     """
     return _pieces(value, 0)
+
+
+class _Row(str):
+    """The whole text of one row two levels down: only ``row_shape`` makes
+    one, and the writer writes it as it is."""
+
+    __slots__ = ()
+
+
+PER_ROW = object()  # marks a field that each row of a row_shape renders itself
+_FIELD_LEVEL = STREAMED_LEVELS + 1  # the depth of a row's field values
+# an id list, the commonest own field, is written without an encoder call
+# when it holds exact ints only
+_ID_LISTS = (tuple, list)
+_INTS = frozenset({int})
+_ID_OPEN = "[\n" + " " * (_FIELD_LEVEL + 1)
+_ID_COMMA = ",\n" + " " * (_FIELD_LEVEL + 1)
+_ID_CLOSE = "\n" + " " * _FIELD_LEVEL + "]"
+
+
+def row_shape(fields: dict) -> Callable[..., str]:
+    """A maker of rows, each the text of the dict ``fields`` two levels down,
+    with its ``PER_ROW`` values replaced, in order, by the maker's arguments.
+
+    The key texts and the other values are rendered once, here; each row
+    renders only its own values, with the same writer, and joins the texts
+    into one piece.  ``json_pieces`` writes the row as the dict would be
+    written, byte for byte.
+    """
+    inner = "\n" + " " * _FIELD_LEVEL
+    parts: list[str] = []  # the shared text before, between and after own values
+    text, comma = "", "{" + inner
+    for key, value in fields.items():
+        text += comma + _key(key) + ": "
+        comma = "," + inner
+        if value is PER_ROW:
+            parts.append(text)
+            text = ""
+        else:
+            text += _text(value, _FIELD_LEVEL)
+    parts.append(text + ("\n" + " " * STREAMED_LEVELS + "}" if fields else "{}"))
+    first, rest = parts[0], parts[1:]
+
+    def row(*own) -> str:
+        if len(own) != len(rest):
+            raise TypeError(f"a row of this shape has {len(rest)} own fields, got {len(own)}")
+        text = first
+        for value, part in zip(own, rest):
+            if type(value) in _ID_LISTS and value and _INTS.issuperset(map(type, value)):
+                text += _ID_OPEN + _ID_COMMA.join(map(int.__repr__, value)) + _ID_CLOSE + part
+            else:
+                text += _text(value, _FIELD_LEVEL) + part
+        return _Row(text)
+
+    return row
 
 
 def _pieces(value, level: int) -> Iterator[str]:
@@ -295,6 +356,10 @@ def _text(value, level: int) -> str:
         return scalar(value)
     brackets = _BRACKETS.get(kind)
     if brackets is None:  # a subclass
+        if kind is _Row:
+            if level != STREAMED_LEVELS:
+                raise TypeError(f"a row is written {STREAMED_LEVELS} levels down, not {level}")
+            return value
         if not isinstance(value, (list, tuple, dict)):
             return _flat(value, 0)  # a subclass of a scalar type, or a TypeError
         brackets = "{}" if isinstance(value, dict) else "[]"

@@ -33,25 +33,30 @@ class IsotropyRecord:
 def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[IsotropyRecord]:
     """One record per nest of every dimension, in canonical nest order.
 
-    Nests with one color subspace share one kernel tuple.  ``index`` is the
+    Nests with one color subspace share one kernel tuple, and its co-rank
+    and copies are decided once for them all.  ``index`` is the
     graph's nest index when the caller already holds one.
     """
     if index is None:
         index = NestIndex(g)
-    kernels: dict[Subspace, tuple[int, ...]] = {}
+    # a subspace's kernel, co-rank and copies; the check passes or fails for
+    # every nest of a subspace alike, so the first nest of the first failing
+    # subspace is the first failing nest
+    shared: dict[Subspace, tuple[tuple[int, ...], int, int]] = {}
     records: list[IsotropyRecord] = []
     for k in range(g.n + 1):
         for nest in index.nests(k):
-            kernel = kernels.get(nest.color)
-            if kernel is None:
-                kernel = kernels[nest.color] = null_space(nest.color.basis, g.width)
-            corank = g.width - len(kernel)
-            if corank != nest.dim:
-                raise AssertionError(
-                    f"nest {nest.edge_ids}: kernel co-rank {corank} differs"
-                    f" from nest dimension {nest.dim}"
-                )
-            records.append(IsotropyRecord(nest, kernel, corank, 1 << nest.dim))
+            found = shared.get(nest.color)
+            if found is None:
+                kernel = null_space(nest.color.basis, g.width)
+                corank = g.width - len(kernel)
+                if corank != nest.dim:
+                    raise AssertionError(
+                        f"nest {nest.edge_ids}: kernel co-rank {corank} differs"
+                        f" from nest dimension {nest.dim}"
+                    )
+                found = shared[nest.color] = (kernel, corank, 1 << corank)
+            records.append(IsotropyRecord(nest, *found))
     return records
 
 

@@ -60,6 +60,31 @@ class TestClassifySurface:
         b = classify_surface(c2)
         assert (a.orientable, a.genus) == (b.orientable, b.genus)
 
+    @pytest.mark.parametrize("ends, boundaries, message", [
+        # three edges between two vertices: the walk meets all three at vertex 1
+        ([(0, 1)] * 3, [(0, 1, 2)] * 2,
+         "nest (0, 1, 2) is not an embedded circle at vertex 1"),
+        # a path: vertex 2 meets one edge
+        ([(0, 1), (1, 2)], [(0, 1)] * 2, "nest (0, 1) is not an embedded circle at vertex 2"),
+        # one disc whose boundary lists its one edge twice
+        ([(0, 1)], [(0, 0)], "nest (0, 0) is not an embedded circle at vertex 1"),
+        # two disjoint bigons: the walk closes after the first
+        ([(0, 1), (0, 1), (2, 3), (2, 3)], [(0, 1, 2, 3)] * 2,
+         "nest (0, 1, 2, 3) walk missed edges"),
+    ], ids=["theta", "path", "repeated edge", "two circles"])
+    def test_disc_boundary_that_is_not_one_circle_is_refused(self, ends, boundaries, message):
+        # each edge lies in exactly two discs, so the refusal comes from the
+        # walk around the first boundary
+        vertices = 1 + max(max(pair) for pair in ends)
+        c = CellComplex(
+            None,
+            [[None] * vertices, [None] * len(ends), [None] * len(boundaries)],
+            [((),) * vertices, ends, boundaries],
+        )
+        with pytest.raises(SkelexError) as refused:
+            classify_surface(c)
+        assert str(refused.value) == message
+
     def test_genus_1500_without_recursion(self):
         # the orientation walk over the discs reaches paths about as long
         # as the disc count, far past the interpreter's recursion limit

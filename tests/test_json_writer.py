@@ -3,6 +3,7 @@ JSON subcommand's output, and the memory a streamed table takes."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from skelex import cli
 from skelex import graph as graph_mod
+from skelex import nests as nests_mod
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.graph import json_pieces, serialize
+from skelex.graph import PER_ROW, json_pieces, row_shape, serialize
+from skelex.nests import NestIndex
 
 from conftest import K4_EDGES, criterion_counterexample, simplex_boundary_text
 
@@ -149,6 +152,158 @@ class TestLazyArrays:
         payload = {"rows": [[u, u + 1, "011"] for u in range(100)], "n": 2}
         assert "".join(json_pieces(payload)) == json.dumps(payload, indent=1)
         assert asked == [2]
+
+
+class Str(str):
+    pass
+
+
+class Float(float):
+    pass
+
+
+# the values a row's field takes: id lists of exact ints, and lists that
+# merely look like them (bools, int subclasses), next to every other value
+FIELDS = (
+    VALUES
+    | st.lists(st.integers(0, 2**20), max_size=12).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70) | st.booleans() | st.builds(Int, st.integers()))
+    | st.builds(Int, st.integers()) | st.builds(Str, TEXT) | st.builds(Float, st.floats())
+    | st.lists(SCALARS, max_size=4).map(List) | st.dictionaries(TEXT, SCALARS, max_size=4).map(Dict)
+)
+ROWS = st.lists(
+    st.lists(st.tuples(KEYS, FIELDS, st.booleans()), max_size=6), max_size=6
+)  # per row, (key, value, whether the row renders it itself) per field
+
+
+def assembled(fields: list[tuple]) -> str:
+    """The row of ``fields`` as ``row_shape`` makes it from its shared and
+    own field values."""
+    make = row_shape({key: PER_ROW if own else value for key, value, own in fields})
+    kept = {key: (value, own) for key, value, own in fields}  # a later key wins
+    return make(*(value for value, own in kept.values() if own))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ROWS)
+@example([[("dim", 1, False), ("edges", (3, 4), True), ("kernel", ["t0", "t1+t2"], False)]])
+@example([[("vertices", (), True), ("edges", [], True)], [], [("a", {}, False)]])
+@example([[("·\n\"", "\x00·\\", True), (None, True, False), (1.5, None, True)]])
+@example([[("ids", [True, 1, Int(2)], True), ("big", (2**64, -(2**70)), True)]])
+def test_assembled_rows_join_to_json_dumps(rows):
+    values = [{key: value for key, value, _ in fields} for fields in rows]
+    texts = [assembled(fields) for fields in rows]
+    for value, written in (
+        ({"rows": values, "n": 2}, {"rows": texts, "n": 2}),
+        ([values], [texts]),
+        ({"rows": values}, {"rows": iter(texts)}),
+    ):
+        assert "".join(json_pieces(written)) == json.dumps(value, indent=1)
+
+
+class TestRowShape:
+    def test_a_row_is_one_piece(self):
+        make = row_shape({"dim": 2, "edges": PER_ROW, "kernel": ["t0"]})
+        pieces = list(json_pieces({"rows": [make((1, 2)), make(())]}))
+        assert pieces[:2] == [
+            '{\n "rows": [\n  {\n   "dim": 2,\n   "edges": [\n    1,\n    2\n   ],'
+            '\n   "kernel": [\n    "t0"\n   ]\n  }',
+            ',\n  {\n   "dim": 2,\n   "edges": [],\n   "kernel": [\n    "t0"\n   ]\n  }',
+        ]
+
+    @pytest.mark.parametrize("where", [
+        lambda row: row, lambda row: [row], lambda row: {"a": row},
+        lambda row: [[[row]]], lambda row: {"a": [{"b": row}]},
+    ], ids=["top", "level 1", "field at level 1", "level 3", "field at level 3"])
+    def test_a_row_stands_only_where_rows_are_written(self, where):
+        row = row_shape({"a": PER_ROW})([1])
+        with pytest.raises(TypeError, match="a row is written 2 levels down"):
+            "".join(json_pieces(where(row)))
+
+    def test_a_row_takes_its_own_fields_exactly(self):
+        make = row_shape({"a": 1, "b": PER_ROW, "c": PER_ROW})
+        for own in ((), ([1],), ([1], [2], [3])):
+            with pytest.raises(TypeError, match="has 2 own fields"):
+                make(*own)
+
+    def test_shared_values_are_rendered_once(self, monkeypatch):
+        rendered = []
+        real = graph_mod._text
+        monkeypatch.setattr(
+            graph_mod, "_text", lambda value, level: rendered.append(value) or real(value, level)
+        )
+        make = row_shape({"kernel": ["t0", "t1"], "edges": PER_ROW})
+        rendered.clear()
+        for i in range(5):
+            make({"own": i})
+        assert rendered == [{"own": i} for i in range(5)]
+
+
+# (exit code, sha256) of each listing as it was written when every row was
+# rendered whole, field by field; rows assembled from per-subspace field
+# texts write the same bytes
+LISTING_SHA256 = {
+    ("gT2(64)", "realize --table --format json"):
+        (0, "fb5f8e68dde0124267a03a5b615297518c6815fccdef7d250b5b88f5545da450"),
+    ("kP2(65)", "realize --table --format json"):
+        (0, "94a3ed8c4de880a9a28355ff9440727aa49c610ee5f2968fd20d99cc675453d6"),
+    ("cube5", "nests --format json"):
+        (0, "70658343beaa590c8cb4f52605a7dc5221100741d2357c71ec973abb159f2a0f"),
+    ("cube5", "nests --dim 2 --format json"):
+        (0, "226d49c93cdbf58cea9ea2c9109fc790e4cadb79fa4b2fa821ac5771a1d7fa37"),
+    ("gT2(8)", "nests --format json"):
+        (0, "53d0562ea16eca309e17cd4957478370c0c89a831993bbf307e165e5af1a7512"),
+    ("gT2(8)", "nests --dim 2 --format json"):
+        (0, "b1e9a79bbfb7c28ee40769bc196640b6be0d921441fe844ed1b3571f3fcc0668"),
+}
+LISTED = {
+    "gT2(64)": lambda: gen_orientable_surface(64),
+    "kP2(65)": lambda: gen_nonorientable_surface(65),
+    "cube5": lambda: gen_cube(5),
+    "gT2(8)": lambda: gen_orientable_surface(8),
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv", list(LISTING_SHA256), ids=[" ".join(key) for key in LISTING_SHA256]
+)
+def test_listings_are_byte_identical(name, argv, tmp_path):
+    source = tmp_path / "graph.json"
+    source.write_text(serialize(LISTED[name]()), encoding="utf-8")
+    listing = tmp_path / "listing.json"
+    code = cli.run([*argv.split(), str(source), "--out", str(listing)])
+    digest = hashlib.sha256(listing.read_bytes()).hexdigest()
+    assert (code, digest) == LISTING_SHA256[name, argv]
+
+
+@pytest.mark.parametrize("g, argv, labels", [
+    (gen_cube(4), ["nests", "--format", "json"], True),
+    (gen_orientable_surface(8), ["realize", "--table", "--format", "json"], False),
+], ids=["cube4 nests", "gT2(8) realize --table"])
+def test_fields_a_subspace_decides_are_rendered_once_per_subspace(
+    g, argv, labels, monkeypatch, tmp_path
+):
+    index = NestIndex(g)
+    subspaces = {nest.color for k in range(g.width) for nest in index.nests(k)}
+    nests = sum(len(index.nests(k)) for k in range(g.width))
+    assert len(subspaces) < nests  # the listing repeats them
+    source = tmp_path / "graph.json"
+    source.write_text(serialize(g), encoding="utf-8")
+    calls = {"label": 0, "shape": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(nests_mod, "nest_label", counted("label", nests_mod.nest_label))
+    monkeypatch.setattr(graph_mod, "row_shape", counted("shape", graph_mod.row_shape))
+    listing = tmp_path / "listing.json"
+    assert cli.run([*argv, str(source), "--out", str(listing)]) == cli.EXIT_OK
+    rows = json.loads(listing.read_text(encoding="utf-8"))["nests" if labels else "isotropy"]
+    assert len(rows) == nests
+    assert calls == {"label": len(subspaces) if labels else 0, "shape": len(subspaces)}
 
 
 @pytest.mark.parametrize("value", [[object()], {"a": {"b": [{1}]}}, {(1,): 2}])
