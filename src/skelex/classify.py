@@ -42,20 +42,21 @@ def _circle_traversal(
 
     The edges must form an embedded circle (each of their ends meets
     exactly two of them); double edges between two vertices are handled by
-    tracking edge ids rather than endpoints.  At a vertex of two edges the
-    position in ``edges`` of the one not walked in on is the xor of both
-    positions with the other's, so the walk keeps two ints per vertex and
-    allocates nothing per step; the walk's keys are the ids in ``edges``.
+    tracking edge ids rather than endpoints.  The walk keeps one int per
+    vertex and allocates nothing per step: from a vertex of two edges it
+    leaves by the position in ``edges`` that is the xor of both positions
+    with the one it came in by.  The walk's keys are the ids in ``edges``.
     """
-    xor: dict[int, int] = {}  # vertex -> the xor of the positions of its edges
-    count: dict[int, int] = {}  # vertex -> the number of its edge ends
+    # per vertex, span times the number of its edge ends plus the xor of
+    # their positions, which is below span; a vertex of two ends reads
+    # from 2·span up to 3·span
+    span = 1 << len(edges).bit_length()
+    ends_at: dict[int, int] = {}
     for i, e in enumerate(edges):
         u, v = ends[e]
-        xor[u] = xor.get(u, 0) ^ i
-        xor[v] = xor.get(v, 0) ^ i
-        count[u] = count.get(u, 0) + 1
-        count[v] = count.get(v, 0) + 1
-    start_vertex = vertex = min(xor)
+        ends_at[u] = (ends_at.get(u, 0) ^ i) + span
+        ends_at[v] = (ends_at.get(v, 0) ^ i) + span
+    start_vertex = vertex = min(ends_at)
     first = edge = min(e for e in edges if start_vertex in ends[e])
     at = edges.index(first)
     walk: dict[int, bool] = {}
@@ -63,11 +64,13 @@ def _circle_traversal(
         u, v = ends[edge]
         forward = walk[edge] = vertex == u
         vertex = v if forward else u
-        at ^= xor[vertex]
-        if count[vertex] != 2 or edges[at] == edge:  # a branch, a loop or a repeated id
+        pair = ends_at[vertex] - 2 * span  # the xor of its two positions, if it has two
+        # fewer or more than two ends, or a loop or a repeated id
+        if not 0 <= pair < span or edges[at ^ pair] == edge:
             raise SkelexError(
                 f"nest {edges} is not an embedded circle at vertex {vertex}"
             )
+        at ^= pair
         edge = edges[at]
         if vertex == start_vertex and edge == first:
             break

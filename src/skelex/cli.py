@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import classify as classify_mod
 from . import duality, expansion, generators, graph as graph_mod, nests as nests_mod
@@ -43,7 +43,6 @@ from .census import (  # noqa: F401  (the census API, re-exported)
     enumerate_proper_colorings,
 )
 from .errors import ExpansionRefused, FormatError, NestLimit, Refusal, SkelexError
-from .gf2 import Subspace
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -183,8 +182,7 @@ def _cmd_nests(args) -> int:
 
     # both formats are built and written nest by nest, never as one text
     if args.format == "json":
-        # the fields a subspace decides are rendered once per subspace
-        shapes: dict[Subspace, Callable[..., str]] = {}
+        shapes = {}  # nest subspace -> the row_shape of the fields it decides
 
         def row(nest: nests_mod.Nest) -> str:
             shape = shapes.get(nest.color)
