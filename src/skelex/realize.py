@@ -34,8 +34,8 @@ def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[Iso
     """One record per nest of every dimension, in canonical nest order.
 
     Nests with one color subspace share one kernel tuple, and its co-rank
-    and copies are decided once for them all.  ``index`` is the
-    graph's nest index when the caller already holds one.
+    and copies are decided once for them all.  ``index`` is the graph's
+    nest index when the caller already holds one.
     """
     if index is None:
         index = NestIndex(g)
