@@ -48,7 +48,6 @@ from .generators import (
     gen_orientable_surface,
 )
 from .gf2 import (
-    ColorVector,
     Subspace,
     intersect,
     rank_masks,
@@ -75,7 +74,6 @@ from .realize import (
 __all__ = [
     "CellComplex",
     "CensusLimit",
-    "ColorVector",
     "ColoredGraph",
     "DimensionMismatch",
     "ExpansionOutcome",

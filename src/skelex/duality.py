@@ -34,7 +34,6 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import FlagLimit, FormatError, NotCombinatorialManifold
-from .gf2 import ColorVector
 from .graph import ColoredGraph, canonicalize, is_integer, reach, read_object
 
 CellId = int | str
@@ -293,7 +292,6 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
     for _ in range(n):
         full = [f + (c,) for f in full for c in up[f[-1]]]
     index = {f: i for i, f in enumerate(full)}
-    units = [ColorVector.unit(k, n + 1) for k in range(n + 1)]
     edges = []
     for i, f in enumerate(full):
         ends = (BOTTOM, *f, TOP)
@@ -301,7 +299,7 @@ def dual_colored_graph(p: FacePoset) -> ColoredGraph:
             a, b = between[ends[k], ends[k + 2]]
             other = a if b == f[k] else b
             if other > f[k]:  # each edge once, from its smaller flag
-                edges.append((i, index[f[:k] + (other,) + f[k + 1:]], units[k]))
+                edges.append((i, index[f[:k] + (other,) + f[k + 1:]], 1 << k))
     return canonicalize(ColoredGraph(n, len(full), tuple(edges)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GeneratorLimit
-from .gf2 import ColorVector, Subspace, intersect, span
+from .gf2 import Subspace, intersect, span
 from .graph import ColoredGraph, canonicalize, validate
 
 WIDTH = 3  # surface families live over GF(2)^3
@@ -37,7 +37,7 @@ class CycleTable:
 
 
 def _pair_span(i: int, j: int) -> Subspace:
-    return span([ColorVector.unit(i, WIDTH), ColorVector.unit(j, WIDTH)])
+    return span([1 << i, 1 << j], WIDTH)
 
 
 def graph_from_cycle_table(
@@ -57,7 +57,7 @@ def graph_from_cycle_table(
             if u == v:
                 raise AssertionError(f"cycle stalls at vertex {u}")
             pair_hits.setdefault((min(u, v), max(u, v)), []).append(color)
-    lines: dict[tuple[Subspace, ...], ColorVector] = {}  # one per circle color pair
+    lines: dict[tuple[Subspace, ...], int] = {}  # one color per circle color pair
     edges = []
     for (u, v), colors in sorted(pair_hits.items()):
         if len(colors) != 2:
@@ -73,7 +73,7 @@ def graph_from_cycle_table(
                 raise AssertionError(
                     f"circle colors at pair ({u}, {v}) intersect in dim {line.dim}"
                 )
-            color = lines[pair] = ColorVector(line.basis[0], line.width)
+            color = lines[pair] = line.basis[0]
         edges.append((u, v, color))
     if table.total_length() != 2 * len(edges):
         raise AssertionError(
@@ -107,7 +107,7 @@ def gen_cube(n: int) -> ColoredGraph:
         for i in range(width):
             w = v ^ (1 << i)
             if v < w:
-                edges.append((v, w, ColorVector.unit(i, width)))
+                edges.append((v, w, 1 << i))
     return canonicalize(ColoredGraph(n, 1 << width, tuple(edges)))
 
 

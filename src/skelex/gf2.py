@@ -1,10 +1,12 @@
 """Exact linear algebra over GF(2) for edge colors, spans and ranks.
 
-A color is a vector with coordinates over the basis x0..xn, stored as an
-integer bit mask whose bit i holds the coefficient of x_i.  String literals
-are written most-significant-first with x0 leftmost, so "0110" means
-x1 + x2.  Subspaces keep a canonical reduced row echelon basis (pivot
-columns ascending), making subspace equality plain sequence equality.
+A color is a vector with coordinates over the basis x0..xn, held as a
+plain integer bit mask whose bit i is the coefficient of x_i; its width
+n+1 is kept by the graph or subspace it belongs to.  Color strings are
+written with x0 leftmost, so "0110" means x1 + x2; ``parse_color`` and
+``color_text`` are the only converters between the two.  Subspaces keep
+a canonical reduced row echelon basis (pivot columns ascending), making
+subspace equality plain sequence equality.
 
 All values are immutable and every operation is a pure function.
 """
@@ -17,49 +19,18 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True, order=True)
-class ColorVector:
-    """A vector of GF(2)^width; bit i of ``mask`` is the x_i coefficient."""
+def parse_color(text: str) -> int:
+    """The mask of a '0'/'1' color string, leftmost character = x0 coefficient."""
+    if not text or any(c not in "01" for c in text):
+        raise ValueError(f"color literal must be a nonempty 0/1 string, got {text!r}")
+    return int(text[::-1], 2)
 
-    mask: int
-    width: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"vector width must be >= 1, got {self.width}")
-        if self.mask < 0 or self.mask >> self.width:
-            raise ValueError(f"mask {self.mask:#b} does not fit width {self.width}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "ColorVector":
-        """Parse a '0'/'1' string, leftmost character = x0 coefficient."""
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"color literal must be a nonempty 0/1 string, got {text!r}")
-        return cls(int(text[::-1], 2), len(text))
-
-    @classmethod
-    def unit(cls, i: int, width: int) -> "ColorVector":
-        """The basis vector x_i."""
-        if not 0 <= i < width:
-            raise ValueError(f"unit index {i} out of range for width {width}")
-        return cls(1 << i, width)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def __add__(self, other: "ColorVector") -> "ColorVector":
-        if self.width != other.width:
-            raise DimensionMismatch(
-                f"cannot add vectors of widths {self.width} and {other.width}"
-            )
-        return ColorVector(self.mask ^ other.mask, self.width)
-
-    def __str__(self) -> str:
-        return format(self.mask, f"0{self.width}b")[::-1]
-
-    def __repr__(self) -> str:
-        return f"ColorVector({str(self)!r})"
+def color_text(mask: int, width: int) -> str:
+    """The '0'/'1' string of a color of GF(2)^width, x0 coefficient leftmost."""
+    if width < 1 or not 0 <= mask < 1 << width:
+        raise ValueError(f"mask {mask:#b} does not fit width {width}")
+    return format(mask, f"0{width}b")[::-1]
 
 
 def _pivot(mask: int) -> int:
@@ -104,10 +75,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def vectors(self) -> tuple[ColorVector, ...]:
-        return tuple(ColorVector(m, self.width) for m in self.basis)
-
     def contains_mask(self, mask: int) -> bool:
         return _reduce_mask(mask, self.basis) == 0
 
@@ -121,24 +88,12 @@ class Subspace:
     def __str__(self) -> str:
         if not self.basis:
             return "Span()"
-        return "Span(" + ", ".join(str(v) for v in self.vectors) + ")"
+        return "Span(" + ", ".join(color_text(m, self.width) for m in self.basis) + ")"
 
 
-def span(vectors: Sequence[ColorVector], *, width: int | None = None) -> Subspace:
-    """Canonical subspace spanned by ``vectors``.
-
-    ``width`` is required when the list is empty (the ambient dimension
-    cannot be inferred) and must agree with the vectors otherwise.
-    """
-    widths = {v.width for v in vectors}
-    if width is not None:
-        widths.add(width)
-    if len(widths) > 1:
-        raise DimensionMismatch(f"mixed vector widths in span: {sorted(widths)}")
-    if not widths:
-        raise DimensionMismatch("span of an empty set needs an explicit width")
-    w = widths.pop()
-    return Subspace(_rref(v.mask for v in vectors), w)
+def span(masks: Iterable[int], width: int) -> Subspace:
+    """Canonical subspace of GF(2)^width spanned by the color ``masks``."""
+    return Subspace(_rref(masks), width)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,10 +1,14 @@
 """Colored regular graphs: reading, validity and canonical form.
 
-A graph carries ``n`` and a list of edges ``(u, v, color)`` where colors are
-vectors of GF(2)^(n+1).  Edge ids are list positions, incidence is by
-edge-end, so parallel edges are first-class citizens; loops are rejected
-because a loop would put two dependent color slots on one vertex.
-``ColoredGraph.arcs`` is the one per-vertex view of the incidence.
+A graph carries ``n`` and its edges as ``(u, v, mask)`` rows of ints: the
+color of an edge is a vector of GF(2)^(n+1) held as a bit mask (bit i is
+the x_i coefficient), and its width n+1 is kept on the graph alone.  A
+color becomes a string only where a file is read or written, by
+``gf2.parse_color`` and ``gf2.color_text``.  Edge ids are list positions,
+incidence is by edge-end, so parallel edges are first-class citizens;
+loops are rejected because a loop would put two dependent color slots on
+one vertex.  ``ColoredGraph.arcs`` is the one per-vertex view of the
+incidence.
 
 Graph file format (JSON, UTF-8)::
 
@@ -29,9 +33,9 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Hashable, Iterable
 
 from .errors import FormatError, InvalidGraph
-from .gf2 import ColorVector, rank_masks
+from .gf2 import color_text, parse_color, rank_masks
 
-Edge = tuple[int, int, ColorVector]
+Edge = tuple[int, int, int]  # (u, v, color mask)
 Arcs = tuple[tuple[tuple[int, int, int], ...], ...]  # see ColoredGraph.arcs
 
 MAX_LISTED_PROBLEMS = 20  # a validation report lists this many, then counts the rest
@@ -62,15 +66,15 @@ class ColoredGraph:
         """
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for idx, (u, v, c) in enumerate(self.edges):
-            out[u].append((idx, v, c.mask))
-            out[v].append((idx, u, c.mask))
+            out[u].append((idx, v, c))
+            out[v].append((idx, u, c))
         return tuple(map(tuple, out))
 
     def ends(self, e: int) -> tuple[int, int]:
         u, v, _ = self.edges[e]
         return u, v
 
-    def color(self, e: int) -> ColorVector:
+    def color(self, e: int) -> int:
         return self.edges[e][2]
 
 
@@ -114,12 +118,10 @@ def validate(g: ColoredGraph) -> ValidationReport:
             problems.append(f"edge {idx}: endpoint out of range ({u}, {v})")
         if u == v:
             problems.append(f"edge {idx}: loop at vertex {u} (loops are impossible)")
-        if c.width != g.width:
-            problems.append(
-                f"edge {idx}: color width {c.width} differs from n+1 = {g.width}"
-            )
-        if c.is_zero:
+        if c == 0:
             problems.append(f"edge {idx}: zero color")
+        elif c < 0 or c.bit_length() > g.width:
+            problems.append(f"edge {idx}: color mask {c} does not fit n+1 = {g.width} bits")
     if problems:
         return _report(problems)
     # an (n+1)-regular graph has V(n+1)/2 edges; checked before any
@@ -138,7 +140,7 @@ def validate(g: ColoredGraph) -> ValidationReport:
             continue
         if rank_masks(mask for _, _, mask in at) != g.width:
             problems.append(
-                f"vertex {v}: incident colors {[str(g.color(e)) for e, _, _ in at]}"
+                f"vertex {v}: incident colors {[color_text(c, g.width) for _, _, c in at]}"
                 " are linearly dependent"
             )
     reached = sum(1 for _ in reach(0, lambda v: (x for _, x, _ in arcs[v])))
@@ -172,13 +174,13 @@ def canonicalize(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(g.n, g.vertex_count, _canonical(g)[0])
 
 
-def _canonical(g: ColoredGraph) -> tuple[tuple[Edge, ...], dict[ColorVector, str]]:
+def _canonical(g: ColoredGraph) -> tuple[tuple[Edge, ...], dict[int, str]]:
     """The canonical edges, and the string of each distinct color.
 
     Each distinct color is rendered once, and edges sort by (low end,
     high end, rank of the color's string).
     """
-    names = {c: str(c) for c in {c for _, _, c in g.edges}}
+    names = {c: color_text(c, g.width) for c in {c for _, _, c in g.edges}}
     rank = {c: i for i, c in enumerate(sorted(names, key=names.__getitem__))}
     rows = [(u, v, c) if u < v else (v, u, c) for u, v, c in g.edges]
     rows.sort(key=lambda r: (r[0], r[1], rank[r[2]]))
@@ -448,20 +450,20 @@ def read_graph(text: str) -> ColoredGraph:
     first edge, so a bad string is named at the first edge that carries it.
     """
     n, vertices, items = _read(text, colored=True)
-    colors: dict[str, ColorVector] = {}
+    colors: dict[str, int] = {}
     edges: list[Edge] = []
-    for i, (u, v, color_text) in enumerate(items):
-        c = colors.get(color_text)
+    for i, (u, v, literal) in enumerate(items):
+        c = colors.get(literal)
         if c is None:
             try:
-                c = ColorVector.from_string(color_text)
+                c = parse_color(literal)
             except ValueError as exc:
                 raise FormatError(f"edges[{i}]: {exc}") from exc
-            if c.width != n + 1:
+            if len(literal) != n + 1:
                 raise FormatError(
-                    f"edges[{i}]: color string length {c.width}, expected n+1 = {n + 1}"
+                    f"edges[{i}]: color string length {len(literal)}, expected n+1 = {n + 1}"
                 )
-            colors[color_text] = c
+            colors[literal] = c
         edges.append((u, v, c))
     return ColoredGraph(n, vertices, tuple(edges))
 

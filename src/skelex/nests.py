@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedDimension
-from .gf2 import ColorVector, Subspace, span
+from .gf2 import Subspace, span
 from .graph import Arcs, ColoredGraph, require_valid
 
 
@@ -65,10 +65,7 @@ def star_spaces(star: tuple[int, ...], width: int, k: int) -> tuple[Subspace, ..
     Distinct subsets of a basis span distinct subspaces, so this lists the
     C(len(star), k) k-subspaces a vertex with this star seeds.
     """
-    return tuple(
-        span([ColorVector(mask, width) for mask in subset], width=width)
-        for subset in combinations(star, k)
-    )
+    return tuple(span(subset, width) for subset in combinations(star, k))
 
 
 class ColorComponents:
@@ -227,9 +224,9 @@ class NestIndex:
             lines: dict[int, Subspace] = {}  # color mask -> its line
             nests = []
             for e, (u, v, c) in enumerate(g.edges):
-                line = lines.get(c.mask)
+                line = lines.get(c)
                 if line is None:
-                    line = lines[c.mask] = Subspace((c.mask,), g.width)
+                    line = lines[c] = Subspace((c,), g.width)
                 nests.append(Nest((e,), (u, v) if u < v else (v, u), line))
             return tuple(nests)
         # layers are keyed by subspace, never by star subset: the subsets

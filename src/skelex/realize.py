@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ExpansionRefused
 from .expansion import full_expand
-from .gf2 import Subspace, null_space
+from .gf2 import Subspace, color_text, null_space
 from .graph import ColoredGraph
 from .nests import Nest, NestIndex
 
@@ -118,9 +118,9 @@ def tangent_colors(g: ColoredGraph) -> tuple[tuple[str, ...], ...]:
     names: dict[int, str] = {}  # color mask -> its string
     at: list[list[str]] = [[] for _ in range(g.vertex_count)]
     for u, v, c in g.edges:
-        name = names.get(c.mask)
+        name = names.get(c)
         if name is None:
-            name = names[c.mask] = str(c)
+            name = names[c] = color_text(c, g.width)
         at[u].append(name)
         at[v].append(name)
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one per distinct tuple

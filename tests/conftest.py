@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from skelex.duality import FacePoset
-from skelex.gf2 import ColorVector, span
+from skelex.gf2 import parse_color, span
 from skelex.graph import ColoredGraph
 from skelex.generators import gen_cube
 
@@ -40,14 +40,8 @@ def other_end(g: ColoredGraph, e: int, v: int) -> int:
 
 
 def colored_from_indices(edges, vertex_count, n, coloring) -> ColoredGraph:
-    width = n + 1
     return ColoredGraph(
-        n,
-        vertex_count,
-        tuple(
-            (u, v, ColorVector.unit(coloring[i], width))
-            for i, (u, v) in enumerate(edges)
-        ),
+        n, vertex_count, tuple((u, v, 1 << coloring[i]) for i, (u, v) in enumerate(edges))
     )
 
 
@@ -90,12 +84,12 @@ def random_valid_coloring(edges, vertex_count, width, rng: random.Random):
     for idx, (u, v) in enumerate(edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    assignment: list[ColorVector | None] = [None] * len(edges)
-    nonzero = [ColorVector(m, width) for m in range(1, 1 << width)]
+    assignment: list[int | None] = [None] * len(edges)
+    nonzero = list(range(1, 1 << width))
 
     def independent_at(w):
         colors = [assignment[f] for f in incident[w] if assignment[f] is not None]
-        return span(colors, width=width).dim == len(colors)
+        return span(colors, width).dim == len(colors)
 
     def backtrack(e):
         if e == len(edges):
@@ -131,7 +125,7 @@ def nongood_cube() -> ColoredGraph:
     edges = []
     for u, v, c in base.edges:
         if (u, v) == (0, 1):
-            edges.append((u, v, ColorVector.from_string("101")))
+            edges.append((u, v, parse_color("101")))
         else:
             edges.append((u, v, c))
     return ColoredGraph(2, 8, tuple(edges))
@@ -155,10 +149,10 @@ def criterion_counterexample() -> ColoredGraph:
     }
     edges = []
     for (u, v), c in sorted(half.items()):
-        edges.append((u, v, ColorVector.from_string(c)))
-        edges.append((u + 4, v + 4, ColorVector.from_string(c)))
+        edges.append((u, v, parse_color(c)))
+        edges.append((u + 4, v + 4, parse_color(c)))
     for i in range(4):
-        edges.append((i, i + 4, ColorVector.from_string("1000")))
+        edges.append((i, i + 4, parse_color("1000")))
     return ColoredGraph(3, 8, tuple(edges))
 
 
@@ -173,7 +167,7 @@ def torus7_simplices() -> list[list[int]]:
 def banana(n: int) -> ColoredGraph:
     """Two vertices, n+1 parallel edges, one per basis color."""
     return ColoredGraph(
-        n, 2, tuple((0, 1, ColorVector.unit(i, n + 1)) for i in range(n + 1))
+        n, 2, tuple((0, 1, 1 << i) for i in range(n + 1))
     )
 
 
@@ -188,7 +182,7 @@ def six_colored_k4() -> ColoredGraph:
         2,
         4,
         tuple(
-            (u, v, ColorVector.from_string(c)) for (u, v), c in zip(K4_EDGES, colors)
+            (u, v, parse_color(c)) for (u, v), c in zip(K4_EDGES, colors)
         ),
     )
 

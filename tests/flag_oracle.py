@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from skelex.duality import FacePoset
 from skelex.errors import NotCombinatorialManifold
-from skelex.gf2 import ColorVector
 from skelex.graph import ColoredGraph, canonicalize, reach
 
 from graph_helpers import cell_count, cycle_fault
@@ -171,7 +170,7 @@ def one_short_dual(p: FacePoset) -> ColoredGraph:
                 f" {len(extensions)} full flags, expected 2"
             )
         a, b = (vertex_index[f] for f in extensions)
-        edges.append((a, b, ColorVector.unit(k, n + 1)))
+        edges.append((a, b, 1 << k))
     return canonicalize(ColoredGraph(n, len(fl.full), tuple(edges)))
 
 

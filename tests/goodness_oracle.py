@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from skelex.errors import DimensionMismatch, NotGoodColoring, SkelexError
-from skelex.gf2 import ColorVector
+from skelex.errors import NotGoodColoring, SkelexError
 from skelex.graph import ColoredGraph, require_valid
 
 from conftest import edges_at
@@ -21,15 +20,11 @@ class InvalidModulus(SkelexError):
     """Congruence modulus must be a nonzero vector."""
 
 
-def congruent_mod(a: ColorVector, b: ColorVector, m: ColorVector) -> bool:
-    """True iff a + b lies in {0, m}."""
-    if not (a.width == b.width == m.width):
-        raise DimensionMismatch(
-            f"mixed widths in congruence: {a.width}, {b.width}, {m.width}"
-        )
-    if m.is_zero:
+def congruent_mod(a: int, b: int, m: int) -> bool:
+    """True iff the color masks satisfy a + b in {0, m}."""
+    if m == 0:
         raise InvalidModulus("congruence modulus must be nonzero")
-    return (a.mask ^ b.mask) in (0, m.mask)
+    return (a ^ b) in (0, m)
 
 
 @dataclass(frozen=True)

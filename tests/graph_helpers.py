@@ -12,6 +12,7 @@ from typing import Hashable, Mapping, Sequence
 
 from skelex.duality import FacePoset
 from skelex.errors import DimensionMismatch
+from skelex.gf2 import color_text
 from skelex.graph import ColoredGraph, Edge, canonicalize, reach, require_valid, validate
 
 
@@ -72,7 +73,8 @@ def connected_sum(
     u2, v2, c2 = g2.edges[e2]
     if c1 != c2:
         raise ValueError(
-            f"edge colors differ: {c1} vs {c2}; connected sum needs equal colors"
+            f"edge colors differ: {color_text(c1, g1.width)} vs {color_text(c2, g2.width)};"
+            " connected sum needs equal colors"
         )
     shift = g1.vertex_count
     edges: list[Edge] = [e for i, e in enumerate(g1.edges) if i != e1]

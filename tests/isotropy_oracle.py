@@ -16,7 +16,7 @@ from skelex.nests import Nest
 
 
 def _kernel_of_nest(g: ColoredGraph, nest: Nest) -> tuple[int, ...]:
-    rows = [g.color(e).mask for e in nest.edge_ids]
+    rows = [g.color(e) for e in nest.edge_ids]
     return null_space(rows, g.width)
 
 
@@ -36,7 +36,7 @@ def fixed_circle_check(g: ColoredGraph, e: int) -> FixedCircleReport:
     good coloring; the report carries the edge's kernel subgroup."""
     require_valid(g)
     u, v, color = g.edges[e]
-    kernel = null_space([color.mask], g.width)
+    kernel = null_space([color], g.width)
     arc_copies = 2  # = 2^(dim of a 1-nest)
     ok = len(kernel) == g.width - 1 and u != v
     return FixedCircleReport(e, (u, v), arc_copies, (u, v), kernel, ok)

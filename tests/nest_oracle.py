@@ -33,7 +33,7 @@ def grow_nest(
     if not seeds:
         if vertex is None:
             raise ValueError("empty seed needs an explicit vertex for the 0-nest")
-        return Nest((), (vertex,), span([], width=g.width))
+        return Nest((), (vertex,), span([], g.width))
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seed edges {seeds} contain duplicates")
     shared = set(g.ends(seeds[0]))
@@ -42,7 +42,7 @@ def grow_nest(
     if not shared:
         raise ValueError(f"seed edges {seeds} do not share a common vertex")
 
-    target = span([g.color(e) for e in seeds])
+    target = span([g.color(e) for e in seeds], g.width)
     # breadth-first closure over edges whose color stays inside the span
     edge_set = set(seeds)
     vertex_set: set[int] = set()
@@ -55,7 +55,7 @@ def grow_nest(
     while frontier:
         v = frontier.pop()
         for e in edges_at(g, v):
-            if e in edge_set or not target.contains_mask(g.color(e).mask):
+            if e in edge_set or not target.contains_mask(g.color(e)):
                 continue
             edge_set.add(e)
             w = other_end(g, e, v)

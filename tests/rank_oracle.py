@@ -12,7 +12,7 @@ from typing import Sequence
 
 from skelex.errors import DimensionMismatch
 from skelex.expansion import CellComplex
-from skelex.gf2 import ColorVector, Subspace, _rref
+from skelex.gf2 import Subspace, _rref
 
 
 def rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
@@ -29,13 +29,11 @@ def rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
     return len(_rref(masks))
 
 
-def contains(s: Subspace, v: ColorVector) -> bool:
-    """Membership test: does ``v`` reduce to zero against the basis of ``s``?"""
-    if s.width != v.width:
-        raise DimensionMismatch(
-            f"subspace width {s.width} does not match vector width {v.width}"
-        )
-    return s.contains_mask(v.mask)
+def contains(s: Subspace, mask: int) -> bool:
+    """Membership test: does ``mask`` reduce to zero against the basis of ``s``?"""
+    if not 0 <= mask < 1 << s.width:
+        raise DimensionMismatch(f"mask {mask:#b} does not fit subspace width {s.width}")
+    return s.contains_mask(mask)
 
 
 def boundary_matrix(c: CellComplex, k: int) -> list[list[int]]:

@@ -23,6 +23,7 @@ from skelex.generators import (
     gen_nonorientable_surface,
     gen_orientable_surface,
 )
+from skelex.gf2 import parse_color
 from skelex.graph import validate
 from skelex.nests import NestIndex
 from skelex.realize import isotropy_report, realizability_summary
@@ -228,7 +229,7 @@ def test_criterion_6_goodness_regularity_equivalence():
               " make the Klein bottle")
 def test_criterion_7_connected_sums():
     def edge_colored(g, text):
-        return next(i for i in range(g.edge_count) if str(g.color(i)) == text)
+        return next(i for i in range(g.edge_count) if g.color(i) == parse_color(text))
 
     a, b = gen_orientable_surface(1), gen_orientable_surface(1)
     s = connected_sum(a, edge_colored(a, "100"), b, edge_colored(b, "100"))

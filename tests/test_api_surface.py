@@ -16,11 +16,14 @@ from pathlib import Path
 import pytest
 
 import skelex
+from skelex.census import census
+from skelex.graph import canonicalize
+
+from conftest import CUBE_EDGES, K4_EDGES
 
 PUBLIC = [
     "CellComplex",
     "CensusLimit",
-    "ColorVector",
     "ColoredGraph",
     "DimensionMismatch",
     "ExpansionOutcome",
@@ -97,7 +100,8 @@ GONE = [
     ("classify", None, "LocalCheckReport"),
     ("duality", None, "_link_graph"),
     ("duality", "FacePoset", "cell_count"),
-    ("gf2", "ColorVector", "zero"),
+    ("gf2", None, "ColorVector"),
+    ("gf2", "Subspace", "vectors"),
     ("expansion", None, "Cell"),
     ("expansion", "CellComplex", "cells_by_dim"),
 ]
@@ -155,8 +159,9 @@ def test_nest_contains_stays_for_the_benchmark_tracer():
 
 def test_only_validation_and_the_census_build_arcs():
     # a NestIndex keeps the arcs its graph's validation built, and every
-    # walk and valence count reads those; the census validates no class,
-    # so it builds them for the labellings it lacks
+    # walk and valence count reads those; the census validates only the
+    # classes that close, through the NestIndex their expansion builds, so
+    # it builds the arcs for the labellings it lacks
     callers = set()
     for path in Path(skelex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -167,3 +172,21 @@ def test_only_validation_and_the_census_build_arcs():
             ):
                 callers.add(path.name)
     assert callers == {"graph.py", "census.py"}
+
+
+def test_every_edge_producer_yields_int_rows():
+    # an edge is a (u, v, mask) row of exact ints; the width is the graph's
+    graphs = [
+        skelex.read_graph(skelex.serialize(skelex.gen_cube(2))),
+        canonicalize(skelex.ColoredGraph(2, 2, ((1, 0, 1), (0, 1, 4), (0, 1, 2)))),
+        skelex.gen_cube(3),
+        skelex.gen_orientable_surface(2),
+        skelex.gen_nonorientable_surface(3),
+        skelex.dual_colored_graph(skelex.sphere_poset(2)),
+        *(entry.graph for entry in census(K4_EDGES, 4, 2)),
+        *(entry.graph for entry in census(CUBE_EDGES, 8, 2)),
+    ]
+    for g in graphs:
+        assert g.edges
+        assert {len(edge) for edge in g.edges} == {3}
+        assert {type(x) for edge in g.edges for x in edge} == {int}

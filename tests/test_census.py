@@ -18,7 +18,7 @@ from skelex import nests as nests_mod
 from skelex.census import census, class_criterion, enumerate_proper_colorings
 from skelex.classify import classify_surface
 from skelex.generators import gen_cube
-from skelex.gf2 import ColorVector, Subspace, span
+from skelex.gf2 import Subspace, span
 from skelex.graph import validate
 from skelex.nests import ColorComponents, NestIndex
 
@@ -171,7 +171,7 @@ class TestFourCube:
         assert len(refused) == 1839
         assert all(e.refusal.startswith("counting criterion fails: ") for e in refused)
         (closed,) = [e for e in entries if e.refusal is None]
-        axis = _first_occurrence([c.mask.bit_length() - 1 for _, _, c in self.AXES.edges])
+        axis = _first_occurrence([c.bit_length() - 1 for _, _, c in self.AXES.edges])
         assert closed.coloring == axis
         assert closed.report.betti_mod2 == (1, 0, 0, 1)
         assert skeleta == [closed.graph]
@@ -317,11 +317,10 @@ def check_counting_path(edges, vertices, n) -> int:
         assert validate(g).ok and is_good(g)
         index = NestIndex(g)
         counts = index.counts()
-        units = [ColorVector.unit(i, n + 1) for i in range(n + 1)]
         arcs = g.arcs()
         for k in range(2, n + 1):
             assert counts[k] == sum(
-                len(ColorComponents(span([units[i] for i in s]), vertices).label_all(arcs).parts)
+                len(ColorComponents(span([1 << i for i in s], n + 1), vertices).label_all(arcs).parts)
                 for s in itertools.combinations(range(n + 1), k)
             )
         if n == 3:

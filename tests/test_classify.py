@@ -8,6 +8,7 @@ from skelex.classify import classify_surface, homology_mod2
 from skelex.errors import SkelexError
 from skelex.expansion import CellComplex, full_expand
 from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
+from skelex.gf2 import parse_color
 
 from cell_oracle import cells_by_dim
 from conftest import edges_at
@@ -127,7 +128,7 @@ class TestHomology:
     def test_mod2_homology_cannot_separate_klein_from_torus(self):
         a, b = gen_nonorientable_surface(1), gen_nonorientable_surface(1)
         pick = lambda g: next(
-            i for i in range(g.edge_count) if str(g.color(i)) == "100"
+            i for i in range(g.edge_count) if g.color(i) == parse_color("100")
         )
         klein = full_expand(connected_sum(a, pick(a), b, pick(b))).complex
         torus = full_expand(gen_orientable_surface(1)).complex

@@ -9,7 +9,7 @@ from skelex.duality import FacePoset, parse_poset
 from skelex.errors import DimensionMismatch, FormatError, SkelexError
 from skelex.expansion import CellComplex, expand2, full_expand
 from skelex.generators import gen_cube
-from skelex.gf2 import ColorVector, intersect, span
+from skelex.gf2 import color_text, intersect, parse_color, span
 from skelex.graph import ColoredGraph, parse, validate
 from skelex.nests import Nest, NestIndex, nest_label
 
@@ -20,27 +20,26 @@ from rank_oracle import boundary_matrix, rank_gf2
 class TestVectorConstruction:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
-            ColorVector(0, 0)
+            color_text(0, 0)
 
     def test_mask_overflow_rejected(self):
         with pytest.raises(ValueError):
-            ColorVector(0b1000, 3)
+            color_text(0b1000, 3)
+        with pytest.raises(ValueError):
+            color_text(-1, 3)
 
     def test_unit_out_of_range(self):
-        with pytest.raises(ValueError):
-            ColorVector.unit(3, 3)
-
-    def test_span_width_conflicts_with_vectors(self):
-        with pytest.raises(DimensionMismatch):
-            span([ColorVector.from_string("100")], width=4)
+        # a hand-built unit color x3 on a graph whose colors have 3 bits
+        g = ColoredGraph(2, 2, ((0, 1, 1 << 3), (0, 1, 1 << 1), (0, 1, 1 << 2)))
+        assert validate(g).problems == ("edge 0: color mask 8 does not fit n+1 = 3 bits",)
 
     def test_subspace_comparison_needs_equal_width(self):
         with pytest.raises(DimensionMismatch):
-            span([], width=3) <= span([], width=4)
+            span([], 3) <= span([], 4)
 
     def test_intersect_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            intersect(span([], width=3), span([], width=4))
+            intersect(span([], 3), span([], 4))
 
     def test_rank_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -49,14 +48,22 @@ class TestVectorConstruction:
 
 class TestGraphEdges:
     def test_n_zero_reported(self):
-        g = ColoredGraph(0, 1, ((0, 0, ColorVector.from_string("1")),))
+        g = ColoredGraph(0, 1, ((0, 0, parse_color("1")),))
         report = validate(g)
         assert not report.ok
         assert any("n must be" in p for p in report.problems)
 
     def test_endpoint_out_of_range_reported(self):
-        g = ColoredGraph(2, 2, ((0, 5, ColorVector.from_string("100")),))
+        g = ColoredGraph(2, 2, ((0, 5, parse_color("100")),))
         assert any("out of range" in p for p in validate(g).problems)
+
+    def test_hand_built_colors_outside_n_plus_one_bits_reported(self):
+        g = ColoredGraph(2, 2, ((0, 1, -1), (0, 1, 0), (0, 1, 0b1000), (0, 1, 0b100)))
+        assert validate(g).problems == (
+            "edge 0: color mask -1 does not fit n+1 = 3 bits",
+            "edge 1: zero color",
+            "edge 2: color mask 8 does not fit n+1 = 3 bits",
+        )
 
     def test_unknown_crossing(self):
         a, b = gen_cube(2), gen_cube(2)
@@ -83,7 +90,7 @@ class TestNestEdges:
         assert nest_label(nest) == "1"
 
     def test_mixed_basis_factor_label(self):
-        color = span([ColorVector.from_string("110")])
+        color = span([parse_color("110")], 3)
         nest = Nest((0,), (0, 1), color)
         assert nest_label(nest) == "(x0+x1)"
 

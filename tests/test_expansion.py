@@ -18,7 +18,7 @@ from skelex.expansion import (
     full_expand,
 )
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import ColorVector, span
+from skelex.gf2 import span
 from skelex.graph import serialize
 from skelex.nests import Nest, NestIndex, nest_label
 
@@ -219,15 +219,15 @@ def hand_complex(vertex_count, edges, discs) -> CellComplex:
     local checks.
     """
     width = 3
-    zero = [Nest((), (v,), span([], width=width)) for v in range(vertex_count)]
+    zero = [Nest((), (v,), span([], width)) for v in range(vertex_count)]
     one = [
-        Nest((i,), tuple(sorted(ends)), span([ColorVector.unit(0, width)]))
+        Nest((i,), tuple(sorted(ends)), span([1], width))
         for i, ends in enumerate(edges)
     ]
     two = [
         Nest(tuple(sorted(faces)),
              tuple(sorted({v for e in faces for v in edges[e]})),
-             span([ColorVector.unit(0, width), ColorVector.unit(1, width)]))
+             span([1, 2], width))
         for faces in discs
     ]
     faces = [[()] * vertex_count, [tuple(sorted(ends)) for ends in edges], list(map(tuple, discs))]

@@ -167,7 +167,7 @@ def check_index(g: ColoredGraph) -> None:
             assert all(nest.vertex_ids == (v,) for v, nest in enumerate(nests))
         if k == 1:
             assert list(nests) == [
-                Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)]))
+                Nest((e,), tuple(sorted(g.ends(e))), span([g.color(e)], g.width))
                 for e in range(g.edge_count)
             ]
         assert list(index.valence_faults(k)) == [
@@ -276,8 +276,8 @@ def test_corpus_pins_nests_keyed_by_subspace():
             keys: dict = {}
             for v in range(g.vertex_count):
                 for seeds in combinations(edges_at(g, v), k):
-                    key = tuple(sorted(g.color(e).mask for e in seeds))
-                    keys.setdefault(span([g.color(e) for e in seeds]), set()).add(key)
+                    key = tuple(sorted(g.color(e) for e in seeds))
+                    keys.setdefault(span([g.color(e) for e in seeds], g.width), set()).add(key)
             if any(len(found) > 1 for found in keys.values()):
                 keys_share_a_subspace = True
             colors = [nest.color for nest in index.nests(k)]

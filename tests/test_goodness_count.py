@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from skelex.errors import NotGoodColoring
 from skelex.expansion import check_circles
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import ColorVector
 from skelex.graph import ColoredGraph, validate
 from skelex.nests import NestIndex
 
@@ -77,7 +76,7 @@ def recolored(g: ColoredGraph, rng: random.Random, edits: int) -> ColoredGraph |
     for _ in range(edits):
         e = rng.randrange(len(edges))
         u, v, _ = edges[e]
-        edges[e] = (u, v, ColorVector(rng.randrange(1, 1 << g.width), g.width))
+        edges[e] = (u, v, rng.randrange(1, 1 << g.width))
     out = ColoredGraph(g.n, g.vertex_count, tuple(edges))
     return out if validate(out).ok else None
 

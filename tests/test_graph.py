@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skelex.errors import DimensionMismatch, FormatError, InvalidGraph
-from skelex.gf2 import ColorVector, span
+from skelex import graph as graph_mod
+from skelex.gf2 import color_text, parse_color, span
 from skelex.graph import (
     MAX_LISTED_PROBLEMS,
     ColoredGraph,
@@ -29,7 +30,7 @@ from graph_helpers import color_isomorphic, connected_sum, is_pure
 
 
 def cv(text):
-    return ColorVector.from_string(text)
+    return parse_color(text)
 
 
 class TestValidate:
@@ -122,11 +123,11 @@ def _definitional_goodness(g: ColoredGraph):
     for e1, (u1, v1, c1) in enumerate(g.edges):
         for tail, head in ((u1, v1), (v1, u1)):
             for e0 in edges_at(g, tail):
-                target = span([g.color(e0), c1])
+                target = span([g.color(e0), c1], g.width)
                 count = sum(
                     1
                     for e2 in edges_at(g, head)
-                    if span([c1, g.color(e2)]) == target
+                    if span([c1, g.color(e2)], g.width) == target
                 )
                 if count != 1:
                     return False
@@ -170,7 +171,7 @@ class TestGoodness:
 class TestConnectedSum:
     @staticmethod
     def _edge_with_color(g, text):
-        return next(i for i in range(g.edge_count) if str(g.color(i)) == text)
+        return next(i for i in range(g.edge_count) if color_text(g.color(i), g.width) == text)
 
     def test_torus_sum_counts(self):
         a, b = gen_orientable_surface(1), gen_orientable_surface(1)
@@ -232,13 +233,13 @@ class TestFileFormat:
         # the reference sorts (min end, max end, color string) tuples; the
         # sort is stable, so copies of one edge keep their relative order
         colors = data.draw(st.lists(
-            st.builds(ColorVector, st.integers(1, 7), st.just(3)),
+            st.integers(1, 7),
             min_size=len(ends), max_size=len(ends),
         ))
         g = ColoredGraph(2, 10, tuple((u, v, c) for (u, v), c in zip(ends, colors)))
         expected = sorted(
             ((min(u, v), max(u, v), c) for u, v, c in g.edges),
-            key=lambda e: (e[0], e[1], str(e[2])),
+            key=lambda e: (e[0], e[1], color_text(e[2], 3)),
         )
         assert canonicalize(g).edges == tuple(expected)
 
@@ -254,7 +255,7 @@ class TestFileFormat:
             (1, 3): "100",
             (2, 3): "001",
         }
-        assert {(u, v): str(c) for u, v, c in g.edges} == expected
+        assert {(u, v): color_text(c, g.width) for u, v, c in g.edges} == expected
 
     def test_wrong_color_length(self):
         with pytest.raises(FormatError):
@@ -300,15 +301,12 @@ class TestReadGraphColors:
         text = serialize(gen_orientable_surface(8))
         strings = [c for _, _, c in json.loads(text)["edges"]]
         calls = []
-        original = ColorVector.from_string
-        monkeypatch.setattr(
-            ColorVector, "from_string",
-            staticmethod(lambda s: calls.append(s) or original(s)),
-        )
+        original = parse_color
+        monkeypatch.setattr(graph_mod, "parse_color", lambda s: calls.append(s) or original(s))
         g = read_graph(text)
         assert len(strings) == g.edge_count == 96
         assert sorted(calls) == sorted(set(strings))
-        assert [str(c) for _, _, c in g.edges] == strings
+        assert [color_text(c, g.width) for _, _, c in g.edges] == strings
 
 
 class TestIsomorphism:

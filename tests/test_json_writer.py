@@ -255,6 +255,14 @@ LISTING_SHA256 = {
         (0, "53d0562ea16eca309e17cd4957478370c0c89a831993bbf307e165e5af1a7512"),
     ("gT2(8)", "nests --dim 2 --format json"):
         (0, "b1e9a79bbfb7c28ee40769bc196640b6be0d921441fe844ed1b3571f3fcc0668"),
+    ("cube5", "nests --format text"):
+        (0, "ba0175e928e59c50c67464bf9d7603ef50dd2ede04a7c85d421a8a28b9a22d38"),
+    ("gT2(8)", "nests --format text"):
+        (0, "f020073477914a3b4a82de3b7cbe5c8307f5fbca7abe53482387b796a84abeaf"),
+    ("gT2(64)", "realize --table --format text"):
+        (0, "7479cd9c72e4fc11a1b494b079d9e6ac9087ef63646d7d7eeb6d32f6d60e7fd6"),
+    ("kP2(65)", "realize --table --format text"):
+        (0, "689522ed548407ce7aebd504d50357d7b1e28ba6b9c30c31f30f4d047ea6f483"),
 }
 LISTED = {
     "gT2(64)": lambda: gen_orientable_surface(64),
@@ -274,6 +282,49 @@ def test_listings_are_byte_identical(name, argv, tmp_path):
     code = cli.run([*argv.split(), str(source), "--out", str(listing)])
     digest = hashlib.sha256(listing.read_bytes()).hexdigest()
     assert (code, digest) == LISTING_SHA256[name, argv]
+
+
+# (exit code, sha256) of the output file of each call, as written when every
+# edge color was a vector object; read and written as int masks, the bytes
+# are the same
+OUTPUT_SHA256 = {
+    ("generate cube --n 5", None):
+        (0, "6de5173bbbbd419c6f4f672f452ee798629912915d7b13b8060446c5a34504f9"),
+    ("generate surface --genus 64", None):
+        (0, "2f58cf855c4214b3cc829cd1a87add74277ec7387bd98290ed89e47f1f5fe5da"),
+    ("generate surface --genus 65 --non-orientable", None):
+        (0, "f78d808a99bfad1a189a1b879bfb3f7c090d18139ff5bc37aa44bfee88dc4caa"),
+    ("dualize", "simplex3"):
+        (0, "3233359de91fa5c54d929c2307e3729faf96155335c7a735bfde01b84bbea4ed"),
+    ("validate --format json", "zero color"):
+        (1, "f0690cb06a92b1be4b8208271fb3a56b16b090f90ce8a9867f8928ad5c38588d"),
+    ("validate --format json", "dependent colors"):
+        (1, "71ac01bb72b277de477ef4269a21c3ab06ba4869c9e86af3d25658471bd10d44"),
+}
+OUTPUT_INPUTS = {
+    "simplex3": lambda: simplex_boundary_text(3),
+    "zero color": lambda: json.dumps(
+        {"n": 1, "vertices": 2, "edges": [[0, 1, "10"], [0, 1, "00"]]}
+    ),
+    "dependent colors": lambda: json.dumps(
+        {"n": 2, "vertices": 2, "edges": [[0, 1, "100"], [0, 1, "010"], [1, 0, "110"]]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, source", list(OUTPUT_SHA256),
+    ids=[argv + (f" {source}" if source else "") for argv, source in OUTPUT_SHA256],
+)
+def test_outputs_are_byte_identical(argv, source, tmp_path):
+    inputs = []
+    if source is not None:
+        path = tmp_path / "input.json"
+        path.write_text(OUTPUT_INPUTS[source](), encoding="utf-8")
+        inputs = [str(path)]
+    out = tmp_path / "output"
+    code = cli.run([*argv.split(), *inputs, "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == OUTPUT_SHA256[argv, source]
 
 
 @pytest.mark.parametrize("g, argv, labels", [

@@ -11,7 +11,7 @@ import pytest
 from skelex.duality import FacePoset, dual_colored_graph
 from skelex.errors import UnsupportedDimension
 from skelex.expansion import full_expand
-from skelex.gf2 import Subspace, span
+from skelex.gf2 import Subspace, color_text, parse_color, span
 from skelex.generators import (
     gen_cube,
     gen_nonorientable_surface,
@@ -43,7 +43,7 @@ class TestGrowNest:
         # seeds: the x0 and x1 edges at vertex 0; the nest is the 4-cycle
         # around the corresponding square face
         at0 = edges_at(cube2, 0)
-        seeds = [e for e in at0 if str(cube2.color(e)) in ("100", "010")]
+        seeds = [e for e in at0 if color_text(cube2.color(e), 3) in ("100", "010")]
         nest = grow_nest(cube2, seeds)
         assert nest.dim == 2
         assert nest.vertex_ids == (0, 1, 2, 3)
@@ -101,7 +101,7 @@ class TestEnumerate:
         for k in range(g.n + 1):
             for nest in NestIndex(g).nests(k):
                 colors = [g.color(e) for e in nest.edge_ids]
-                assert span(colors, width=g.width).dim == k == nest.dim
+                assert span(colors, g.width).dim == k == nest.dim
 
     @pytest.mark.parametrize(
         "graph_factory",
@@ -128,15 +128,14 @@ class TestLabels:
     def test_single_color(self, cube2):
         nest = next(
             n for n in NestIndex(cube2).nests(1)
-            if str(cube2.color(n.edge_ids[0])) == "001"
+            if color_text(cube2.color(n.edge_ids[0]), 3) == "001"
         )
         assert nest_label(nest) == "x2"
 
     def test_canonicalized_label(self):
-        from skelex.gf2 import ColorVector
         from skelex.nests import Nest
 
-        color = span([ColorVector.from_string("100"), ColorVector.from_string("110")])
+        color = span([parse_color("100"), parse_color("110")], 3)
         nest = Nest((0, 1), (0, 1, 2), color)
         assert nest_label(nest) == "x0·x1"
 
@@ -176,7 +175,7 @@ class TestRegularity:
                 local = [e for e in edges_at(nongood, v) if e in edge_set]
                 for seeds in combinations(local, 2):
                     colors = [nongood.color(e) for e in seeds]
-                    if span(colors).dim != 2:
+                    if span(colors, nongood.width).dim != 2:
                         continue
                     regrown = grow_nest(nongood, seeds)
                     if regrown.color == nest.color:

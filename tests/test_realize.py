@@ -14,6 +14,7 @@ from skelex import realize as realize_mod
 from skelex.cli import run
 from skelex.duality import FacePoset, dual_colored_graph
 from skelex.errors import ExpansionRefused
+from skelex.gf2 import color_text, parse_color
 from skelex.graph import serialize
 from skelex.nests import NestIndex
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
@@ -52,7 +53,7 @@ class TestIsotropy:
             color = cube2.color(e)
             assert r.copies == 2
             for k in r.subgroup_basis:
-                assert bin(k & color.mask).count("1") % 2 == 0
+                assert bin(k & color).count("1") % 2 == 0
 
     def test_top_nest_cube(self, cube2):
         records = [r for r in isotropy_report(cube2) if r.nest.dim == 2]
@@ -72,7 +73,7 @@ class TestFixedCircles:
             assert len(report.subgroup_basis) == 2
 
     def test_kernel_of_axis_edge(self, cube2):
-        e = next(i for i in range(cube2.edge_count) if str(cube2.color(i)) == "100")
+        e = next(i for i in range(cube2.edge_count) if cube2.color(i) == parse_color("100"))
         report = fixed_circle_check(cube2, e)
         # kernel of x0 is spanned by t1, t2
         assert report.subgroup_basis == (0b010, 0b100)
@@ -100,7 +101,7 @@ class TestSummary:
         summary = realizability_summary(cube2)
         assert summary.fixed_point_count == cube2.vertex_count
         for v in range(cube2.vertex_count):
-            expected = tuple(sorted(str(cube2.color(e)) for e in edges_at(cube2, v)))
+            expected = tuple(sorted(color_text(cube2.color(e), 3) for e in edges_at(cube2, v)))
             assert summary.tangent_colors[v] == expected
 
     @pytest.mark.parametrize(
@@ -115,9 +116,9 @@ class TestSummary:
         colors = tangent_colors(g)
         assert len(colors) == g.vertex_count
         for v in range(g.vertex_count):
-            assert colors[v] == tuple(sorted(str(g.color(e)) for e in edges_at(g, v)))
+            assert colors[v] == tuple(sorted(color_text(g.color(e), g.width) for e in edges_at(g, v)))
         # each distinct color is rendered once, its string shared by its edges
-        distinct = {str(c) for _, _, c in g.edges}
+        distinct = {c for _, _, c in g.edges}
         assert len({id(name) for at in colors for name in at}) == len(distinct)
         if g.n <= 3:  # the expansion closes, so the summary carries them
             summary = realizability_summary(g)
