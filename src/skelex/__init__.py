@@ -66,7 +66,6 @@ from .nests import (
     nest_label,
 )
 from .realize import (
-    IsotropyRecord,
     isotropy_report,
     realizability_summary,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "GeneratorLimit",
     "HomologyReport",
     "InvalidGraph",
-    "IsotropyRecord",
     "Nest",
     "NestIndex",
     "NestLimit",

@@ -17,7 +17,10 @@ is validated:
   #vertices - #edges + #2-nests.  It is orientable exactly when the
   underlying graph is bipartite (Ferri, Gagliardi and Grasselli, "A
   graph-theoretical representation of PL-manifolds", 1986), which one walk
-  decides for the whole census.
+  decides for the whole census.  This is the pure case of the rule
+  ``classify.classify_surface`` reads off the vertex stars: every star is
+  the same three colors, so the parity across an edge only says whether
+  its ends store them in the same cyclic order.
 - n=3: the counting criterion is decided from component labels alone
   (``class_criterion``); a class where it holds expands and reports its
   mod-2 homology.
@@ -53,7 +56,6 @@ Layers = dict[tuple[int, int], ColorComponents]
 @dataclass(frozen=True)
 class CensusEntry:
     coloring: tuple[int, ...]  # color index per canonical edge
-    graph: ColoredGraph
     report: classify_mod.SurfaceReport | classify_mod.HomologyReport | None
     refusal: str | None = None
 
@@ -228,18 +230,19 @@ def census(
     skeleton_only = expansion.skeleton_refusal(n)
     entries = []
     for coloring in colorings:
+        if n >= 4:
+            entries.append(CensusEntry(coloring, None, skeleton_only))
+            continue
         g = ColoredGraph(n, vertex_count, tuple(row[c] for row, c in zip(rows, coloring)))
         if n == 2:
             (pairs,) = _labellings(g, seen, 2)
             euler = vertex_count - len(edges) + sum(len(layer.parts) for layer in pairs)
-            entries.append(CensusEntry(coloring, g, classify_mod.surface_report(euler, bipartite)))
-        elif n >= 4:
-            entries.append(CensusEntry(coloring, g, None, skeleton_only))
+            entries.append(CensusEntry(coloring, classify_mod.surface_report(euler, bipartite)))
         else:
             crit = class_criterion(g, seen, held)
             if crit.holds:
                 closed = expansion.full_expand(g).complex
-                entries.append(CensusEntry(coloring, g, classify_mod.homology_mod2(closed)))
+                entries.append(CensusEntry(coloring, classify_mod.homology_mod2(closed)))
             else:
-                entries.append(CensusEntry(coloring, g, None, crit.refusal))
+                entries.append(CensusEntry(coloring, None, crit.refusal))
     return entries

@@ -1,17 +1,22 @@
 """Identify the manifold an expansion produced.
 
-Surfaces are classified exactly: orientability is decided by searching a
-disc-orientation assignment in which the two traversals of every shared
-edge disagree (a parity walk on ``graph.reach`` over the discs and their
-two sides), and the genus falls out of the Euler characteristic.  For
-3-complexes only mod-2 homology is computed; homology alone cannot name a
-3-manifold and the report says so.
+Surfaces are classified exactly, from the vertex stars of their nest
+index.  For n=2 the discs are the 2-nests, and on a valid graph the
+2-nests through a vertex are the spans of the pairs of colors in its
+star, so a cyclic order of each vertex's three arcs is a rotation
+system: the dart that enters a vertex along color a leaves into the disc
+spanned by a and the next color.  An orientation sends the two darts of
+every edge into different discs, which is one parity condition per edge
+(a rotation system with edge signatures, as in Mohar and Thomassen,
+*Graphs on Surfaces*), and one walk on ``graph.reach`` over (vertex,
+side) decides whether all of them hold.  The genus falls out of the
+Euler characteristic.  For 3-complexes only mod-2 homology is computed;
+homology alone cannot name a 3-manifold and the report says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import SkelexError
 from .expansion import CellComplex
@@ -34,92 +39,47 @@ class HomologyReport:
     note: str = ""
 
 
-def _circle_traversal(
-    ends: Sequence[tuple[int, ...]], edges: tuple[int, ...]
-) -> dict[int, bool]:
-    """Walk the circle on ``edges`` once; True means edge e is crossed from
-    ``ends[e][0]`` to ``ends[e][1]``.
-
-    The edges must form an embedded circle (each of their ends meets
-    exactly two of them); double edges between two vertices are handled by
-    tracking edge ids rather than endpoints.  The walk keeps one int per
-    vertex and allocates nothing per step: from a vertex of two edges it
-    leaves by the position in ``edges`` that is the xor of both positions
-    with the one it came in by.  The walk's keys are the ids in ``edges``.
-    """
-    # per vertex, span times the number of its edge ends plus the xor of
-    # their positions, which is below span; a vertex of two ends reads
-    # from 2·span up to 3·span
-    span = 1 << len(edges).bit_length()
-    ends_at: dict[int, int] = {}
-    for i, e in enumerate(edges):
-        u, v = ends[e]
-        ends_at[u] = (ends_at.get(u, 0) ^ i) + span
-        ends_at[v] = (ends_at.get(v, 0) ^ i) + span
-    start_vertex = vertex = min(ends_at)
-    first = edge = min(e for e in edges if start_vertex in ends[e])
-    at = edges.index(first)
-    walk: dict[int, bool] = {}
-    while True:
-        u, v = ends[edge]
-        forward = walk[edge] = vertex == u
-        vertex = v if forward else u
-        pair = ends_at[vertex] - 2 * span  # the xor of its two positions, if it has two
-        # fewer or more than two ends, or a loop or a repeated id
-        if not 0 <= pair < span or edges[at ^ pair] == edge:
-            raise SkelexError(
-                f"nest {edges} is not an embedded circle at vertex {vertex}"
-            )
-        at ^= pair
-        edge = edges[at]
-        if vertex == start_vertex and edge == first:
-            break
-    if len(walk) != len(edges):
-        raise SkelexError(f"nest {edges} walk missed edges")
-    return walk
-
-
 def classify_surface(c: CellComplex) -> SurfaceReport:
-    """Exact classification of a closed surface complex.
+    """Exact classification of the closed surface of a nest index.
 
-    Requires a 2-dimensional complex in which every edge lies in exactly
-    two discs.  A connected closed surface with Euler characteristic 2 must
-    be orientable; hitting the opposite would be an internal inconsistency
-    and is asserted fatally.  Only the face lists are read: each disc's
-    boundary circle is walked over the ends of its edges.
+    Reads the index's ``arcs`` and the complex's Euler characteristic, and
+    no face list.  Each vertex takes its three arcs, in the order they are
+    stored, as its cyclic order (a, b, c).  The disc through the arcs
+    colored a and b is spanned by {a, b, a+b}, so ``min(b, a^b)`` names it
+    among the two discs through a, whichever end of the edge computes it,
+    and t_v(a) = min(b, a^b) < min(c, a^c) says which of the two the dart
+    entering v along a leaves into.  Sides of the vertices are consistent
+    across an edge of color a from v to w exactly when side_v ^ side_w =
+    1 ^ t_v(a) ^ t_w(a).  For a pure coloring every star is the same three
+    colors, and t_v(a) ^ t_w(a) only says whether v and w store them in
+    the same cyclic order, so the rule is then bipartiteness.
+
+    Refuses a complex that was not read from a nest index, or that is not
+    the 2-complex of a graph with n=2.  A connected closed surface with
+    Euler characteristic 2 must be orientable; hitting the opposite would
+    be an internal inconsistency and is asserted fatally.
     """
-    if c.top_dim != 2:
-        raise SkelexError(f"surface classification needs a 2-complex, got dim {c.top_dim}")
-    discs_at = c.cofaces(1)
-    for i, discs in enumerate(discs_at):
-        if len(discs) != 2:
-            raise SkelexError(
-                f"not a closed surface complex: edge {i} lies in {len(discs)} discs"
-            )
-
-    # orientation: two discs sharing edge e must traverse it oppositely, so
-    # their sides differ across e by 1 ^ t_a[e] ^ t_b[e], t being their
-    # traversal directions.  A walk over (disc, side) from one side of each
-    # component reaches each of its discs once exactly when consistent
-    # sides exist, and twice otherwise.
-    ends, boundaries = c.faces(1), c.faces(2)
-    traversals = [_circle_traversal(ends, edges) for edges in boundaries]
-
-    def sides(x: tuple[int, int]) -> list[tuple[int, int]]:
-        d, side = x
-        return [
-            (b, side ^ 1 ^ traversals[d][e] ^ traversals[b][e])
-            for e in boundaries[d]
-            for b in discs_at[e] if b != d
-        ]
-
-    sided: set[tuple[int, int]] = set()
-    for d in range(len(boundaries)):
-        if (d, 0) not in sided and (d, 1) not in sided:
-            sided.update(reach((d, 0), sides))
-    orientable = len(sided) == len(boundaries)
-
-    return surface_report(c.euler(), orientable)
+    if c.index is None:
+        raise SkelexError(
+            "surface classification reads the vertex stars of a nest index;"
+            " this complex has none"
+        )
+    arcs = c.index.arcs
+    n = len(arcs[0]) - 1  # a valid graph has n+1 arcs at every vertex
+    if n != 2 or c.top_dim != 2:
+        raise SkelexError(
+            "surface classification needs the 2-complex of a graph with n=2,"
+            f" got dim {c.top_dim} and n={n}"
+        )
+    flips = [1] * (3 * len(arcs) // 2)  # per edge, 1 ^ t_v ^ t_w
+    for at in arcs:
+        for i, (e, _, a) in enumerate(at):
+            after, last = at[i - 2][2], at[i - 1][2]  # the next two colors in the order
+            flips[e] ^= min(after, a ^ after) < min(last, a ^ last)
+    # the graph is connected: the walk reaches every vertex on one side
+    # when consistent sides exist, and on both otherwise
+    sided = set(reach((0, 0), lambda x: [(w, x[1] ^ flips[e]) for e, w, _ in arcs[x[0]]]))
+    return surface_report(c.euler(), len(sided) == len(arcs))
 
 
 def surface_report(chi: int, orientable: bool) -> SurfaceReport:

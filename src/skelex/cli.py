@@ -23,7 +23,8 @@ nests at a time, dropping each before it enumerates the next.  A JSON
 listing row is assembled by ``graph.row_shape``: the fields that a nest's
 color subspace decides (an isotropy row's dimension, co-rank, copies and
 kernel; a nest's dimension and label) are rendered once per subspace,
-and each row renders only the nest's own ids.
+and each row renders only the nest's own ids.  A text isotropy row
+renders its co-rank, copies and kernel once per subspace too.
 """
 
 from __future__ import annotations
@@ -339,14 +340,15 @@ def _cmd_realize(args) -> int:
     except ExpansionRefused as exc:
         _emit(args.out, f"realizability: unknown (expansion refused: {exc})")
         return EXIT_REFUSED
-    # the whole table is checked before the first byte is written
-    records = realize_mod.isotropy_report(g, index) if args.table else []
-    # nests of one color subspace share one kernel, and the co-rank and
-    # copies it decides: one record stands for each kernel, rendered once
-    kinds = {r.subgroup_basis: r for r in records}
+    # the whole table is checked before the first byte is written, and a
+    # nest's row is the one of its color subspace: what a subspace decides
+    # is rendered once, and each row renders only the nest's own edges
+    table = realize_mod.isotropy_report(g, index) if args.table else {}
     terms = {
-        basis: [realize_mod.render_t_vector(m, g.width) for m in basis] for basis in kinds
+        space: [realize_mod.render_t_vector(m, g.width) for m in kernel]
+        for space, (kernel, _, _) in table.items()
     }
+    nests = (nest for k in range(g.width) for nest in index.nests(k)) if args.table else ()
     # both formats build each isotropy row as it is written
     if args.format == "json":
         payload: dict = {
@@ -357,20 +359,23 @@ def _cmd_realize(args) -> int:
         }
         if args.table:
             shapes = {
-                basis: graph_mod.row_shape({
-                    "dim": r.nest.dim,
+                space: graph_mod.row_shape({
+                    "dim": space.dim,
                     "edges": graph_mod.PER_ROW,
-                    "corank": r.corank,
-                    "copies": r.copies,
-                    "kernel": terms[basis],
+                    "corank": corank,
+                    "copies": copies,
+                    "kernel": terms[space],
                 })
-                for basis, r in kinds.items()
+                for space, (_, corank, copies) in table.items()
             }
-            payload["isotropy"] = (
-                shapes[r.subgroup_basis](r.nest.edge_ids) for r in records
-            )
+            payload["isotropy"] = (shapes[nest.color](nest.edge_ids) for nest in nests)
         _emit(args.out, graph_mod.json_pieces(payload))
         return EXIT_OK
+
+    tails = {
+        space: f" corank={corank} copies={copies} kernel=[{', '.join(terms[space]) or '0'}]"
+        for space, (_, corank, copies) in table.items()
+    }
 
     def report() -> Iterator[str]:
         yield (
@@ -379,13 +384,8 @@ def _cmd_realize(args) -> int:
             f"doubling required: {'yes' if summary.doubling_required else 'no'}\n"
             f"fixed points: {summary.fixed_point_count}"
         )
-        for record in records:
-            basis = ", ".join(terms[record.subgroup_basis]) or "0"
-            yield (
-                f"\nnest dim={record.nest.dim} edges={list(record.nest.edge_ids)}"
-                f" corank={record.corank} copies={record.copies}"
-                f" kernel=[{basis}]"
-            )
+        for nest in nests:
+            yield f"\nnest dim={nest.dim} edges={list(nest.edge_ids)}{tails[nest.color]}"
 
     _emit(args.out, report())
     return EXIT_OK

@@ -35,7 +35,7 @@ class CellComplex:
     its nests and counts are the index's, and each dimension's face lists
     are read off ``NestIndex.within`` on first use.  A hand-built complex
     passes its face lists.  Nothing may change once the complex is built:
-    face lists and the coface relation are kept.
+    face lists are kept.
     """
 
     def __init__(
@@ -49,7 +49,6 @@ class CellComplex:
         self.nests = nests
         self.index = index
         self._faces = {} if faces is None else dict(enumerate(faces))
-        self._cofaces: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     @classmethod
     def of_index(cls, index: NestIndex, top_dim: int) -> "CellComplex":
@@ -88,20 +87,6 @@ class CellComplex:
                 if acc:
                     return False
         return True
-
-    def cofaces(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """For each k-cell, the (k+1)-cells having it as a face, ascending.
-
-        Built on first use for each k and kept.
-        """
-        if k not in self._cofaces:
-            out: list[list[int]] = [[] for _ in self.nests[k]]
-            if k + 1 <= self.top_dim:
-                for i, faces in enumerate(self.faces(k + 1)):
-                    for f in faces:
-                        out[f].append(i)
-            self._cofaces[k] = tuple(map(tuple, out))
-        return self._cofaces[k]
 
 
 def expand2(g: ColoredGraph, index: NestIndex | None = None) -> CellComplex:
@@ -229,8 +214,11 @@ class Obstruction:
 @dataclass(frozen=True)
 class ExpansionOutcome:
     complex: CellComplex
-    reached_dim: int
     obstruction: Obstruction | None
+
+    @property
+    def reached_dim(self) -> int:
+        return self.complex.top_dim
 
     @property
     def completed(self) -> bool:
@@ -258,15 +246,14 @@ def full_expand(g: ColoredGraph, index: NestIndex | None = None) -> ExpansionOut
         raise UnsupportedDimension(f"expansion needs n >= 2, got n={g.n}")
     skeleton = expand2(g, index)
     if g.n == 2:
-        return ExpansionOutcome(skeleton, 2, None)
+        return ExpansionOutcome(skeleton, None)
     if g.n >= 4:
-        return ExpansionOutcome(skeleton, 2, Obstruction(None, skeleton_refusal(g.n)))
+        return ExpansionOutcome(skeleton, Obstruction(None, skeleton_refusal(g.n)))
 
     crit = criterion_3d(g, index)
     if not crit.holds:
         return ExpansionOutcome(
             skeleton,
-            2,
             Obstruction(crit.witness, crit.refusal, crit.counts()),
         )
-    return ExpansionOutcome(CellComplex.of_index(index, 3), 3, None)
+    return ExpansionOutcome(CellComplex.of_index(index, 3), None)

@@ -58,11 +58,11 @@ class ColoredGraph:
     def arcs(self) -> Arcs:
         """Per vertex, (edge id, far end, color mask) for each edge at it.
 
-        Built afresh on each call; the graph never keeps it, since census
-        entries keep their graphs.  Every endpoint must be in range and no
-        edge a loop: ``validate`` builds it only once its range and loop
-        checks pass, and hands it on in its report, so a ``NestIndex``
-        keeps the one its validation built.
+        Built afresh on each call, and never kept by the graph.  Every
+        endpoint must be in range and no edge a loop: ``validate`` builds
+        it only once its range and loop checks pass, and hands it on in its
+        report, so a ``NestIndex`` keeps the one its validation built, for
+        its walks and for surface classification.
         """
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for idx, (u, v, c) in enumerate(self.edges):

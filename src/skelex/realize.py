@@ -5,10 +5,11 @@ acting group whose co-rank equals the nest dimension; the quotient carries
 2^dim copies of the nest's cell.  Subgroup bases are reported in the dual
 basis t0..tn of the group (x_i(t_j) is 1 exactly when i == j), so kernels
 are plain GF(2) null spaces of the color rows.  The edge colors of a nest
-span its color subspace, so the kernel depends on that subspace alone and
-is computed once per distinct subspace; the per-nest null space of the
-edge colors is kept in ``tests/`` as the oracle.  The quotient space itself
-is never built; only its isotropy bookkeeping is.
+span its color subspace, so the kernel depends on that subspace alone:
+the isotropy table has one row per distinct nest subspace, and a nest
+reads its row as ``table[nest.color]``.  The per-nest null space of the
+edge colors is kept in ``tests/`` as the oracle.  The quotient space
+itself is never built; only its isotropy bookkeeping is.
 """
 
 from __future__ import annotations
@@ -17,37 +18,29 @@ from dataclasses import dataclass
 
 from .errors import ExpansionRefused
 from .expansion import full_expand
-from .gf2 import Subspace, color_text, null_space
+from .gf2 import Subspace, null_space
 from .graph import ColoredGraph
-from .nests import Nest, NestIndex
+from .nests import NestIndex
+
+# a nest subspace -> (its kernel over the t-basis, co-rank, copies)
+IsotropyTable = dict[Subspace, tuple[tuple[int, ...], int, int]]
 
 
-@dataclass(frozen=True, slots=True)
-class IsotropyRecord:
-    nest: Nest
-    subgroup_basis: tuple[int, ...]  # kernel vectors over the t-basis
-    corank: int
-    copies: int
+def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> IsotropyTable:
+    """The kernel, co-rank and copies of every nest subspace of the graph.
 
-
-def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[IsotropyRecord]:
-    """One record per nest of every dimension, in canonical nest order.
-
-    Nests with one color subspace share one kernel tuple, and its co-rank
-    and copies are decided once for them all.  ``index`` is the graph's
-    nest index when the caller already holds one.
+    The subspaces come in the order of their first nest in canonical nest
+    order, over every dimension.  The co-rank check passes or fails for
+    every nest of a subspace alike, so a failure names the first nest of
+    the first failing subspace, which is the first failing nest.
+    ``index`` is the graph's nest index when the caller already holds one.
     """
     if index is None:
         index = NestIndex(g)
-    # a subspace's kernel, co-rank and copies; the check passes or fails for
-    # every nest of a subspace alike, so the first nest of the first failing
-    # subspace is the first failing nest
-    shared: dict[Subspace, tuple[tuple[int, ...], int, int]] = {}
-    records: list[IsotropyRecord] = []
+    table: IsotropyTable = {}
     for k in range(g.n + 1):
         for nest in index.nests(k):
-            found = shared.get(nest.color)
-            if found is None:
+            if nest.color not in table:
                 kernel = null_space(nest.color.basis, g.width)
                 corank = g.width - len(kernel)
                 if corank != nest.dim:
@@ -55,9 +48,8 @@ def isotropy_report(g: ColoredGraph, index: NestIndex | None = None) -> list[Iso
                         f"nest {nest.edge_ids}: kernel co-rank {corank} differs"
                         f" from nest dimension {nest.dim}"
                     )
-                found = shared[nest.color] = (kernel, corank, 1 << corank)
-            records.append(IsotropyRecord(nest, *found))
-    return records
+                table[nest.color] = (kernel, corank, 1 << corank)
+    return table
 
 
 def render_t_vector(mask: int, width: int) -> str:
@@ -67,14 +59,10 @@ def render_t_vector(mask: int, width: int) -> str:
 
 @dataclass(frozen=True)
 class RealizabilitySummary:
-    n: int
     euler: int
     bounds_directly: bool
     doubling_required: bool
-    fixed_point_count: int
-    tangent_colors: tuple[tuple[str, ...], ...]
-    # per-vertex incident colors; the moment-graph identity says these are
-    # exactly the tangent weights at the corresponding fixed point
+    fixed_point_count: int  # the vertices, fixed by the whole group
 
 
 def realizability_summary(
@@ -93,39 +81,13 @@ def realizability_summary(
     if not outcome.completed:
         raise ExpansionRefused(outcome.obstruction.reason)
     chi = outcome.complex.euler()
-    del outcome  # frees the nest index this call built before the tangent colors
     if g.n == 2:
         bounds = chi % 2 == 0
     else:
         bounds = True
     return RealizabilitySummary(
-        n=g.n,
         euler=chi,
         bounds_directly=bounds,
         doubling_required=not bounds,
         fixed_point_count=g.vertex_count,
-        tangent_colors=tangent_colors(g),
     )
-
-
-def tangent_colors(g: ColoredGraph) -> tuple[tuple[str, ...], ...]:
-    """Per vertex, the strings of its incident colors, sorted.
-
-    Each distinct color is rendered once, and its one string is shared by
-    every edge that carries it; each distinct sorted tuple is likewise
-    shared by every vertex that has it.
-    """
-    names: dict[int, str] = {}  # color mask -> its string
-    at: list[list[str]] = [[] for _ in range(g.vertex_count)]
-    for u, v, c in g.edges:
-        name = names.get(c)
-        if name is None:
-            name = names[c] = color_text(c, g.width)
-        at[u].append(name)
-        at[v].append(name)
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one per distinct tuple
-    out = []
-    for colors in at:
-        star = tuple(sorted(colors))
-        out.append(shared.setdefault(star, star))
-    return tuple(out)

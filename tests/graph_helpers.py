@@ -1,13 +1,15 @@
 """Graph and poset helpers that only tests call.
 
 ``is_pure`` and ``color_isomorphic`` compare colorings, ``connected_sum``
-builds larger manifolds from smaller ones, ``cycle_fault`` diagnoses a
-link that is not one circle for the reference checks, and ``cell_count``
-sizes a face poset.  The package calls none of them.
+builds larger manifolds from smaller ones, ``cubic_multigraph`` draws a
+random underlying graph for n=2, ``cycle_fault`` diagnoses a link that is
+not one circle for the reference checks, and ``cell_count`` sizes a face
+poset.  The package calls none of them.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Hashable, Mapping, Sequence
 
 from skelex.duality import FacePoset
@@ -40,6 +42,22 @@ def cycle_fault(
         if x not in seen:
             return "disconnected", x
     return None
+
+
+def cubic_multigraph(vertices: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A connected, loopless 3-regular multigraph by random stub pairing."""
+    while True:
+        stubs = [v for v in range(vertices) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if any(u == v for u, v in edges):
+            continue
+        neighbors: list[set[int]] = [set() for _ in range(vertices)]
+        for u, v in edges:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        if sum(1 for _ in reach(0, neighbors.__getitem__)) == vertices:
+            return edges
 
 
 def is_pure(g: ColoredGraph) -> bool:

@@ -14,7 +14,7 @@ from math import comb
 
 from skelex.expansion import CellComplex
 
-from cell_oracle import Cell, cells_by_dim
+from cell_oracle import Cell, cells_by_dim, cofaces
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,10 @@ def manifold_local_check(c: CellComplex) -> LocalCheckReport:
     """
     problems: list[str] = []
     top = c.top_dim
-    for i, cofaces in enumerate(c.cofaces(top - 1)):
-        if len(cofaces) != 2:
+    for i, tops in enumerate(cofaces(c, top - 1)):
+        if len(tops) != 2:
             problems.append(
-                f"{top - 1}-cell {i} lies in {len(cofaces)} top cells (expected 2)"
+                f"{top - 1}-cell {i} lies in {len(tops)} top cells (expected 2)"
             )
 
     g = c.graph

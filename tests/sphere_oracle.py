@@ -3,22 +3,24 @@
 Before the counting criterion was known to decide n=3 on its own, every
 3-nest's boundary subcomplex was built and checked to be a 2-sphere: a
 closed surface (every edge in two discs, every vertex link a circle) with
-Euler characteristic 2, cross-checked by surface classification.  The
-tests compare ``criterion_3d`` and its witness with this check.
+Euler characteristic 2, cross-checked by the orientation walk of
+``orientation_oracle``.  The tests compare ``criterion_3d`` and its
+witness with this check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from skelex.classify import classify_surface
+from skelex.classify import surface_report
 from skelex.errors import UnsupportedDimension
 from skelex.expansion import CellComplex
 from skelex.graph import reach
 from skelex.nests import Nest
 
-from cell_oracle import cells_by_dim
+from cell_oracle import cells_by_dim, cofaces
 from graph_helpers import cycle_fault
+from orientation_oracle import orientable
 
 
 def _subcomplex(complex: CellComplex, keep: list[set[int]]) -> CellComplex:
@@ -78,7 +80,7 @@ def sphere_check(F: CellComplex, k: int) -> SphereCheck:
         return SphereCheck(False, f"complex has no {k}-cells")
     cells = cells_by_dim(F)
     vertices = range(len(cells[0]))
-    edges_at = F.cofaces(0)
+    edges_at = cofaces(F, 0)
     edges = cells[1]
     arcs = [[w for e in edges_at[v] for w in edges[e].faces if w != v] for v in vertices]
     if not vertices or sum(1 for _ in reach(0, arcs.__getitem__)) != len(vertices):
@@ -90,7 +92,7 @@ def sphere_check(F: CellComplex, k: int) -> SphereCheck:
             return SphereCheck(False, f"vertex {v} lies in {len(edges_at[v])} edges")
         return SphereCheck(True, "circle")
 
-    discs_at = F.cofaces(1)
+    discs_at = cofaces(F, 1)
     for i, discs in enumerate(discs_at):
         if len(discs) != 2:
             return SphereCheck(False, f"edge {i} lies in {len(discs)} discs")
@@ -101,8 +103,8 @@ def sphere_check(F: CellComplex, k: int) -> SphereCheck:
     if chi != 2:
         return SphereCheck(False, f"closed surface with euler characteristic {chi}")
     # cross-check: a closed connected surface with this characteristic must
-    # pass the orientation pass; classify_surface asserts fatally otherwise
-    classify_surface(F)
+    # pass the orientation walk; surface_report asserts fatally otherwise
+    surface_report(chi, orientable(F))
     return SphereCheck(True, "2-sphere")
 
 
@@ -113,7 +115,7 @@ def _vertex_link_failures(F: CellComplex) -> str | None:
     joining the two boundary edges of that disc through v.  The discs at v
     are the cofaces of its edges.
     """
-    edges_at, discs_at = F.cofaces(0), F.cofaces(1)
+    edges_at, discs_at = cofaces(F, 0), cofaces(F, 1)
     vcells, edges, discs = cells_by_dim(F)[:3]
     for vcell in vcells:
         v = vcell.nest.vertex_ids[0]

@@ -38,6 +38,7 @@ from conftest import (
     random_valid_coloring,
     torus7_simplices,
 )
+from cell_oracle import cofaces
 from goodness_oracle import is_good
 from graph_helpers import color_isomorphic, connected_sum, is_pure
 from nest_oracle import regularity_check
@@ -205,7 +206,7 @@ def test_criterion_5_property_suite():
         betti = homology_mod2(complex_).betti_mod2
         assert betti[0] == 1, (name, tag)
         assert betti == tuple(reversed(betti)), (name, tag)
-        for uses in complex_.cofaces(complex_.top_dim - 1):
+        for uses in cofaces(complex_, complex_.top_dim - 1):
             assert len(uses) == 2, (name, tag)
 
 
@@ -246,11 +247,12 @@ def test_criterion_7_connected_sums():
               " doubling exactly for odd-euler surfaces")
 def test_criterion_8_realization():
     for name, tag, graph in expandable_corpus():
-        for record in isotropy_report(graph):
-            assert len(record.subgroup_basis) + record.nest.dim == graph.width, (
-                name,
-                tag,
-            )
+        index = NestIndex(graph)
+        table = isotropy_report(graph, index)
+        for k in range(graph.n + 1):
+            for nest in index.nests(k):
+                kernel = table[nest.color][0]
+                assert len(kernel) + nest.dim == graph.width, (name, tag)
         summary = realizability_summary(graph)
         chi = full_expand(graph).complex.euler()
         if graph.n == 2:

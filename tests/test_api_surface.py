@@ -10,8 +10,10 @@ is one of the few ``ENTRY_POINTS`` that only README and tests call.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -19,7 +21,7 @@ import skelex
 from skelex.census import census
 from skelex.graph import canonicalize
 
-from conftest import CUBE_EDGES, K4_EDGES
+from conftest import CUBE_EDGES, K4_EDGES, colored_from_indices
 
 PUBLIC = [
     "CellComplex",
@@ -34,7 +36,6 @@ PUBLIC = [
     "GeneratorLimit",
     "HomologyReport",
     "InvalidGraph",
-    "IsotropyRecord",
     "Nest",
     "NestIndex",
     "NestLimit",
@@ -104,6 +105,11 @@ GONE = [
     ("gf2", "Subspace", "vectors"),
     ("expansion", None, "Cell"),
     ("expansion", "CellComplex", "cells_by_dim"),
+    ("realize", None, "IsotropyRecord"),
+    ("classify", None, "_circle_traversal"),
+    ("expansion", "CellComplex", "cofaces"),
+    ("census", "CensusEntry", "graph"),
+    ("realize", None, "tangent_colors"),
 ]
 
 # public names that no module of the package uses, each with its reason
@@ -128,8 +134,13 @@ def test_moved_and_deleted_names_are_gone(module, owner, name):
     home = importlib.import_module(f"skelex.{module}")
     if owner is not None:
         home = getattr(home, owner)
+        if dataclasses.is_dataclass(home):  # a field without a default is no class attribute
+            assert name not in {field.name for field in dataclasses.fields(home)}
     assert not hasattr(home, name)
-    assert not hasattr(skelex, name)
+    # only a member may share its name with a module of the package
+    # (``CensusEntry.graph``)
+    top = getattr(skelex, name, None)
+    assert top is None or (owner is not None and isinstance(top, ModuleType))
 
 
 def _names_used_in_package() -> set[str]:
@@ -159,9 +170,10 @@ def test_nest_contains_stays_for_the_benchmark_tracer():
 
 def test_only_validation_and_the_census_build_arcs():
     # a NestIndex keeps the arcs its graph's validation built, and every
-    # walk and valence count reads those; the census validates only the
-    # classes that close, through the NestIndex their expansion builds, so
-    # it builds the arcs for the labellings it lacks
+    # walk, valence count and surface classification reads those; the
+    # census validates only the classes that close, through the NestIndex
+    # their expansion builds, so it builds the arcs of a class graph only
+    # for the labellings it lacks, and keeps no class graph
     callers = set()
     for path in Path(skelex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -183,8 +195,11 @@ def test_every_edge_producer_yields_int_rows():
         skelex.gen_orientable_surface(2),
         skelex.gen_nonorientable_surface(3),
         skelex.dual_colored_graph(skelex.sphere_poset(2)),
-        *(entry.graph for entry in census(K4_EDGES, 4, 2)),
-        *(entry.graph for entry in census(CUBE_EDGES, 8, 2)),
+        *(
+            colored_from_indices(edges, vertices, 2, entry.coloring)
+            for edges, vertices in ((K4_EDGES, 4), (CUBE_EDGES, 8))
+            for entry in census(edges, vertices, 2)
+        ),
     ]
     for g in graphs:
         assert g.edges

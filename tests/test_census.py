@@ -25,6 +25,8 @@ from skelex.nests import ColorComponents, NestIndex
 from census_oracle import all_proper_colorings, canonical_coloring, reference_census
 from conftest import CUBE_EDGES, K4_EDGES, colored_from_indices
 from goodness_oracle import is_good
+from graph_helpers import cubic_multigraph
+from orientation_oracle import orientable
 
 
 def _prism(rungs: int) -> list[tuple[int, int]]:
@@ -72,8 +74,6 @@ class TestAgainstOracle:
         edges, vertices, n = GRAPHS[name]
         entries = census(edges, vertices, n)
         assert _observed(entries) == reference_census(edges, vertices, n)
-        for e in entries:
-            assert e.graph == colored_from_indices(edges, vertices, n, e.coloring)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_enumerator_yields_each_orbit_once_in_order(self, name):
@@ -98,31 +98,19 @@ class TestAgainstOracle:
         assert _observed(census(moved, vertices, n)) == reference_census(moved, vertices, n)
 
 
-def _cubic_multigraph(vertices: int, rng: random.Random) -> list[tuple[int, int]]:
-    """A connected, loopless 3-regular multigraph by random stub pairing."""
-    while True:
-        stubs = [v for v in range(vertices) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = list(zip(stubs[::2], stubs[1::2]))
-        if any(u == v for u, v in edges):
-            continue
-        neighbors: list[set[int]] = [set() for _ in range(vertices)]
-        for u, v in edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        if sum(1 for _ in graph_mod.reach(0, neighbors.__getitem__)) == vertices:
-            return edges
-
-
 class TestSurfacesFromCounts:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([4, 6, 8, 10, 12, 14]), st.integers(0, 2**32 - 1))
     def test_bipartite_rule_matches_the_orientation_pass(self, vertices, seed):
         # an n=2 class is named from V - E + #2-nests and the bipartiteness
-        # of the underlying graph, never from a complex
-        edges = _cubic_multigraph(vertices, random.Random(seed))
+        # of the underlying graph, never from a complex; the disc walk of
+        # the orientation oracle agrees
+        edges = cubic_multigraph(vertices, random.Random(seed))
         for entry in census(edges, vertices, 2):
-            assert entry.report == classify_surface(expansion.full_expand(entry.graph).complex)
+            g = colored_from_indices(edges, vertices, 2, entry.coloring)
+            complex_ = expansion.full_expand(g).complex
+            assert entry.report == classify_surface(complex_)
+            assert entry.report.orientable == orientable(complex_)
 
     @pytest.mark.parametrize("name", ["prism4", "prism8", "3-cube", "K3,3", "K6"])
     def test_no_class_is_indexed_or_expanded(self, name, monkeypatch):
@@ -174,7 +162,7 @@ class TestFourCube:
         axis = _first_occurrence([c.bit_length() - 1 for _, _, c in self.AXES.edges])
         assert closed.coloring == axis
         assert closed.report.betti_mod2 == (1, 0, 0, 1)
-        assert skeleta == [closed.graph]
+        assert skeleta == [colored_from_indices(self.EDGES, 16, 3, closed.coloring)]
 
     def test_refused_classes_are_neither_validated_nor_grown(self, monkeypatch):
         # every class is valid and good by construction, and a refused
@@ -193,9 +181,10 @@ class TestFourCube:
         monkeypatch.setattr(graph_mod, "validate", counted_validate)
         monkeypatch.setattr(nests_mod.NestIndex, "__init__", counted_init)
         entries = census(self.EDGES, 16, 3)
-        assert validated == [e.graph for e in entries if e.refusal is None]
         (closed,) = [e for e in entries if e.refusal is None]
-        assert indexed == [closed.graph]  # one index, for the closing class
+        graph = colored_from_indices(self.EDGES, 16, 3, closed.coloring)
+        assert validated == [graph]
+        assert indexed == [graph]  # one index, for the closing class
 
     @pytest.mark.parametrize("shuffle", [None, 4])
     def test_classes_share_labellings(self, shuffle, monkeypatch):
@@ -228,7 +217,9 @@ class TestFourCube:
         assert len(labelled) == len(keys)  # 18,400 unshared, 10 per class
         if shuffle is None:
             assert len(labelled) <= 3242
-        assert [g for g, _ in decided] == [entry.graph for entry in entries]
+        assert [g for g, _ in decided] == [
+            colored_from_indices(edges, 16, 3, entry.coloring) for entry in entries
+        ]
         for entry, (g, crit) in zip(entries, decided):
             alone = class_criterion(g)  # a fresh dict: nothing shared
             assert crit == alone  # witness and its euler characteristic included

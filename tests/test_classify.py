@@ -1,20 +1,107 @@
-"""Surface classification, mod-2 homology, and the local manifold check."""
+"""Surface classification against the disc walk of the orientation oracle,
+mod-2 homology, and the local manifold check."""
 
 from __future__ import annotations
 
+import functools
+import random
+from itertools import islice, permutations
+
 import pytest
 
-from skelex.classify import classify_surface, homology_mod2
-from skelex.errors import SkelexError
-from skelex.expansion import CellComplex, full_expand
-from skelex.generators import gen_nonorientable_surface, gen_orientable_surface
-from skelex.gf2 import parse_color
+from skelex.census import enumerate_proper_colorings
+from skelex.classify import classify_surface, homology_mod2, surface_report
+from skelex.errors import NotGoodColoring, SkelexError
+from skelex.expansion import CellComplex, check_circles, expand2, full_expand
+from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
+from skelex.gf2 import parse_color, rank_masks
+from skelex.graph import ColoredGraph
+from skelex.nests import NestIndex
 
-from cell_oracle import cells_by_dim
-from conftest import edges_at
-from graph_helpers import connected_sum
+from cell_oracle import cells_by_dim, cofaces
+from conftest import (
+    banana,
+    colored_from_indices,
+    edges_at,
+    random_valid_coloring,
+    six_colored_k4,
+)
+from graph_helpers import connected_sum, cubic_multigraph
 from local_check_oracle import manifold_local_check
+from orientation_oracle import orientable
 from rank_oracle import boundary_matrix, rank_gf2
+
+
+# the 168 invertible linear maps of GF(2)^3, each as the images of x0, x1, x2
+GL32 = [images for images in permutations(range(1, 8), 3) if rank_masks(images) == 3]
+
+
+def recolored(g: ColoredGraph, images: tuple[int, ...]) -> ColoredGraph:
+    """``g`` with every color sent through the linear map x_i -> images[i]."""
+
+    def image(mask: int) -> int:
+        out = 0
+        for i, x in enumerate(images):
+            if mask >> i & 1:
+                out ^= x
+        return out
+
+    return ColoredGraph(g.n, g.vertex_count, tuple((u, v, image(c)) for u, v, c in g.edges))
+
+
+def closes(g: ColoredGraph) -> bool:
+    """Does the valid graph ``g`` pass the circle check?"""
+    try:
+        check_circles(NestIndex(g))
+    except NotGoodColoring:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=1)
+def surface_corpus() -> tuple[ColoredGraph, ...]:
+    """Closed surfaces for n=2 whose vertex stars vary.
+
+    The surface families and census classes of random cubic multigraphs;
+    random valid colorings of them that pass the circle check, whose
+    stars differ from vertex to vertex; a GL(3,2) recoloring of each of
+    these; and chains of straight or crossed connected sums of all of
+    them.  A recoloring, or a sum of recolored pieces, keeps one star per
+    piece, which would hide a rule that confuses the two discs through an
+    edge; the random colorings show it.
+    """
+    rng = random.Random(1986)
+    singles = [gen_orientable_surface(g) for g in (1, 2, 3)]
+    singles += [gen_nonorientable_surface(k) for k in (1, 2, 3)]
+    singles += [gen_cube(2), six_colored_k4(), banana(2)]
+    for _ in range(20):
+        vertices = rng.choice((4, 6, 8, 10))
+        edges = cubic_multigraph(vertices, rng)
+        for coloring in islice(enumerate_proper_colorings(edges, vertices, 3), 3):
+            singles.append(colored_from_indices(edges, vertices, 2, coloring))
+    mixed = 0
+    while mixed < 200:
+        vertices = rng.choice((4, 4, 6))
+        g = random_valid_coloring(cubic_multigraph(vertices, rng), vertices, 3, rng)
+        if g is not None and closes(g):
+            singles.append(g)
+            mixed += 1
+    singles += [recolored(g, rng.choice(GL32)) for g in singles]
+    sums = []
+    while len(sums) < 300:
+        chain = rng.choice(singles)
+        for _ in range(rng.randint(1, 3)):
+            other = rng.choice(singles)
+            other = ColoredGraph(other.n, other.vertex_count, other.edges)  # never ``chain``
+            e = rng.randrange(chain.edge_count)
+            same = [f for f in range(other.edge_count) if other.color(f) == chain.color(e)]
+            if same:
+                crossing = rng.choice(("straight", "crossed"))
+                summed = connected_sum(chain, e, other, rng.choice(same), crossing)
+                if closes(summed):
+                    chain = summed
+        sums.append(chain)
+    return tuple(singles + sums)
 
 
 class TestClassifySurface:
@@ -46,20 +133,51 @@ class TestClassifySurface:
             [c.nests[0], c.nests[1], c.nests[2][:-1]],
             [c.faces(0), c.faces(1), c.faces(2)[:-1]],
         )
-        with pytest.raises(SkelexError):
+        # a hand-built complex has no vertex stars to read
+        with pytest.raises(SkelexError) as refused:
             classify_surface(broken)
+        assert str(refused.value) == (
+            "surface classification reads the vertex stars of a nest index;"
+            " this complex has none"
+        )
+        # the disc walk refuses it for the edges the dropped disc leaves open
+        with pytest.raises(SkelexError) as refused:
+            orientable(broken)
+        assert str(refused.value).startswith("not a closed surface complex: edge ")
+        assert str(refused.value).endswith(" lies in 1 discs")
+
+    def test_refuses_other_dimensions(self, cube3):
+        with pytest.raises(SkelexError) as refused:
+            classify_surface(expand2(cube3))
+        assert str(refused.value) == (
+            "surface classification needs the 2-complex of a graph with n=2,"
+            " got dim 2 and n=3"
+        )
+
+    def test_matches_the_disc_walk(self):
+        verdicts, varied = set(), 0
+        for g in surface_corpus():
+            c = full_expand(g).complex
+            expected = surface_report(c.euler(), orientable(c))
+            assert classify_surface(c) == expected, g
+            verdicts.add(expected.orientable)
+            varied += len({frozenset(mask for _, _, mask in at) for at in c.index.arcs}) > 1
+        assert verdicts == {True, False}
+        assert varied  # some graph's stars differ from vertex to vertex
 
     def test_label_invariance(self):
-        # permuting the disc order never changes the verdict
-        c = full_expand(gen_nonorientable_surface(2)).complex
-        c2 = CellComplex(
-            c.graph,
-            [c.nests[0], c.nests[1], c.nests[2][::-1]],
-            [c.faces(0), c.faces(1), c.faces(2)[::-1]],
-        )
-        a = classify_surface(c)
-        b = classify_surface(c2)
-        assert (a.orientable, a.genus) == (b.orientable, b.genus)
+        # relabelling the vertices and reordering the edges changes the
+        # cyclic order every vertex stores, never the verdict
+        rng = random.Random(7)
+        for g in surface_corpus()[::40]:
+            expected = classify_surface(full_expand(g).complex)
+            for _ in range(3):
+                ids = list(range(g.vertex_count))
+                rng.shuffle(ids)
+                edges = [(ids[u], ids[v], c) for u, v, c in g.edges]
+                rng.shuffle(edges)
+                relabelled = ColoredGraph(g.n, g.vertex_count, tuple(edges))
+                assert classify_surface(full_expand(relabelled).complex) == expected
 
     @pytest.mark.parametrize("ends, boundaries, message", [
         # three edges between two vertices: the walk meets all three at vertex 1
@@ -74,8 +192,9 @@ class TestClassifySurface:
          "nest (0, 1, 2, 3) walk missed edges"),
     ], ids=["theta", "path", "repeated edge", "two circles"])
     def test_disc_boundary_that_is_not_one_circle_is_refused(self, ends, boundaries, message):
-        # each edge lies in exactly two discs, so the refusal comes from the
-        # walk around the first boundary
+        # the disc walk the orientation oracle keeps reads face lists alone;
+        # each edge lies in exactly two discs, so the refusal comes from
+        # the walk around the first boundary
         vertices = 1 + max(max(pair) for pair in ends)
         c = CellComplex(
             None,
@@ -83,12 +202,12 @@ class TestClassifySurface:
             [((),) * vertices, ends, boundaries],
         )
         with pytest.raises(SkelexError) as refused:
-            classify_surface(c)
+            orientable(c)
         assert str(refused.value) == message
 
     def test_genus_1500_without_recursion(self):
-        # the orientation walk over the discs reaches paths about as long
-        # as the disc count, far past the interpreter's recursion limit
+        # the orientation walk over the vertices reaches paths about as
+        # long as the vertex count, far past the interpreter's recursion limit
         report = classify_surface(full_expand(gen_orientable_surface(1500)).complex)
         assert report.orientable
         assert (report.genus, report.euler, report.name) == (1500, -2998, "gT2(1500)")
@@ -162,7 +281,7 @@ class TestLocalCheck:
     def test_surface_edges_in_two_discs(self, cube2):
         c = full_expand(cube2).complex
         assert manifold_local_check(c).ok
-        for uses in c.cofaces(1):
+        for uses in cofaces(c, 1):
             assert len(uses) == 2
 
     def test_broken_complex_detected(self, cube3):

@@ -38,6 +38,7 @@ from conftest import (
     LONE_VERTEX_2,
     LONE_VERTEX_3,
     THIRD_CELL,
+    colored_from_indices,
     criterion_counterexample,
     edited,
     nongood_cube,
@@ -619,13 +620,15 @@ class TestCensusMachinery:
         from skelex.classify import homology_mod2
         from skelex.expansion import full_expand
 
-        for entry in census(CUBE_EDGES, 8, 2) + census(K4_EDGES, 4, 2):
-            complex_ = full_expand(entry.graph).complex
-            assert complex_.boundary_condition_holds()
-            betti = homology_mod2(complex_).betti_mod2
-            assert betti[0] == 1
-            assert betti == tuple(reversed(betti))
-            assert complex_.euler() == entry.report.euler
+        for edges, vertices in ((CUBE_EDGES, 8), (K4_EDGES, 4)):
+            for entry in census(edges, vertices, 2):
+                g = colored_from_indices(edges, vertices, 2, entry.coloring)
+                complex_ = full_expand(g).complex
+                assert complex_.boundary_condition_holds()
+                betti = homology_mod2(complex_).betti_mod2
+                assert betti[0] == 1
+                assert betti == tuple(reversed(betti))
+                assert complex_.euler() == entry.report.euler
 
     def test_three_dimensional_census(self):
         # two vertices joined by four parallel edges: the unique pure

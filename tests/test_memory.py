@@ -1,6 +1,6 @@
 """What the listings hold at their peak, pinned by ratios of ``tracemalloc``
 peaks taken in one process, never by absolute sizes; and per-nest records
-without an instance dict."""
+(``Nest``) without an instance dict."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from skelex import cli
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
 from skelex.graph import read_graph, serialize
 from skelex.nests import NestIndex
-from skelex.realize import isotropy_report
 
 
 def traced_peak(work) -> int:
@@ -72,17 +71,13 @@ def test_nests_listing_holds_one_dimension_at_a_time(tmp_path, monkeypatch):
 
 
 def test_per_nest_records_have_no_instance_dict():
-    g = gen_cube(2)
-    index = NestIndex(g)
-    nest = index.nests(2)[0]
-    record = isotropy_report(g, index)[-1]
-    for item in (nest, record):
-        assert not hasattr(item, "__dict__")
-        twin = copy.deepcopy(item)
-        assert twin is not item
-        assert twin == item
-        assert hash(twin) == hash(item)
-        assert len({item, twin}) == 1
-        field = dataclasses.fields(item)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(item, field, getattr(item, field))
+    nest = NestIndex(gen_cube(2)).nests(2)[0]
+    assert not hasattr(nest, "__dict__")
+    twin = copy.deepcopy(nest)
+    assert twin is not nest
+    assert twin == nest
+    assert hash(twin) == hash(nest)
+    assert len({nest, twin}) == 1
+    field = dataclasses.fields(nest)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(nest, field, getattr(nest, field))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import sys
-import weakref
 
 import pytest
 
@@ -18,49 +17,68 @@ from skelex.gf2 import color_text, parse_color
 from skelex.graph import serialize
 from skelex.nests import NestIndex
 from skelex.generators import gen_cube, gen_nonorientable_surface, gen_orientable_surface
-from skelex.realize import (
-    isotropy_report,
-    realizability_summary,
-    render_t_vector,
-    tangent_colors,
-)
+from skelex.realize import isotropy_report, realizability_summary, render_t_vector
 
 from conftest import edges_at, gale_facets, six_colored_k4, sphere_times_circle
 from isotropy_oracle import _kernel_of_nest, fixed_circle_check
 
 
+def rows(g, table, index=None):
+    """(nest, kernel, corank, copies) per nest of every dimension, in nest order."""
+    index = NestIndex(g) if index is None else index
+    return [(nest, *table[nest.color]) for k in range(g.n + 1) for nest in index.nests(k)]
+
+
+def tangent_weights(g) -> list[tuple[str, ...]]:
+    """Per vertex, the sorted weights of the fixed circles through it, read
+    off the isotropy table: the one nonzero color the kernel of a circle's
+    edge annihilates."""
+    index = NestIndex(g)
+    table = isotropy_report(g, index)
+    at: list[list[str]] = [[] for _ in range(g.vertex_count)]
+    for nest in index.nests(1):
+        kernel = table[nest.color][0]
+        (weight,) = [
+            x for x in range(1, 1 << g.width)
+            if all(bin(x & k).count("1") % 2 == 0 for k in kernel)
+        ]
+        for v in nest.vertex_ids:
+            at[v].append(color_text(weight, g.width))
+    return [tuple(sorted(weights)) for weights in at]
+
+
 class TestIsotropy:
     def test_corank_equals_dimension(self, cube2, cube3):
         for g in (cube2, cube3, gen_orientable_surface(2)):
-            for record in isotropy_report(g):
-                assert record.corank == record.nest.dim
-                assert len(record.subgroup_basis) + record.nest.dim == g.width
-                assert record.copies == 1 << record.nest.dim
+            for nest, kernel, corank, copies in rows(g, isotropy_report(g)):
+                assert corank == nest.dim
+                assert len(kernel) + nest.dim == g.width
+                assert copies == 1 << nest.dim
                 # copies x |subgroup| = full group order
-                assert record.copies * (1 << len(record.subgroup_basis)) == 1 << g.width
+                assert copies * (1 << len(kernel)) == 1 << g.width
 
     def test_vertex_record_is_full_group(self, cube2):
-        records = [r for r in isotropy_report(cube2) if r.nest.dim == 0]
+        records = [r for r in rows(cube2, isotropy_report(cube2)) if r[0].dim == 0]
         assert len(records) == 8
-        for r in records:
-            assert r.copies == 1
-            assert len(r.subgroup_basis) == 3
+        for _, kernel, _, copies in records:
+            assert copies == 1
+            assert len(kernel) == 3
 
     def test_edge_kernel(self, cube2):
-        records = [r for r in isotropy_report(cube2) if r.nest.dim == 1]
-        for r in records:
-            e = r.nest.edge_ids[0]
+        records = [r for r in rows(cube2, isotropy_report(cube2)) if r[0].dim == 1]
+        for nest, kernel, _, copies in records:
+            e = nest.edge_ids[0]
             color = cube2.color(e)
-            assert r.copies == 2
-            for k in r.subgroup_basis:
+            assert copies == 2
+            for k in kernel:
                 assert bin(k & color).count("1") % 2 == 0
 
     def test_top_nest_cube(self, cube2):
-        records = [r for r in isotropy_report(cube2) if r.nest.dim == 2]
+        records = [r for r in rows(cube2, isotropy_report(cube2)) if r[0].dim == 2]
         assert len(records) == 6
-        for r in records:
-            assert len(r.subgroup_basis) == 1
-            assert r.copies == 4
+        for _, kernel, _, copies in records:
+            assert len(kernel) == 1
+            assert copies == 4
 
 
 class TestFixedCircles:
@@ -98,11 +116,15 @@ class TestSummary:
         assert not summary.doubling_required
 
     def test_moment_graph_identity(self, cube2):
+        # the fixed points are the vertices, and the tangent weights at each
+        # are the colors of its edges: the fixed circle over an edge has the
+        # kernel of its color, whose only nonzero annihilating color it is
         summary = realizability_summary(cube2)
         assert summary.fixed_point_count == cube2.vertex_count
-        for v in range(cube2.vertex_count):
-            expected = tuple(sorted(color_text(cube2.color(e), 3) for e in edges_at(cube2, v)))
-            assert summary.tangent_colors[v] == expected
+        assert tangent_weights(cube2) == [
+            tuple(sorted(color_text(cube2.color(e), 3) for e in edges_at(cube2, v)))
+            for v in range(cube2.vertex_count)
+        ]
 
     @pytest.mark.parametrize(
         "g",
@@ -113,17 +135,12 @@ class TestSummary:
         + [f"cube{n}" for n in range(2, 5)],
     )
     def test_tangent_colors_are_the_colors_at_each_vertex(self, g):
-        colors = tangent_colors(g)
-        assert len(colors) == g.vertex_count
+        weights = tangent_weights(g)
+        assert len(weights) == g.vertex_count
         for v in range(g.vertex_count):
-            assert colors[v] == tuple(sorted(color_text(g.color(e), g.width) for e in edges_at(g, v)))
-        # each distinct color is rendered once, its string shared by its edges
-        distinct = {c for _, _, c in g.edges}
-        assert len({id(name) for at in colors for name in at}) == len(distinct)
-        if g.n <= 3:  # the expansion closes, so the summary carries them
-            summary = realizability_summary(g)
-            assert summary.fixed_point_count == g.vertex_count
-            assert summary.tangent_colors == colors
+            assert weights[v] == tuple(sorted(color_text(g.color(e), g.width) for e in edges_at(g, v)))
+        if g.n <= 3:  # the expansion closes, so the summary counts the fixed points
+            assert realizability_summary(g).fixed_point_count == g.vertex_count
         else:
             with pytest.raises(ExpansionRefused):
                 realizability_summary(g)
@@ -131,27 +148,6 @@ class TestSummary:
     def test_refusal_propagates(self, counterexample):
         with pytest.raises(ExpansionRefused):
             realizability_summary(counterexample)
-
-    @pytest.mark.parametrize("make", [lambda: gen_orientable_surface(3), lambda: gen_cube(3)],
-                             ids=["gT2(3)", "cube3"])
-    def test_own_index_is_freed_before_the_tangent_colors(self, monkeypatch, make):
-        # called without an index, the summary drops the one it built (its
-        # nests, layers and arcs) before the per-vertex colors are built
-        built, alive = [], []
-        original_init, original_colors = NestIndex.__init__, realize_mod.tangent_colors
-
-        def recorded_init(index, g):
-            original_init(index, g)
-            built.append(weakref.ref(index))
-
-        def recorded_colors(g):
-            alive.append([ref() is not None for ref in built])
-            return original_colors(g)
-
-        monkeypatch.setattr(NestIndex, "__init__", recorded_init)
-        monkeypatch.setattr(realize_mod, "tangent_colors", recorded_colors)
-        realizability_summary(make())
-        assert alive == [[False]]
 
 
 class TestSharedIndex:
@@ -193,11 +189,12 @@ class TestKernelsPerSubspace:
     def test_matches_per_nest_oracle(self, name):
         g = ORACLE_CORPUS[name]()
         index = NestIndex(g)
-        records = isotropy_report(g, index)
+        table = isotropy_report(g, index)
         nests = [nest for k in range(g.n + 1) for nest in index.nests(k)]
-        assert [r.nest for r in records] == nests
-        for record in records:
-            assert record.subgroup_basis == _kernel_of_nest(g, record.nest)
+        # one row per subspace, in the order of its first nest
+        assert list(table) == list(dict.fromkeys(nest.color for nest in nests))
+        for nest, kernel, _, _ in rows(g, table, index):
+            assert kernel == _kernel_of_nest(g, nest)
 
     def test_k4_nests_have_more_edge_colors_than_dimensions(self):
         # each triangle of the six-colored K4 carries three distinct colors
@@ -218,9 +215,9 @@ class TestKernelsPerSubspace:
             realize_mod, "null_space",
             lambda rows, width: calls.append(tuple(rows)) or original(rows, width),
         )
-        records = isotropy_report(g, index)
-        assert len(records) == 4096 + 6144 + 1026
-        assert len(subspaces) == 7
+        table = isotropy_report(g, index)
+        assert sum(len(index.nests(k)) for k in range(g.n + 1)) == 4096 + 6144 + 1026
+        assert len(subspaces) == len(table) == 7
         assert sorted(calls) == sorted(space.basis for space in subspaces)
 
     def test_wrong_kernel_names_the_first_nest(self, monkeypatch, cube3):
@@ -245,7 +242,7 @@ class TestKernelsPerSubspace:
             lambda mask, width: calls.append(mask) or original(mask, width),
         )
         text = serialize(gen_orientable_surface(2))
-        kernels = {r.subgroup_basis for r in isotropy_report(graph_mod.parse(text))}
+        kernels = {kernel for kernel, _, _ in isotropy_report(graph_mod.parse(text)).values()}
         for fmt in ("text", "json"):
             calls.clear()
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
